@@ -8,8 +8,6 @@
 //! [`crate::RasedConfig::save`] persists it and reopening with a
 //! different count is an error.
 
-use rased_osm_model::CountryId;
-
 /// Configuration for the country-sharded cube store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardConfig {
@@ -31,13 +29,6 @@ impl ShardConfig {
     pub fn effective_shards(&self) -> usize {
         self.shards.max(1)
     }
-
-    /// The shard owning `country`'s cells — the single assignment
-    /// function shared by ingest splitting, query routing, and
-    /// response-cache stamping (delegates to [`rased_index::shard_for`]).
-    pub fn assign(&self, country: CountryId) -> usize {
-        rased_index::shard_for(country, self.effective_shards())
-    }
 }
 
 #[cfg(test)]
@@ -52,14 +43,5 @@ mod tests {
     #[test]
     fn zero_normalizes_to_one() {
         assert_eq!(ShardConfig { shards: 0 }.effective_shards(), 1);
-    }
-
-    #[test]
-    fn assignment_matches_index_routing() {
-        let c = ShardConfig { shards: 4 };
-        for id in 0..16u16 {
-            assert_eq!(c.assign(CountryId(id)), rased_index::shard_for(CountryId(id), 4));
-            assert!(c.assign(CountryId(id)) < 4);
-        }
     }
 }

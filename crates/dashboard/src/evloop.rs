@@ -1,11 +1,9 @@
 //! The nonblocking serving front: accept/read/write event loop.
 //!
-//! The previous serving tier parked one blocked pool thread per in-flight
-//! connection — a slow reader or a slowloris writer pinned a worker for
-//! its whole lifetime, so the worker pool bounded *connections*, not
-//! *work*. This loop inverts that: a single thread owns the listener and
-//! every connection in nonblocking mode, and a connection is just a few
-//! buffers and a state tag:
+//! A single thread owns the listener and every connection in nonblocking
+//! mode, so a slow reader or a slowloris writer costs a few kilobytes of
+//! buffered state, never a thread: the worker pool bounds *work*, not
+//! *connections*. A connection is just a few buffers and a state tag:
 //!
 //! ```text
 //!            bytes in                complete request
@@ -16,12 +14,12 @@
 //!        keep-alive                        timeout, error, or EOF)
 //! ```
 //!
-//! * **Reading** — request bytes accumulate in `inbuf`. A cheap
-//!   completeness scan ([`ready_to_parse`]) decides when a full request
-//!   (or a provable limit violation) is buffered; only then does the
-//!   buffer go through the *same* [`read_request`] parser the blocking
-//!   path uses, over a `Cursor`, so parse semantics — limits, tolerated
-//!   stray CRLFs, typed errors — are byte-identical by construction.
+//! * **Reading** — request bytes accumulate in `inbuf`, and whenever new
+//!   ones arrive the buffer goes straight through [`read_request`]: a
+//!   request is dispatched, a typed error (a provable limit violation
+//!   included) is answered, and [`HttpError::Incomplete`] means wait for
+//!   more bytes — unless the client has half-closed, when it is final.
+//!   The loop knows nothing about HTTP framing itself.
 //! * **Executing** — the parsed request rides a bounded bridge to the
 //!   worker pool, which does only real work: routing, cube queries, cold
 //!   renders (coalesced and cached through
@@ -36,7 +34,7 @@
 //! bounded by the same number); beyond that, new connections get an
 //! immediate `503` + `Retry-After`. Idle or stalled readers are answered
 //! `408` (silently closed when no request bytes arrived) after
-//! `read_timeout`, exactly like the blocking path's socket timeouts.
+//! `read_timeout`.
 //!
 //! Shutdown: [`crate::StopHandle::stop`] sets the flag and nudges the
 //! listener; the loop stops accepting, lets every open connection finish
@@ -48,10 +46,11 @@
 //! progress; under load it spins productively without sleeping.
 
 use crate::admission::Permit;
-use crate::http::{read_request, write_response, Limits, Request};
+use crate::http::{read_request, write_response, HttpError, Limits, Request};
 use crate::metrics::Endpoint;
-use crate::respcache::{CachedResponse, RespKey};
+use crate::respcache::{CachedResponse, RespKey, SPATIAL_STAMP_BASE};
 use crate::server::DashboardServer;
+use rased_core::TemporalIndex;
 use rased_storage::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -85,6 +84,9 @@ struct Conn {
     peer: Option<String>,
     /// Unparsed request bytes (pipelined requests queue here).
     inbuf: Vec<u8>,
+    /// `inbuf.len()` when the parser last found it incomplete: no point
+    /// parsing again until more bytes (or EOF) arrive.
+    parsed_len: usize,
     /// Response bytes not yet accepted by the socket.
     outbuf: Vec<u8>,
     outpos: usize,
@@ -107,6 +109,7 @@ impl Conn {
             stream,
             peer,
             inbuf: Vec::new(),
+            parsed_len: 0,
             outbuf: Vec::new(),
             outpos: 0,
             state: ConnState::Reading,
@@ -263,7 +266,7 @@ fn event_loop<'a>(server: &'a DashboardServer, bridge: &Bridge<'a>) -> std::io::
 
         // 1. Accept everything pending. When stopped, accepted sockets
         //    (the shutdown nudge, or clients racing it) are dropped
-        //    uncounted, exactly like the blocking acceptor did.
+        //    uncounted.
         loop {
             match server.listener.accept() {
                 Ok((stream, _)) => {
@@ -372,24 +375,35 @@ fn service<'a>(
         if conn.dead {
             return true;
         }
-        let before =
-            (conn.state, conn.inbuf.len(), conn.outbuf.len(), conn.outpos, conn.eof, conn.dead);
+        let before = progress_marks(conn);
         match conn.state {
             ConnState::Reading => read_step(server, bridge, id, conn, limits, scratch),
             ConnState::Executing => {} // a worker owns it; nothing to drive
             ConnState::Writing => write_step(conn),
         }
-        let after =
-            (conn.state, conn.inbuf.len(), conn.outbuf.len(), conn.outpos, conn.eof, conn.dead);
-        if after == before {
+        if progress_marks(conn) == before {
             return progress;
         }
         progress = true;
     }
 }
 
-/// Apply read/write deadlines — the same 408-vs-silent-close semantics as
-/// the blocking path's socket timeouts.
+/// Everything a step can move; unchanged marks mean the connection is
+/// waiting on the socket or a worker.
+fn progress_marks(conn: &Conn) -> (ConnState, usize, usize, usize, usize, bool, bool) {
+    (
+        conn.state,
+        conn.inbuf.len(),
+        conn.parsed_len,
+        conn.outbuf.len(),
+        conn.outpos,
+        conn.eof,
+        conn.dead,
+    )
+}
+
+/// Apply read/write deadlines: a stalled request is answered `408`, an
+/// idle keep-alive connection or a stalled reader is closed silently.
 fn check_deadline(server: &DashboardServer, conn: &mut Conn) -> bool {
     match conn.state {
         ConnState::Reading if conn.last_activity.elapsed() > server.config.read_timeout => {
@@ -415,8 +429,7 @@ fn check_deadline(server: &DashboardServer, conn: &mut Conn) -> bool {
             true
         }
         ConnState::Writing if conn.last_activity.elapsed() > server.config.write_timeout => {
-            // A client that stopped draining its response: drop it (the
-            // blocking path's write timeout closed without a counter too).
+            // A client that stopped draining its response: drop it.
             conn.dead = true;
             true
         }
@@ -434,21 +447,12 @@ fn read_step<'a>(
 ) {
     // Parse before reading more: pipelined requests already buffered must
     // make progress even when the socket is quiet.
-    if ready_to_parse(&conn.inbuf, limits) || (conn.eof && !conn.inbuf.is_empty()) {
+    if conn.inbuf.len() > conn.parsed_len || conn.eof {
         parse_and_dispatch(server, bridge, id, conn, limits);
         return;
     }
-    if conn.eof {
-        conn.dead = true; // clean EOF with nothing buffered
-        return;
-    }
     match conn.stream.read(scratch) {
-        Ok(0) => {
-            conn.eof = true;
-            if conn.inbuf.is_empty() {
-                conn.dead = true;
-            }
-        }
+        Ok(0) => conn.eof = true,
         Ok(n) => {
             conn.inbuf.extend_from_slice(scratch.get(..n).unwrap_or(&[]));
             conn.last_activity = Instant::now();
@@ -462,10 +466,9 @@ fn read_step<'a>(
     }
 }
 
-/// Run the buffered bytes through the real parser and dispatch the
-/// request. Only called when [`ready_to_parse`] says the parser cannot
-/// come up short (or the client half-closed, which the parser maps to the
-/// same errors the blocking path produced on mid-request EOF).
+/// Run the buffered bytes through the parser: dispatch a complete request,
+/// answer a typed error, or — while the client may still send more — leave
+/// an incomplete one buffered.
 fn parse_and_dispatch<'a>(
     server: &'a DashboardServer,
     bridge: &Bridge<'a>,
@@ -473,17 +476,22 @@ fn parse_and_dispatch<'a>(
     conn: &mut Conn,
     limits: &Limits,
 ) {
-    let mut cursor = std::io::Cursor::new(conn.inbuf.as_slice());
-    match read_request(&mut cursor, limits) {
-        Ok(None) => conn.dead = true, // stray trailing CRLF then EOF
+    let mut rest = conn.inbuf.as_slice();
+    match read_request(&mut rest, limits) {
+        // Nothing but (at most) a stray CRLF so far.
+        Ok(None) | Err(HttpError::Incomplete(_)) if !conn.eof => {
+            conn.parsed_len = conn.inbuf.len();
+        }
+        Ok(None) => conn.dead = true,
         Ok(Some(req)) => {
-            let consumed = (cursor.position() as usize).min(conn.inbuf.len());
+            let consumed = conn.inbuf.len() - rest.len();
             conn.inbuf.drain(..consumed);
+            conn.parsed_len = 0;
             dispatch(server, bridge, id, conn, req);
         }
         Err(e) => {
             // Framing is unknown after a parse error: answer (when
-            // possible) and close, mirroring the blocking path.
+            // possible) and close.
             match e.status() {
                 Some(status) => {
                     server.metrics.record_request(Endpoint::Other, status, Duration::ZERO);
@@ -530,7 +538,7 @@ fn dispatch<'a>(
     // or are too cheap to be worth a cache line.
     let cache_key = match &server.respcache {
         Some(_) if req.method == "GET" && endpoint.is_expensive() => {
-            Some(RespKey::with_stamp(path, query, cache_stamp(server, query)))
+            Some(RespKey::with_stamp(path, query, cache_stamp(server, path, query)))
         }
         _ => None,
     };
@@ -574,86 +582,76 @@ fn dispatch<'a>(
     bridge.submit(Job { conn_id: id, req, keep, endpoint, start, permit, cache_key });
 }
 
-/// The composite stamp for a request: the `(shard, epoch)` pairs its
-/// render will read. Over a sharded store, a query filtered to resolvable
-/// countries stamps only the owning shards — mirroring the scatter-gather
-/// planner's predicate pushdown — so the cached tile survives publishes on
-/// every other shard. A viewport request (`bbox=`/`viewport=`) reads the
-/// *spatial* hierarchy instead and stamps the bands owning its cover (see
-/// [`spatial_stamp`]). Anything else (no filter, unresolvable name, single
-/// shard) stamps the full epoch vector, which on a 1-shard store is
-/// exactly the old scalar `[(0, epoch)]` key.
-fn cache_stamp(server: &DashboardServer, query: &str) -> Vec<(u16, u64)> {
+/// The one stamp mechanism: the partitions a render reads, as sorted
+/// `(base | slot, epoch)` pairs at each partition's current publish epoch.
+/// `base` is the hierarchy's id namespace — `0` for the index's country
+/// shards, [`SPATIAL_STAMP_BASE`] for the bank's longitude bands — and the
+/// publish hooks ([`DashboardServer::bind_with`]) sweep by the same ids.
+fn stamp(
+    stores: &[TemporalIndex],
+    base: u16,
+    slots: impl Iterator<Item = usize>,
+) -> Vec<(u16, u64)> {
+    let mut slots: Vec<usize> = slots.collect();
+    slots.sort_unstable();
+    slots.dedup();
+    slots
+        .into_iter()
+        .filter_map(|slot| stores.get(slot).map(|store| (base | slot as u16, store.epoch())))
+        .collect()
+}
+
+/// The composite stamp for a request. Routing only chooses *which*
+/// partitions [`stamp`] covers, and narrows only by a filter the render
+/// honours — a tile stamped narrower than what its render read would
+/// survive a publish that changes it:
+///
+/// * `/api/analysis` with `bbox=`/`viewport=` reads the *spatial*
+///   hierarchy and never the country cubes: it stamps the bands owning the
+///   viewport's cover cells — interior *and* boundary, since boundary
+///   cells are answered by warehouse scans whose rows change exactly when
+///   a publish lands records in those cells. A cube-only publish keeps
+///   every viewport tile; a bank publish in one region keeps every other
+///   region's. An unparseable box stamps every band: the render answers
+///   400, which the cache refuses to store, so the stamp only has to be a
+///   *safe* lookup key.
+/// * A `countries=` filter of resolvable names stamps only the owning
+///   index shards — the scatter-gather planner's predicate pushdown — on
+///   `/api/analysis`, and on `/api/sample` when a `start`+`end` window
+///   scopes the sample to the query. A windowless sample ignores
+///   `countries`, so it stamps like an unfiltered request.
+/// * Anything else stamps the full index epoch vector.
+fn cache_stamp(server: &DashboardServer, path: &str, query: &str) -> Vec<(u16, u64)> {
     let params = crate::parse_query_string(query);
     let find = |k: &str| params.iter().find(|(pk, _)| pk == k).map(|(_, v)| v.as_str());
-    if let Some(raw) = find("bbox").or_else(|| find("viewport")) {
-        return spatial_stamp(server, raw);
+    let analysis = path == "/api/analysis";
+    if let Some(raw) = find("bbox").or_else(|| find("viewport")).filter(|_| analysis) {
+        let bank = server.system.spatial_bank();
+        let stores = bank.stores();
+        return match crate::api::parse_bbox(raw) {
+            Ok(bbox) => {
+                let cover = bank.grid().cover(&bbox);
+                let cells = cover.interior.iter().chain(cover.boundary.iter());
+                stamp(stores, SPATIAL_STAMP_BASE, cells.map(|&cell| bank.shard_of(cell)))
+            }
+            Err(_) => stamp(stores, SPATIAL_STAMP_BASE, 0..stores.len()),
+        };
     }
-    let index = server.system.index();
-    let epochs = index.epochs();
-    let n = epochs.len();
-    if n > 1 {
-        if let Some(owned) = routed_shards(server, &params, n) {
-            return owned
-                .into_iter()
-                .filter_map(|s| epochs.get(s).map(|&e| (s as u16, e)))
-                .collect();
-        }
+    let stores = server.system.index().stores();
+    let honoured = analysis || (find("start").is_some() && find("end").is_some());
+    let countries = find("countries").filter(|_| honoured);
+    match countries.and_then(|list| routed_shards(server, list, stores.len())) {
+        Some(owned) => stamp(stores, 0, owned.into_iter()),
+        None => stamp(stores, 0, 0..stores.len()),
     }
-    epochs.iter().enumerate().map(|(s, &e)| (s as u16, e)).collect()
 }
 
-/// The stamp for a viewport render: the spatial bands owning the
-/// viewport's cover cells (interior *and* boundary — boundary cells are
-/// answered by warehouse scans, whose rows change exactly when a publish
-/// lands records in those cells), each namespaced at
-/// [`crate::respcache::SPATIAL_STAMP_BASE`] and carrying the band's
-/// current publish epoch. The country cubes are never read on this path,
-/// so no temporal shard appears in the stamp — a cube-only publish keeps
-/// every viewport tile, and a bank publish in one region keeps every
-/// other region's tiles. An unparseable box stamps every band: the render
-/// will answer 400, which the cache refuses to store, so the stamp only
-/// has to be a *safe* lookup key, not a minimal one.
-fn spatial_stamp(server: &DashboardServer, raw: &str) -> Vec<(u16, u64)> {
-    let bank = server.system.spatial_bank();
-    let epochs = bank.epochs();
-    let pair = |band: usize| {
-        epochs.get(band).map(|&e| (crate::respcache::SPATIAL_STAMP_BASE | band as u16, e))
-    };
-    let Ok(bbox) = crate::api::parse_bbox(raw) else {
-        return (0..epochs.len()).filter_map(pair).collect();
-    };
-    let cover = bank.grid().cover(&bbox);
-    let mut bands: Vec<usize> = cover
-        .interior
-        .iter()
-        .chain(cover.boundary.iter())
-        .map(|&cell| bank.shard_of(cell))
-        .collect();
-    bands.sort_unstable();
-    bands.dedup();
-    bands.into_iter().filter_map(pair).collect()
-}
-
-/// The index shards owned by the request's `countries` filter, sorted and
-/// deduplicated — `None` when the request has no such filter or names a
-/// country the registry can't resolve (the render will fan out or fail;
-/// either way the full stamp is the safe key).
-fn routed_shards(
-    server: &DashboardServer,
-    params: &[(String, String)],
-    n: usize,
-) -> Option<Vec<usize>> {
-    let list = params.iter().find(|(k, _)| k == "countries").map(|(_, v)| v.as_str())?;
+/// The index shards owning every country of a `countries=` list — `None`
+/// when it names a country the registry can't resolve (the render will
+/// fail; the full stamp is the safe key).
+fn routed_shards(server: &DashboardServer, list: &str, n: usize) -> Option<Vec<usize>> {
     let registry = server.system.countries();
-    let mut shards: Vec<usize> = Vec::new();
-    for name in list.split(',') {
-        let id = registry.resolve(name)?;
-        shards.push(rased_core::shard_for(id, n));
-    }
-    shards.sort_unstable();
-    shards.dedup();
-    Some(shards)
+    list.split(',').map(|name| Some(rased_core::shard_for(registry.resolve(name)?, n))).collect()
 }
 
 fn write_step(conn: &mut Conn) {
@@ -686,124 +684,23 @@ fn write_step(conn: &mut Conn) {
     }
 }
 
-/// Decide whether [`read_request`] over the buffered bytes is guaranteed
-/// to produce a verdict (a request or a typed error) rather than running
-/// out of input. Conservative in the safe direction: when unsure, wait
-/// for more bytes — the parser over a `Cursor` maps a premature EOF to
-/// `Malformed`, which would change the answered status, so this must
-/// never fire early. The overflow thresholds are looser than the
-/// parser's own caps for the same reason: by the time this returns `true`
-/// on an unterminated line or header block, the parser provably hits its
-/// cap (431) before it can hit end-of-buffer.
-fn ready_to_parse(buf: &[u8], limits: &Limits) -> bool {
-    // The parser tolerates one stray blank line before the request line.
-    let mut i = 0usize;
-    if buf.starts_with(b"\r\n") {
-        i = 2;
-    } else if buf.starts_with(b"\n") {
-        i = 1;
-    }
-    let rest = buf.get(i..).unwrap_or(&[]);
-    let line_end = match rest.iter().position(|&b| b == b'\n') {
-        Some(j) => i + j + 1,
-        // Unterminated request line: parse once it provably exceeds the
-        // cap (the parser errors after cap + 2 buffered bytes).
-        None => return rest.len() > limits.max_request_line_bytes + 2,
-    };
-    if line_end - i > limits.max_request_line_bytes + 2 {
-        return true; // guaranteed 431 on the request line
-    }
-
-    // Header block: find the terminating empty line.
-    let mut pos = line_end;
-    let header_end = loop {
-        let tail = buf.get(pos..).unwrap_or(&[]);
-        match tail.iter().position(|&b| b == b'\n') {
-            Some(j) => {
-                let line = buf.get(pos..pos + j).unwrap_or(&[]);
-                let is_empty = line.is_empty() || line == b"\r".as_slice();
-                pos += j + 1;
-                if is_empty {
-                    break pos;
-                }
-            }
-            None => {
-                // No terminator yet. The parser consumes at most
-                // `max_header_bytes + 2` of complete lines, so once the
-                // whole unterminated region exceeds the cap by a margin,
-                // the dangling line provably overruns its budget (431).
-                return (pos - line_end) + tail.len() > limits.max_header_bytes + 64;
-            }
-        }
-    };
-
-    // Body framing: mirror the parser's Content-Length handling just far
-    // enough to know how many bytes to wait for. Any framing defect —
-    // non-UTF-8 header, missing colon, bad/conflicting Content-Length,
-    // transfer-encoding — makes the parser error *before* reading a body,
-    // so parsing now is safe and yields the right typed status.
-    let mut declared: Option<u64> = None;
-    let mut p = line_end;
-    while p < header_end {
-        let tail = buf.get(p..header_end).unwrap_or(&[]);
-        let Some(j) = tail.iter().position(|&b| b == b'\n') else { break };
-        let mut line = tail.get(..j).unwrap_or(&[]);
-        if line.ends_with(b"\r") {
-            line = line.get(..line.len() - 1).unwrap_or(&[]);
-        }
-        p += j + 1;
-        if line.is_empty() {
-            break;
-        }
-        let Ok(text) = std::str::from_utf8(line) else {
-            return true; // parser answers 400
-        };
-        let Some((name, value)) = text.split_once(':') else {
-            return true; // parser answers 400
-        };
-        let name = name.trim();
-        if name.eq_ignore_ascii_case("transfer-encoding") {
-            return true; // parser answers 501, before any body read
-        }
-        if name.eq_ignore_ascii_case("content-length") {
-            let Ok(n) = value.trim().parse::<u64>() else {
-                return true; // parser answers 400
-            };
-            match declared {
-                Some(prev) if prev != n => return true, // parser answers 400
-                _ => declared = Some(n),
-            }
-        }
-    }
-    match declared {
-        None => true, // complete: no body
-        // Declared beyond the cap: the parser answers 413 at the
-        // declaration, before reading body bytes.
-        Some(n) if n > limits.max_body_bytes as u64 => true,
-        Some(n) => (buf.len() - header_end) as u64 >= n,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::respcache::{RespKey, SPATIAL_STAMP_BASE};
     use rased_core::{Rased, RasedConfig, ServerConfig};
     use rased_osm_model::{ChangesetId, CountryId, ElementType, RoadTypeId, UpdateRecord, UpdateType};
     use std::sync::Arc;
 
-    fn limits() -> Limits {
-        Limits { max_request_line_bytes: 64, max_header_bytes: 128, max_body_bytes: 16 }
-    }
-
-    fn test_server(tag: &str) -> DashboardServer {
+    fn test_server(tag: &str, shards: usize) -> DashboardServer {
         let dir = std::env::temp_dir().join(format!(
             "rased-evloop-{tag}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let system = Arc::new(Rased::create(RasedConfig::new(&dir)).expect("create"));
+        let mut config = RasedConfig::new(&dir);
+        config.shard = rased_core::ShardConfig { shards };
+        let system = Arc::new(Rased::create(config).expect("create"));
         DashboardServer::bind_with(system, "127.0.0.1:0", ServerConfig::default()).expect("bind")
     }
 
@@ -864,6 +761,7 @@ mod tests {
             let name = system.countries().name(rased_osm_model::CountryId(c as u16)).unwrap();
             let stamp = cache_stamp(
                 &server,
+                "/api/analysis",
                 &format!("start=2021-01-01&end=2021-12-31&countries={name}"),
             );
             assert_eq!(stamp.len(), 1, "{name}: filtered tile must stamp one shard");
@@ -897,14 +795,40 @@ mod tests {
         }
     }
 
+    /// A stamp may only narrow by a filter the render honours. A
+    /// windowless `/api/sample` renders through `Rased::sample_region`,
+    /// which ignores `countries=`: stamped with the owning shard alone, its
+    /// tile would survive a publish landing another country's rows in the
+    /// box whenever that day's marker is a different shard.
+    #[test]
+    fn sample_tiles_narrow_only_by_filters_the_render_honours() {
+        let server = test_server("sample", 3);
+        let name = server.system.countries().name(CountryId(1)).unwrap();
+        let boxed = "min_lat=-10&min_lon=-10&max_lat=10&max_lon=10";
+        let windowless = cache_stamp(&server, "/api/sample", &format!("{boxed}&countries={name}"));
+        assert_eq!(windowless.len(), 3, "unhonoured filter must not narrow: {windowless:?}");
+        // With a window the sample is scoped to the query, filter included.
+        let windowed = cache_stamp(
+            &server,
+            "/api/sample",
+            &format!("{boxed}&countries={name}&start=2021-01-01&end=2021-12-31"),
+        );
+        assert_eq!(windowed, cache_stamp(&server, "/api/analysis", &format!("countries={name}")));
+        assert_eq!(windowed.len(), 1);
+        // Nor does a sample read the spatial hierarchy, whatever it carries.
+        let stray = cache_stamp(&server, "/api/sample", &format!("{boxed}&bbox=-10,100,10,170"));
+        assert!(stray.iter().all(|&(s, _)| s < SPATIAL_STAMP_BASE), "{stray:?}");
+    }
+
     #[test]
     fn viewport_stamps_cover_only_their_bands() {
-        let server = test_server("stamp");
+        let server = test_server("stamp", 1);
         // Default spatial config: 4 longitude bands over the world grid.
         // A west-quadrant box and an east-quadrant box land on different
         // bands; both stamps live entirely in the spatial namespace.
-        let west = cache_stamp(&server, "start=2021-01-01&end=2021-03-31&bbox=-10,-170,10,-100");
-        let east = cache_stamp(&server, "start=2021-01-01&end=2021-03-31&viewport=-10,100,10,170");
+        let stamp = |q: &str| cache_stamp(&server, "/api/analysis", q);
+        let west = stamp("start=2021-01-01&end=2021-03-31&bbox=-10,-170,10,-100");
+        let east = stamp("start=2021-01-01&end=2021-03-31&viewport=-10,100,10,170");
         for stamp in [&west, &east] {
             assert!(!stamp.is_empty());
             assert!(stamp.iter().all(|&(s, _)| s >= SPATIAL_STAMP_BASE), "{stamp:?}");
@@ -914,19 +838,21 @@ mod tests {
             "disjoint quadrants must stamp disjoint bands: {west:?} vs {east:?}"
         );
         // No bbox → the temporal stamp, untouched by the spatial namespace.
-        let plain = cache_stamp(&server, "start=2021-01-01&end=2021-03-31");
+        let plain = stamp("start=2021-01-01&end=2021-03-31");
         assert!(!plain.is_empty());
         assert!(plain.iter().all(|&(s, _)| s < SPATIAL_STAMP_BASE), "{plain:?}");
         // An unparseable box falls back to every band — safe, never stale.
-        let bad = cache_stamp(&server, "bbox=not-a-box");
+        let bad = stamp("bbox=not-a-box");
         assert_eq!(bad.len(), server.system.spatial_bank().shard_count());
     }
 
     #[test]
     fn spatial_publish_evicts_only_the_touched_regions_tiles() {
-        let server = test_server("confine");
+        let server = test_server("confine", 1);
         let cache = server.response_cache().expect("cache on by default");
-        let key = |q: &str| RespKey::with_stamp("/api/analysis", q, cache_stamp(&server, q));
+        let key = |q: &str| {
+            RespKey::with_stamp("/api/analysis", q, cache_stamp(&server, "/api/analysis", q))
+        };
         let west_q = "start=2021-01-01&end=2021-03-31&bbox=-10,-170,10,-100";
         let east_q = "start=2021-01-01&end=2021-03-31&bbox=-10,100,10,170";
         let plain_q = "start=2021-01-01&end=2021-03-31";
@@ -950,83 +876,5 @@ mod tests {
         // render lands on a new key rather than resurrecting the old one.
         let swept = cache.lookup(&key(west_q));
         assert!(swept.is_none());
-    }
-
-    #[test]
-    fn partial_requests_wait_for_more_bytes() {
-        let l = limits();
-        assert!(!ready_to_parse(b"", &l));
-        assert!(!ready_to_parse(b"GET / HT", &l));
-        assert!(!ready_to_parse(b"GET / HTTP/1.1\r\n", &l));
-        assert!(!ready_to_parse(b"GET / HTTP/1.1\r\nHost: x\r\n", &l));
-        // Declared body not yet buffered.
-        assert!(!ready_to_parse(b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhel", &l));
-    }
-
-    #[test]
-    fn complete_requests_are_ready() {
-        let l = limits();
-        assert!(ready_to_parse(b"GET / HTTP/1.1\r\n\r\n", &l));
-        assert!(ready_to_parse(b"\r\nGET / HTTP/1.1\r\n\r\n", &l)); // stray CRLF
-        assert!(ready_to_parse(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n", &l));
-        assert!(ready_to_parse(b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello", &l));
-    }
-
-    #[test]
-    fn provable_limit_violations_are_ready_and_parse_to_the_right_status() {
-        let l = limits();
-        // Unterminated request line past the cap → ready, parses to 431.
-        let long = vec![b'a'; l.max_request_line_bytes + 16];
-        assert!(ready_to_parse(&long, &l));
-        let err = read_request(&mut std::io::Cursor::new(long), &l).unwrap_err();
-        assert_eq!(err.status(), Some(431));
-
-        // Unterminated header region past the cap → ready, parses to 431.
-        let mut fat = b"GET / HTTP/1.1\r\n".to_vec();
-        fat.extend_from_slice("X-Pad: yyyyyyyyyyyyyyyy\r\n".repeat(20).as_bytes());
-        assert!(ready_to_parse(&fat, &l), "no empty line yet, but provably over cap");
-        let err = read_request(&mut std::io::Cursor::new(fat), &l).unwrap_err();
-        assert_eq!(err.status(), Some(431));
-
-        // Oversized declared body → ready at the header end, parses to 413.
-        let big = b"POST / HTTP/1.1\r\nContent-Length: 1000000\r\n\r\n".to_vec();
-        assert!(ready_to_parse(&big, &l));
-        let err = read_request(&mut std::io::Cursor::new(big), &l).unwrap_err();
-        assert_eq!(err.status(), Some(413));
-    }
-
-    #[test]
-    fn framing_defects_are_ready_without_a_body() {
-        let l = limits();
-        for bytes in [
-            &b"GET / HTTP/1.1\r\nNoColonHere\r\n\r\n"[..],
-            b"POST / HTTP/1.1\r\nContent-Length: banana\r\n\r\n",
-            b"POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n",
-            b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
-        ] {
-            assert!(ready_to_parse(bytes, &l), "{bytes:?}");
-            assert!(
-                read_request(&mut std::io::Cursor::new(bytes.to_vec()), &l).is_err(),
-                "{bytes:?} must produce a verdict"
-            );
-        }
-    }
-
-    #[test]
-    fn tiny_header_drip_is_not_ready_until_over_cap() {
-        let l = limits();
-        // Under the cap and unterminated: wait.
-        let drip = b"GET / HTTP/1.1\r\nX-a: 1\r\nX-b".to_vec();
-        assert!(!ready_to_parse(&drip, &l));
-        // The same drip grown past the cap margin: ready, and the parser
-        // reaches a verdict (431) rather than end-of-buffer.
-        let mut over = b"GET / HTTP/1.1\r\n".to_vec();
-        while over.len() - 16 <= l.max_header_bytes + 64 {
-            over.extend_from_slice(b"X-padding-header: v\r\n");
-        }
-        over.extend_from_slice(b"X-dangling");
-        assert!(ready_to_parse(&over, &l));
-        let err = read_request(&mut std::io::Cursor::new(over), &l).unwrap_err();
-        assert!(err.status().is_some(), "must be a typed verdict, got {err:?}");
     }
 }

@@ -1,13 +1,19 @@
 //! HTTP/1.1 request parsing with hard limits.
 //!
-//! The serving tier reads requests through [`read_request`], which enforces
+//! [`read_request`] is the only place HTTP framing is known. It enforces
 //! the caps in [`Limits`] *while reading* — a hostile client cannot make the
 //! server buffer an unbounded request line, header block, or body. Every
 //! failure mode is a typed [`HttpError`] carrying the status code the
 //! connection handler should answer with; parsing never panics on any byte
 //! sequence (see `tests/http_parser.rs` for the property suite).
+//!
+//! The event loop calls it straight on a connection's buffered bytes, so
+//! the parser itself tells "malformed" from "not all here yet": input that
+//! ends inside a request is [`HttpError::Incomplete`], which the loop
+//! treats as *wait for more bytes* unless the peer has closed — at which
+//! point it is the `400` it has always been.
 
-use std::io::BufRead;
+use std::io::{BufRead, Read};
 
 /// HTTP version of a parsed request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,10 +109,10 @@ pub enum HttpError {
     UnsupportedVersion(String),
     /// A framing feature we do not serve, e.g. chunked uploads (`501`).
     NotImplemented(&'static str),
-    /// The socket read timed out. `started` is true when request bytes had
-    /// already arrived (answer `408`); false for an idle keep-alive
-    /// connection expiring (close silently).
-    Timeout { started: bool },
+    /// The input ended inside a request — nothing read so far is wrong,
+    /// but more bytes are needed for a verdict. Final only once the peer
+    /// has closed (`400`, worded like [`HttpError::Malformed`]).
+    Incomplete(&'static str),
     /// Any other I/O failure (no response possible).
     Io(std::io::Error),
 }
@@ -116,13 +122,12 @@ impl HttpError {
     /// should be closed without a response.
     pub fn status(&self) -> Option<u16> {
         match self {
-            HttpError::Malformed(_) => Some(400),
+            HttpError::Malformed(_) | HttpError::Incomplete(_) => Some(400),
             HttpError::RequestLineTooLong | HttpError::HeadersTooLarge => Some(431),
             HttpError::BodyTooLarge { .. } => Some(413),
             HttpError::UnsupportedVersion(_) => Some(505),
             HttpError::NotImplemented(_) => Some(501),
-            HttpError::Timeout { started: true } => Some(408),
-            HttpError::Timeout { started: false } | HttpError::Io(_) => None,
+            HttpError::Io(_) => None,
         }
     }
 
@@ -130,6 +135,7 @@ impl HttpError {
     pub fn message(&self) -> String {
         match self {
             HttpError::Malformed(m) => format!("bad request: {m}"),
+            HttpError::Incomplete(m) => format!("bad request: {m}"),
             HttpError::RequestLineTooLong => "request line too long".into(),
             HttpError::HeadersTooLarge => "request header fields too large".into(),
             HttpError::BodyTooLarge { declared } => {
@@ -137,7 +143,6 @@ impl HttpError {
             }
             HttpError::UnsupportedVersion(v) => format!("http version not supported: {v}"),
             HttpError::NotImplemented(what) => format!("not implemented: {what}"),
-            HttpError::Timeout { .. } => "request timed out".into(),
             HttpError::Io(e) => format!("i/o: {e}"),
         }
     }
@@ -147,36 +152,27 @@ fn malformed(msg: impl Into<String>) -> HttpError {
     HttpError::Malformed(msg.into())
 }
 
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
-}
-
 /// Read one `\n`-terminated line into `out` (terminator stripped, along
 /// with a trailing `\r`), enforcing `cap` on the line length. Returns the
-/// number of raw bytes consumed (0 at EOF). `started` reports whether any
-/// bytes were consumed before a timeout, for 408-vs-idle classification.
+/// number of raw bytes consumed (0 at EOF).
 fn read_line_limited<R: BufRead>(
     r: &mut R,
     cap: usize,
     out: &mut Vec<u8>,
     too_long: fn() -> HttpError,
-    started: bool,
 ) -> Result<usize, HttpError> {
     let mut consumed = 0usize;
     loop {
         let buf = match r.fill_buf() {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) if is_timeout(&e) => {
-                return Err(HttpError::Timeout { started: started || consumed > 0 })
-            }
             Err(e) => return Err(HttpError::Io(e)),
         };
         if buf.is_empty() {
             if consumed == 0 {
                 return Ok(0); // clean EOF before the line
             }
-            return Err(malformed("connection closed mid-line"));
+            return Err(HttpError::Incomplete("connection closed mid-line"));
         }
         let (take, done) = match buf.iter().position(|&b| b == b'\n') {
             Some(i) => (i + 1, true),
@@ -204,20 +200,18 @@ fn read_line_limited<R: BufRead>(
 /// Returns `Ok(None)` on a clean EOF before any request byte (the client
 /// closed an idle connection). All limit violations and syntax errors are
 /// typed [`HttpError`]s; the caller answers with [`HttpError::status`] and
-/// closes the connection.
+/// closes the connection. Input that runs out mid-request is
+/// [`HttpError::Incomplete`]; a limit violation is reported as soon as the
+/// bytes at hand prove it, never deferred behind missing input.
 pub fn read_request<R: BufRead>(r: &mut R, limits: &Limits) -> Result<Option<Request>, HttpError> {
     // Request line; tolerate at most one stray blank line before it
     // (robust against clients that terminate the previous body with CRLF).
     let mut line = Vec::new();
     for _ in 0..2 {
         line.clear();
-        let n = read_line_limited(
-            r,
-            limits.max_request_line_bytes,
-            &mut line,
-            || HttpError::RequestLineTooLong,
-            false,
-        )?;
+        let n = read_line_limited(r, limits.max_request_line_bytes, &mut line, || {
+            HttpError::RequestLineTooLong
+        })?;
         if n == 0 {
             return Ok(None);
         }
@@ -254,10 +248,9 @@ pub fn read_request<R: BufRead>(r: &mut R, limits: &Limits) -> Result<Option<Req
     loop {
         let mut raw = Vec::new();
         let budget = limits.max_header_bytes.saturating_sub(header_bytes);
-        let n =
-            read_line_limited(r, budget, &mut raw, || HttpError::HeadersTooLarge, true)?;
+        let n = read_line_limited(r, budget, &mut raw, || HttpError::HeadersTooLarge)?;
         if n == 0 {
-            return Err(malformed("connection closed inside headers"));
+            return Err(HttpError::Incomplete("connection closed inside headers"));
         }
         header_bytes += n;
         if raw.is_empty() {
@@ -297,18 +290,12 @@ pub fn read_request<R: BufRead>(r: &mut R, limits: &Limits) -> Result<Option<Req
         if n > limits.max_body_bytes as u64 {
             return Err(HttpError::BodyTooLarge { declared: n });
         }
-        let mut body = vec![0u8; n as usize];
-        let mut filled = 0usize;
-        while filled < body.len() {
-            match std::io::Read::read(r, &mut body[filled..]) {
-                Ok(0) => return Err(malformed("connection closed mid-body")),
-                Ok(k) => filled += k,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) if is_timeout(&e) => return Err(HttpError::Timeout { started: true }),
-                Err(e) => return Err(HttpError::Io(e)),
-            }
+        // `take` bounds the read at the (capped) declaration; the buffer
+        // grows with what actually arrives, not with what was promised.
+        r.by_ref().take(n).read_to_end(&mut req.body).map_err(HttpError::Io)?;
+        if (req.body.len() as u64) < n {
+            return Err(HttpError::Incomplete("connection closed mid-body"));
         }
-        req.body = body;
     }
     Ok(Some(req))
 }
@@ -452,6 +439,83 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.status(), Some(413));
+    }
+
+    /// What the event loop gets when it runs a connection's buffered bytes
+    /// through the parser, as one table: a request (with how many pipelined
+    /// bytes stay buffered), a final status, or *pending* — more bytes
+    /// needed, which is `Incomplete` or a bare `Ok(None)`, never a guess.
+    /// Every strict prefix of every row must itself be pending or already
+    /// the row's verdict: a drip-fed request is never answered early with
+    /// a different status than the whole would get.
+    #[test]
+    fn buffered_input_is_a_request_a_status_or_pending() {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Verdict {
+            Pending,
+            Request { unread: usize },
+            Status(u16),
+        }
+        use Verdict::*;
+        let l = Limits { max_request_line_bytes: 64, max_header_bytes: 128, max_body_bytes: 16 };
+        let verdict = |input: &[u8]| {
+            let mut rest = input;
+            match read_request(&mut rest, &l) {
+                Ok(None) | Err(HttpError::Incomplete(_)) => Pending,
+                Ok(Some(_)) => Request { unread: rest.len() },
+                Err(e) => Status(e.status().expect("a slice cannot fail with Io")),
+            }
+        };
+        let long_line = vec![b'a'; l.max_request_line_bytes + 16];
+        let fat_headers =
+            format!("GET / HTTP/1.1\r\n{}X-dangling", "X-Pad: yyyyyyyyyyyyyyyy\r\n".repeat(8));
+        let table: Vec<(&[u8], Verdict)> = vec![
+            // Not all here yet.
+            (b"", Pending),
+            (b"\r\n", Pending),
+            (b"GET / HT", Pending),
+            (b"GET / HTTP/1.1\r\n", Pending),
+            (b"GET / HTTP/1.1\r\nHost: x\r\n", Pending),
+            (b"GET / HTTP/1.1\r\nX-a: 1\r\nX-b", Pending),
+            (b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhel", Pending),
+            // Complete; a pipelined successor stays in the buffer.
+            (b"GET / HTTP/1.1\r\n\r\n", Request { unread: 0 }),
+            (b"\r\nGET / HTTP/1.1\r\n\r\n", Request { unread: 0 }),
+            (b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello", Request { unread: 0 }),
+            (b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n", Request { unread: 19 }),
+            // Over a cap as soon as the bytes at hand prove it — no
+            // terminator needed — and 413 at the declaration, bodiless.
+            (&long_line, Status(431)),
+            (fat_headers.as_bytes(), Status(431)),
+            (b"POST / HTTP/1.1\r\nContent-Length: 1000000\r\n\r\n", Status(413)),
+            // Framing defects are final without waiting for a body.
+            (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", Status(501)),
+            (b"POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n", Status(400)),
+            (b"POST / HTTP/1.1\r\nContent-Length: banana\r\n\r\n", Status(400)),
+            (b"GET / HTTP/1.1\r\nNoColonHere\r\n\r\n", Status(400)),
+            (b"GET / HTTP/2.0\r\n\r\n", Status(505)),
+        ];
+        for (input, want) in table {
+            let text = String::from_utf8_lossy(input);
+            assert_eq!(verdict(input), want, "{text:?}");
+            for cut in 0..input.len() {
+                let early = verdict(&input[..cut]);
+                let settled = match (early, want) {
+                    (Request { .. }, Request { .. }) => true,
+                    _ => early == want,
+                };
+                assert!(early == Pending || settled, "{text:?} cut at {cut}: {early:?}");
+            }
+        }
+        // The pipelined successor parses from what the first parse left.
+        let mut rest: &[u8] = b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n";
+        assert_eq!(read_request(&mut rest, &l).unwrap().unwrap().target, "/a");
+        assert_eq!(read_request(&mut rest, &l).unwrap().unwrap().target, "/b");
+        assert!(rest.is_empty());
+        // At EOF "pending" is final: the 400 it has always been.
+        let err = read_request(&mut &b"GET / HTTP/1.1\r\nHost: x"[..], &l).unwrap_err();
+        assert_eq!(err.status(), Some(400));
+        assert_eq!(err.message(), "bad request: connection closed mid-line");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! pure function of `(endpoint, normalized params, E)`, so keying the
 //! cache by that triple makes staleness *structurally impossible* — a
 //! publish bumps the epoch, lookups move to new keys, and the old entries
-//! become unreachable garbage that [`ResponseCache::invalidate_to`]
+//! become unreachable garbage that [`ResponseCache::invalidate_shard`]
 //! sweeps out.
 //!
 //! With the country-sharded store (`rased_index::ShardedIndex`) the
@@ -19,9 +19,8 @@
 //! [`ResponseCache::invalidate_shard`]`(S, e)` and sweeps only entries
 //! whose stamp includes an older epoch *of that shard* — a
 //! country-filtered tile keyed to shard 2 survives a publish that only
-//! touched shard 0. The scalar [`RespKey::new`] / `invalidate_to` API is
-//! sugar for a single-entry stamp on shard 0, which is exactly the
-//! monolithic (1-shard) store's behavior.
+//! touched shard 0. A monolithic (1-shard) store is the single-entry
+//! stamp `[(0, epoch)]`, nothing more.
 //!
 //! Viewport (`bbox=`) responses read the *spatial* hierarchy — bank
 //! blocks and warehouse rows of the viewport's cover cells — never the
@@ -82,13 +81,6 @@ pub struct RespKey {
 }
 
 impl RespKey {
-    /// Build a key stamped with a single epoch on shard 0 — the
-    /// monolithic-store form, and sugar for
-    /// `with_stamp(path, query, vec![(0, epoch)])`.
-    pub fn new(path: &str, query: &str, epoch: u64) -> RespKey {
-        RespKey::with_stamp(path, query, vec![(0, epoch)])
-    }
-
     /// Build a key with the query string *normalized*: parameters are
     /// decoded, sorted by name (then value), and re-encoded, so
     /// `?a=1&b=2` and `?b=2&a=1` — or `%61=1` — land on one cache line.
@@ -406,13 +398,6 @@ impl ResponseCache {
         self.evictions.fetch_add(evicted, Relaxed);
     }
 
-    /// Drop every entry rendered under an epoch older than `epoch` and
-    /// raise the insertion floor. The monolithic-store form of
-    /// [`ResponseCache::invalidate_shard`]: sweeps index shard 0.
-    pub fn invalidate_to(&self, epoch: u64) {
-        self.invalidate_shard(0, epoch);
-    }
-
     /// Drop every entry whose stamp reads index shard `index_shard` at an
     /// epoch older than `epoch`, and raise that shard's insertion floor.
     /// Driven by the catalog publish hook; the sweep is surgical twice
@@ -572,15 +557,20 @@ mod tests {
         CachedResponse::new(200, "application/json", body.as_bytes().to_vec())
     }
 
+    /// A key as a monolithic store stamps it: shard 0 at `epoch`.
+    fn scalar(path: &str, query: &str, epoch: u64) -> RespKey {
+        RespKey::with_stamp(path, query, vec![(0, epoch)])
+    }
+
     #[test]
     fn key_normalization_collapses_param_order_and_encoding() {
-        let a = RespKey::new("/api/analysis", "b=2&a=1", 7);
-        let b = RespKey::new("/api/analysis", "a=1&b=2", 7);
-        let c = RespKey::new("/api/analysis", "%61=1&b=2", 7);
+        let a = scalar("/api/analysis", "b=2&a=1", 7);
+        let b = scalar("/api/analysis", "a=1&b=2", 7);
+        let c = scalar("/api/analysis", "%61=1&b=2", 7);
         assert_eq!(a, b);
         assert_eq!(a, c);
         // Different epoch → different key: that *is* the invalidation.
-        assert_ne!(a, RespKey::new("/api/analysis", "a=1&b=2", 8));
+        assert_ne!(a, scalar("/api/analysis", "a=1&b=2", 8));
     }
 
     #[test]
@@ -600,7 +590,7 @@ mod tests {
     #[test]
     fn lookup_counts_hits_misses_and_per_entry_stats() {
         let cache = ResponseCache::new(1 << 20, 64);
-        let key = RespKey::new("/api/sample", "limit=5", 1);
+        let key = scalar("/api/sample", "limit=5", 1);
         assert!(cache.lookup(&key).is_none());
         cache.insert(&key, &resp("hello"));
         assert!(cache.lookup(&key).is_some());
@@ -617,13 +607,13 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_to_sweeps_only_older_epochs() {
+    fn invalidation_sweeps_only_older_epochs() {
         let cache = ResponseCache::new(1 << 20, 64);
-        let old = RespKey::new("/api/analysis", "a=1", 1);
-        let new = RespKey::new("/api/analysis", "a=1", 2);
+        let old = scalar("/api/analysis", "a=1", 1);
+        let new = scalar("/api/analysis", "a=1", 2);
         cache.insert(&old, &resp("old"));
         cache.insert(&new, &resp("new"));
-        cache.invalidate_to(2);
+        cache.invalidate_shard(0, 2);
         assert!(cache.lookup(&old).is_none(), "epoch-1 entry must be swept");
         assert!(cache.lookup(&new).is_some(), "epoch-2 entry must survive");
         assert_eq!(cache.invalidations_total(), 1);
@@ -634,12 +624,7 @@ mod tests {
     }
 
     #[test]
-    fn scalar_key_is_sugar_for_shard_zero_stamp() {
-        let scalar = RespKey::new("/api/analysis", "a=1", 7);
-        let stamped = RespKey::with_stamp("/api/analysis", "a=1", vec![(0, 7)]);
-        assert_eq!(scalar, stamped);
-        assert_eq!(scalar.stamp(), &[(0, 7)]);
-        // Stamp canonicalization: order and duplicates don't split keys.
+    fn stamp_order_and_duplicates_do_not_split_keys() {
         let a = RespKey::with_stamp("/api/analysis", "a=1", vec![(2, 9), (0, 7)]);
         let b = RespKey::with_stamp("/api/analysis", "a=1", vec![(0, 7), (2, 9), (2, 9)]);
         assert_eq!(a, b);
@@ -734,7 +719,7 @@ mod tests {
         let cache = ResponseCache::new(SHARDS * 400, SHARDS);
         let mut keys = Vec::new();
         for i in 0..64 {
-            let key = RespKey::new("/api/analysis", &format!("q={i}"), 1);
+            let key = scalar("/api/analysis", &format!("q={i}"), 1);
             cache.insert(&key, &resp(&format!("body-{i}")));
             keys.push(key);
         }
@@ -745,7 +730,7 @@ mod tests {
     #[test]
     fn oversized_response_is_not_cached() {
         let cache = ResponseCache::new(SHARDS * 100, 64);
-        let key = RespKey::new("/api/analysis", "big=1", 1);
+        let key = scalar("/api/analysis", "big=1", 1);
         cache.insert(&key, &resp(&"x".repeat(4096)));
         assert!(cache.lookup(&key).is_none());
         assert_eq!(cache.bytes(), 0);
@@ -754,7 +739,7 @@ mod tests {
     #[test]
     fn render_through_coalesces_and_caches_200s_only() {
         let cache = ResponseCache::new(1 << 20, 64);
-        let key = RespKey::new("/api/analysis", "q=1", 1);
+        let key = scalar("/api/analysis", "q=1", 1);
         let mut renders = 0;
         let r = cache.render_through(&key, || {
             renders += 1;
@@ -764,7 +749,7 @@ mod tests {
         assert_eq!(renders, 1);
         assert!(cache.lookup(&key).is_some());
 
-        let err_key = RespKey::new("/api/analysis", "q=bad", 1);
+        let err_key = scalar("/api/analysis", "q=bad", 1);
         let r = cache.render_through(&err_key, || (400, "text/plain", b"bad".to_vec()));
         assert_eq!(r.status(), 400);
         assert!(cache.lookup(&err_key).is_none(), "non-200 must stay cold");

@@ -48,18 +48,16 @@
 
 use crate::admission::AdmissionControl;
 use crate::api::{parse_analysis_query, parse_query_string, result_to_json};
-use crate::http::{read_request, write_response, HttpError, Limits, Request};
+use crate::http::{write_response, Request};
 use crate::json::Json;
 use crate::metrics::{Endpoint, ServerMetrics};
 use crate::respcache::ResponseCache;
 use rased_core::{IngestController, Rased, ServerConfig};
 use rased_geo::BBox;
 use std::borrow::Cow;
-use std::io::BufReader;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The dashboard HTTP server.
 pub struct DashboardServer {
@@ -131,31 +129,29 @@ impl DashboardServer {
                 config.effective_response_cache_entries(),
             ));
             // Invalidation rides the catalog publish hook: every committed
-            // unit bumps its shard's epoch and (with no index locks held)
-            // sweeps exactly the entries stamped with an older epoch of
-            // that shard — tiles pinned to other shards stay hot. `Weak`
-            // so a retired server's cache is dropped, not pinned by the
+            // unit bumps its partition's epoch and (with no index locks
+            // held) sweeps exactly the entries stamped with an older epoch
+            // of that partition — tiles pinned to other partitions stay
+            // hot. The two hierarchies differ only in stamp namespace: an
+            // index shard sweeps id `shard`, a bank band sweeps
+            // `SPATIAL_STAMP_BASE | band`, so a cube publish never evicts
+            // a viewport tile nor a bank publish a temporal one. `Weak` so
+            // a retired server's cache is dropped, not pinned by the
             // index.
-            let weak = Arc::downgrade(&cache);
-            system.index().set_publish_hook(Arc::new(move |shard, epoch| {
-                if let Some(cache) = weak.upgrade() {
-                    cache.invalidate_shard(shard as u16, epoch);
+            let hierarchies = [
+                (system.index().stores(), 0),
+                (system.spatial_bank().stores(), crate::respcache::SPATIAL_STAMP_BASE),
+            ];
+            for (stores, base) in hierarchies {
+                for (slot, store) in stores.iter().enumerate() {
+                    let weak = Arc::downgrade(&cache);
+                    store.set_publish_hook(Arc::new(move |epoch| {
+                        if let Some(cache) = weak.upgrade() {
+                            cache.invalidate_shard(base | slot as u16, epoch);
+                        }
+                    }));
                 }
-            }));
-            // The spatial bank's publish hook sweeps the *other* stamp
-            // namespace: a publish landing records in longitude band `b`
-            // invalidates exactly the viewport tiles whose cover touches
-            // `b` — tiles over other regions, and every temporal tile,
-            // stay hot (see `crate::respcache::SPATIAL_STAMP_BASE`).
-            let weak = Arc::downgrade(&cache);
-            system.spatial_bank().set_publish_hook(Arc::new(move |band, epoch| {
-                if let Some(cache) = weak.upgrade() {
-                    cache.invalidate_shard(
-                        crate::respcache::SPATIAL_STAMP_BASE | band as u16,
-                        epoch,
-                    );
-                }
-            }));
+            }
             Some(cache)
         } else {
             None
@@ -247,120 +243,6 @@ impl DashboardServer {
             &[("Retry-After", &retry)],
         );
         let _ = stream.shutdown(std::net::Shutdown::Both);
-    }
-
-    /// Handle exactly one connection on the caller's thread (useful for
-    /// tests and single-shot tooling). Keep-alive and limits apply.
-    pub fn serve_one(&self) -> std::io::Result<()> {
-        let (stream, _) = self.listener.accept()?;
-        self.metrics.connection_accepted();
-        self.handle_connection(stream);
-        Ok(())
-    }
-
-    /// Serve requests off one connection until it closes, errors, times
-    /// out, hits the keep-alive budget, or shutdown begins.
-    fn handle_connection(&self, stream: TcpStream) {
-        self.metrics.connection_opened();
-        let _ = stream.set_read_timeout(Some(self.config.read_timeout));
-        let _ = stream.set_write_timeout(Some(self.config.write_timeout));
-        let _ = self.serve_requests(&stream);
-        let _ = stream.shutdown(std::net::Shutdown::Both);
-        self.metrics.connection_closed();
-    }
-
-    fn serve_requests(&self, stream: &TcpStream) -> std::io::Result<()> {
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let limits = Limits::from_config(&self.config);
-        let peer = stream.peer_addr().ok().map(|a| a.ip().to_string());
-        for served in 1..=self.config.max_keep_alive_requests {
-            match read_request(&mut reader, &limits) {
-                Ok(None) => break, // client closed an idle connection
-                Ok(Some(req)) => {
-                    let start = Instant::now();
-                    let (path, _) = req.path_and_query();
-                    let endpoint = Endpoint::classify(path);
-                    // Drain in-flight work on shutdown, but take no new
-                    // requests on this connection afterwards.
-                    let keep = req.keep_alive()
-                        && served < self.config.max_keep_alive_requests
-                        && !self.stop.load(Ordering::SeqCst);
-                    // Admission: expensive endpoints must hold a permit
-                    // while they execute; a shed answers a cheap 503 and
-                    // keeps the connection alive — rejection is per
-                    // *request*, the client may retry on the same socket.
-                    let permit = if endpoint.is_expensive() {
-                        let client = self.client_id(&req, peer.as_deref());
-                        match self.admission.try_admit(&client) {
-                            Ok(p) => Some(p),
-                            Err(shed) => {
-                                self.metrics.record_request(endpoint, 503, start.elapsed());
-                                let retry = self.config.retry_after_secs.to_string();
-                                write_response(
-                                    &mut &*stream,
-                                    503,
-                                    "text/plain",
-                                    shed.reason().as_bytes(),
-                                    keep,
-                                    &[("Retry-After", &retry)],
-                                )?;
-                                if !keep {
-                                    break;
-                                }
-                                continue;
-                            }
-                        }
-                    } else {
-                        None
-                    };
-                    let (status, content_type, body) = self.route(&req);
-                    // The permit covers query execution only; release it
-                    // before the socket write so a slow-draining client
-                    // cannot sit on admission capacity.
-                    drop(permit);
-                    // Record *before* writing: once the client has the
-                    // response, a follow-up `/api/metrics` read must already
-                    // count this request. (Latency therefore covers routing
-                    // and query execution, not the socket write.)
-                    self.metrics.record_request(endpoint, status, start.elapsed());
-                    write_response(
-                        &mut &*stream,
-                        status,
-                        content_type,
-                        body.as_bytes(),
-                        keep,
-                        &[],
-                    )?;
-                    if !keep {
-                        break;
-                    }
-                }
-                Err(e) => {
-                    if matches!(e, HttpError::Timeout { .. }) {
-                        self.metrics.timeout();
-                    }
-                    // Framing is unknown after a parse error: answer (when
-                    // possible) and close.
-                    if let Some(status) = e.status() {
-                        self.metrics.record_request(
-                            Endpoint::Other,
-                            status,
-                            std::time::Duration::ZERO,
-                        );
-                        let _ = write_response(
-                            &mut &*stream,
-                            status,
-                            "text/plain",
-                            e.message().as_bytes(),
-                            false,
-                            &[],
-                        );
-                    }
-                    break;
-                }
-            }
-        }
-        Ok(())
     }
 
     /// The admission-control identity of a request's client: the first

@@ -24,6 +24,7 @@
 //!   queries the same page-per-answer economics as temporal ones.
 
 mod cache;
+mod partition;
 mod planner;
 mod routing;
 mod shard;
@@ -34,7 +35,7 @@ mod wal;
 pub use cache::{CacheConfig, CacheStrategy, CubeCache};
 pub use planner::{
     BlockSource, CubeSource, LatticePlanner, LevelPlanner, PlannedBlock, PlannedCube, PlannerKind,
-    QueryPlan, RegionPlan, ViewportPlan,
+    QueryPlan, ViewportPlan,
 };
 pub use routing::{marker_shard, shard_for, spatial_shard_for};
 pub use shard::ShardedIndex;

@@ -252,45 +252,6 @@ impl ViewportPlan {
     }
 }
 
-/// The strategy a region query settled on — one point each from three
-/// rungs of the (time × space) lattice.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RegionPlan {
-    /// Read the zone's own aggregated rows: a temporal cover on the single
-    /// shard owning the zone id. The coarsest spatial rung — and exactly
-    /// the pure-temporal plan, so a query with no spatial filter can never
-    /// do worse than before the lattice existed.
-    ZoneRow(QueryPlan),
-    /// Read each member country's rows: one temporal cover per distinct
-    /// owning shard (the pre-lattice "flat country" strategy).
-    MemberRows(Vec<QueryPlan>),
-    /// Assemble the region from the spatial bank's per-cell blocks — the
-    /// finest rung, and the only exact one once a bbox filter cuts below
-    /// zone granularity.
-    CellBlocks(ViewportPlan),
-}
-
-impl RegionPlan {
-    /// Disk operations this strategy performs (block fetches and scan days
-    /// each count as at least one page read).
-    pub fn disk_fetches(&self) -> usize {
-        match self {
-            RegionPlan::ZoneRow(p) => p.disk_fetches(),
-            RegionPlan::MemberRows(ps) => ps.iter().map(QueryPlan::disk_fetches).sum(),
-            RegionPlan::CellBlocks(v) => v.block_fetches() + v.scan_days(),
-        }
-    }
-
-    /// Total cubes/blocks merged.
-    pub fn cube_count(&self) -> usize {
-        match self {
-            RegionPlan::ZoneRow(p) => p.cube_count(),
-            RegionPlan::MemberRows(ps) => ps.iter().map(QueryPlan::cube_count).sum(),
-            RegionPlan::CellBlocks(v) => v.block_fetches() + v.scan_days(),
-        }
-    }
-}
-
 /// The multi-hierarchy planner: covers a query with the cheapest mix of
 /// points from the (time × space) subsumption lattice. Temporal covers come
 /// from [`LevelPlanner`]; this layer adds the spatial axis, probing block
@@ -336,42 +297,6 @@ impl<'a> LatticePlanner<'a> {
             }
         }
         ViewportPlan { blocks }
-    }
-
-    /// Plan a zone-level (country-group / continent) query by comparing the
-    /// three lattice rungs on (disk fetches, cubes merged), lexicographic:
-    ///
-    /// * `zone_plan` — the temporal cover reading the zone's own rows, or
-    ///   `None` when zone rows are not materialized (flat-country ablation);
-    /// * `member_plans` — one temporal cover per distinct member shard;
-    /// * `cell_cover` — the grid cells covering the zone, costed through
-    ///   [`Self::plan_viewport`].
-    ///
-    /// Ties prefer the coarser rung (fewer merge inputs downstream). With
-    /// `zone_plan` present the result is never more disk fetches than the
-    /// pure-temporal plan — `ZoneRow` *is* that plan and minima only drop.
-    pub fn plan_region(
-        &self,
-        zone_plan: Option<QueryPlan>,
-        member_plans: Vec<QueryPlan>,
-        cell_cover: &[CellId],
-        range: DateRange,
-    ) -> RegionPlan {
-        let mut best = RegionPlan::CellBlocks(self.plan_viewport(cell_cover, range));
-        let members = RegionPlan::MemberRows(member_plans);
-        if (members.disk_fetches(), members.cube_count())
-            <= (best.disk_fetches(), best.cube_count())
-        {
-            best = members;
-        }
-        if let Some(zone) = zone_plan {
-            let zone = RegionPlan::ZoneRow(zone);
-            if (zone.disk_fetches(), zone.cube_count()) <= (best.disk_fetches(), best.cube_count())
-            {
-                best = zone;
-            }
-        }
-        best
     }
 }
 
@@ -582,79 +507,15 @@ mod tests {
         (0..n).map(|col| CellId { row: 0, col }).collect()
     }
 
-    fn disk_month_plan() -> QueryPlan {
-        QueryPlan {
-            cubes: vec![PlannedCube { period: Period::Month(2021, 6), source: CubeSource::Disk }],
-        }
-    }
-
     #[test]
-    fn lattice_worked_example_is_pinned_exactly() {
-        // The mixed-lattice worked example: a continent-wide June 2021
-        // query over a 5-country continent whose members land on 5 distinct
-        // shards, with a 12-cell grid cover fully materialized at month
-        // granularity. The three rungs cost exactly 1, 5, and 12 disk
-        // fetches, and the planner picks the single continent-month row.
-        let range = r("2021-06-01", "2021-06-30");
+    fn fully_materialized_month_costs_one_block_per_cell() {
+        // A 12-cell cover fully materialized at month granularity, queried
+        // for exactly June 2021: one June block per cover cell, no scans.
         let all_blocks = |_: CellId, _: Period| true;
         let lattice = LatticePlanner::new(&all_blocks);
-
-        let zone = disk_month_plan();
-        let members: Vec<QueryPlan> = (0..5).map(|_| disk_month_plan()).collect();
-        let cover = cells(12);
-
-        // Pin each rung's cost before letting the planner choose.
-        assert_eq!(RegionPlan::ZoneRow(zone.clone()).disk_fetches(), 1);
-        assert_eq!(RegionPlan::MemberRows(members.clone()).disk_fetches(), 5);
-        let viewport = lattice.plan_viewport(&cover, range);
-        assert_eq!(viewport.block_fetches(), 12, "one June block per cover cell");
+        let viewport = lattice.plan_viewport(&cells(12), r("2021-06-01", "2021-06-30"));
+        assert_eq!(viewport.block_fetches(), 12);
         assert_eq!(viewport.scan_days(), 0);
-
-        let plan = lattice.plan_region(Some(zone), members, &cover, range);
-        assert!(matches!(plan, RegionPlan::ZoneRow(_)), "{plan:?}");
-        assert_eq!(plan.disk_fetches(), 1);
-    }
-
-    #[test]
-    fn flat_country_ablation_falls_back_to_member_rows() {
-        // Without a materialized zone row (flat-country ablation) the
-        // 5-fetch member strategy beats 12 cell blocks.
-        let range = r("2021-06-01", "2021-06-30");
-        let all_blocks = |_: CellId, _: Period| true;
-        let lattice = LatticePlanner::new(&all_blocks);
-        let members: Vec<QueryPlan> = (0..5).map(|_| disk_month_plan()).collect();
-        let plan = lattice.plan_region(None, members, &cells(12), range);
-        assert!(matches!(plan, RegionPlan::MemberRows(_)), "{plan:?}");
-        assert_eq!(plan.disk_fetches(), 5);
-    }
-
-    #[test]
-    fn sparse_continent_prefers_cell_blocks() {
-        // A one-cell micro-continent whose members sprawl over 8 shards:
-        // the finest rung wins when geography is tighter than the country
-        // partition.
-        let range = r("2021-06-01", "2021-06-30");
-        let all_blocks = |_: CellId, _: Period| true;
-        let lattice = LatticePlanner::new(&all_blocks);
-        let members: Vec<QueryPlan> = (0..8).map(|_| disk_month_plan()).collect();
-        let plan = lattice.plan_region(None, members, &cells(1), range);
-        assert!(matches!(plan, RegionPlan::CellBlocks(_)), "{plan:?}");
-        assert_eq!(plan.disk_fetches(), 1);
-    }
-
-    #[test]
-    fn lattice_never_worse_than_pure_temporal_without_spatial_filter() {
-        // For any query without a spatial filter, the zone-row rung IS the
-        // pure-temporal plan; plan_region may only improve on it.
-        let range = r("2021-01-01", "2021-08-20");
-        let planner = LevelPlanner::new(4, &all_exist, &none_cached);
-        let temporal = planner.plan(range, PlannerKind::ExactDp);
-        let no_blocks = |_: CellId, _: Period| false;
-        let lattice = LatticePlanner::new(&no_blocks);
-        let plan =
-            lattice.plan_region(Some(temporal.clone()), vec![temporal.clone()], &cells(40), range);
-        assert!(plan.disk_fetches() <= temporal.disk_fetches());
-        assert!(matches!(plan, RegionPlan::ZoneRow(_)));
     }
 
     #[test]

@@ -36,6 +36,7 @@
 //! new as any marker.
 
 use crate::cache::CacheConfig;
+use crate::partition;
 use crate::routing::spatial_shard_for;
 use crate::store::{CatalogVersion, CubeKey, FetchOutcome, IndexError, TemporalIndex};
 use rased_cube::{CubeSchema, SparseBlock};
@@ -95,8 +96,8 @@ fn bank_dir(dir: &Path, i: usize) -> PathBuf {
 
 /// Region code of day markers in the registry store. The registry holds
 /// only markers, so the code just needs to be stable; `u32::MAX` also maps
-/// to no grid cell, which keeps [`SpatialBank::cell_of_key`] honest if a
-/// marker key ever leaks into band-oriented code.
+/// to no grid cell, so a marker key that ever leaked into band-oriented
+/// code could not alias a block.
 const MARKER_REGION: u32 = u32::MAX;
 
 fn marker_key(day: Date) -> CubeKey {
@@ -145,16 +146,12 @@ impl SpatialBank {
         cache_blocks: usize,
         mk: impl Fn(&Path, CubeSchema, IoCostModel) -> Result<TemporalIndex, IndexError>,
     ) -> Result<SpatialBank, IndexError> {
-        let n = shards.max(1);
-        let mut stores = Vec::with_capacity(n);
-        for i in 0..n {
-            stores.push(mk(&bank_dir(dir, i), schema, model)?);
-        }
+        let shards = partition::open_each(shards, |i| mk(&bank_dir(dir, i), schema, model))?;
         let marker = mk(&dir.join("marker"), schema, model)?;
         Ok(SpatialBank {
             grid,
             schema,
-            shards: stores,
+            shards,
             marker,
             blocks: Mutex::new_named(LruCache::new(), "index.spatial_block_cache"),
             cache_cap: cache_blocks,
@@ -193,12 +190,6 @@ impl SpatialBank {
         CubeKey::regional(period, self.grid.code(cell) + 1)
     }
 
-    /// The cell a regional key addresses (`None` for world keys or codes
-    /// outside the grid).
-    pub fn cell_of_key(&self, key: CubeKey) -> Option<CellId> {
-        key.region.checked_sub(1).and_then(|code| self.grid.cell_from_code(code))
-    }
-
     /// Pin shard `i`'s catalog version.
     pub fn snapshot(&self, shard: usize) -> Option<Arc<CatalogVersion>> {
         self.shards.get(shard).map(|s| s.snapshot())
@@ -206,26 +197,17 @@ impl SpatialBank {
 
     /// Pin every shard's catalog version, in band order.
     pub fn snapshots(&self) -> Vec<Arc<CatalogVersion>> {
-        self.shards.iter().map(|s| s.snapshot()).collect()
+        partition::snapshots(&self.shards)
     }
 
     /// Per-band epoch vector — the dashboard's viewport cache stamp.
     pub fn epochs(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.epoch()).collect()
+        partition::epochs(&self.shards)
     }
 
     /// Total materialized blocks across shards.
     pub fn block_count(&self) -> usize {
         self.shards.iter().map(|s| s.cube_count()).sum()
-    }
-
-    /// Register a publish hook invoked as `(band_shard, epoch)` after any
-    /// band publishes. Replaces the per-shard hooks wholesale.
-    pub fn set_publish_hook(&self, hook: Arc<dyn Fn(usize, u64) + Send + Sync>) {
-        for (i, shard) in self.shards.iter().enumerate() {
-            let hook = Arc::clone(&hook);
-            shard.set_publish_hook(Arc::new(move |epoch| hook(i, epoch)));
-        }
     }
 
     /// Block-cache `(hits, misses)`.
@@ -235,9 +217,7 @@ impl SpatialBank {
 
     /// Fsync every band and the day-marker registry.
     pub fn sync(&self) -> Result<(), IndexError> {
-        for s in &self.shards {
-            s.sync()?;
-        }
+        partition::sync(&self.shards)?;
         self.marker.sync()
     }
 
@@ -655,14 +635,23 @@ mod tests {
         for day in ["2021-03-05", "2021-03-20", "2021-03-31"] {
             b.publish_day(d(day), &[rec(day, 100, 10)]).expect("publish");
         }
+        // The east band holds a February block: state, but no stake in March.
+        b.publish_day(d("2021-02-10"), &[rec("2021-02-10", 100, 1990)]).expect("publish");
         let cell = b.grid().cell_of(Point::new(100, 10)).unwrap();
         let s = b.shard_of(cell);
+        let east = b.shard_of(b.grid().cell_of(Point::new(100, 1990)).unwrap());
+        assert_ne!(s, east);
         // Refined crawl: Mar 5 keeps two records, Mar 20 drops out.
         let mut by_day = BTreeMap::new();
         by_day.insert(d("2021-03-05"), vec![rec("2021-03-05", 100, 10), rec("2021-03-05", 110, 12)]);
         by_day.insert(d("2021-03-31"), vec![rec("2021-03-31", 100, 10)]);
+        let before = b.epochs();
         let report = b.rebuild_month(2021, 3, &by_day).expect("rebuild");
+        let after = b.epochs();
         assert_eq!(report.tombstones, 1, "Mar 20's block must be tombstoned");
+        assert_eq!(report.shards_touched, 1);
+        assert!(after.get(s) > before.get(s), "the band holding March republishes");
+        assert_eq!(after.get(east), before.get(east), "no stake in March: the epoch must hold");
 
         let snap = b.snapshot(s).unwrap();
         assert!(!b.has_block(&snap, cell, Period::Day(d("2021-03-20"))));
@@ -671,17 +660,6 @@ mod tests {
         let month =
             b.fetch_block(s, &snap, cell, Period::Month(2021, 3)).expect("fetch").expect("month");
         assert_eq!(month.total(), 3, "rebuilt roll-up excludes the dropped day");
-
-        // An untouched band publishes nothing.
-        let other = 1 - s;
-        let other_epoch_before = b.epochs()[usize::from(other == 1)]; // kept simple below
-        let _ = other_epoch_before;
-        let mut empty = BTreeMap::new();
-        empty.insert(d("2021-04-02"), vec![rec("2021-04-02", 100, 1990)]);
-        let before = b.epochs();
-        b.publish_day(d("2021-04-02"), &[rec("2021-04-02", 100, 1990)]).expect("publish");
-        let after = b.epochs();
-        assert_eq!(before.first(), after.first(), "west band untouched by an east publish");
     }
 
     #[test]

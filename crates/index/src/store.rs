@@ -695,11 +695,6 @@ impl TemporalIndex {
         Ok(Some((page, self.file.read_page_vec(page)?)))
     }
 
-    /// True when any lattice key (world or regional) is materialized.
-    pub fn has_key(&self, key: CubeKey) -> bool {
-        self.catalog.read().contains_key(key)
-    }
-
     /// Every catalogued lattice key (unordered, regional keys included).
     pub fn keys(&self) -> Vec<CubeKey> {
         self.catalog.read().keys()

@@ -1,19 +1,18 @@
 //! [`QueryEngine`]: cube-based execution with level optimization + caching.
 //!
-//! Execution has two phases. *Planning* walks the date range and picks the
-//! coarsest materialized cubes (§VII-B); it is pure metadata work. *Fetch +
-//! aggregate* retrieves each planned cube and folds its selected cells into
-//! a `GroupKey → count` map. The second phase is embarrassingly parallel —
-//! cubes are disjoint and counts are commutative — so with
-//! [`QueryEngine::with_threads`] the planned cubes are strided across a
-//! bounded `thread::scope` worker pool, each worker aggregating into a
-//! private map; the maps are merged (order-independent addition) and rows
-//! sorted, making results byte-identical to the sequential path at any
-//! thread count.
+//! Execution has two phases. *Planning* picks what to read — the coarsest
+//! materialized cubes for a temporal window (§VII-B), the per-cell blocks
+//! for a viewport; it is pure metadata work. *Gather* fetches each planned
+//! cube or block and folds its selected cells into one
+//! [`RecordAggregator`]. Gathering is embarrassingly parallel — the units
+//! are disjoint and counts are commutative — so with
+//! [`QueryEngine::with_threads`] the planned units are strided across a
+//! bounded `thread::scope` worker pool, each worker folding into a private
+//! partial; the partials are merged (order-independent addition) and rows
+//! sorted, making results byte-identical at any thread count. With one
+//! worker the same loop runs on the calling thread.
 
-use crate::model::{
-    AnalysisQuery, GroupDim, GroupKey, NetworkSizes, QueryResult, QueryStats, ResultRow, ValueMode,
-};
+use crate::model::{AnalysisQuery, NetworkSizes, QueryResult, QueryStats};
 use crate::naive::RecordAggregator;
 use rased_cube::DimSelection;
 use rased_geo::{BBox, CellId, GridSpec, Point};
@@ -21,14 +20,13 @@ use rased_index::{
     shard_for, BlockSource, CatalogVersion, CubeSource, FetchOutcome, IndexError, LatticePlanner,
     LevelPlanner, PlannerKind, QueryPlan, ShardedIndex, SpatialBank, TemporalIndex,
 };
-use rased_osm_model::{CountryId, ElementType, RoadTypeId, UpdateType};
 use rased_storage::sync::Mutex;
 use rased_storage::IoSnapshot;
 use rased_temporal::{Date, DateRange, Period};
 use rased_warehouse::{Warehouse, WarehouseError};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Query execution error.
 #[derive(Debug)]
@@ -110,6 +108,51 @@ pub struct QueryEngine<'a> {
     spatial: Option<SpatialExec<'a>>,
 }
 
+/// A store one query reads, pinned for the whole plan + execute: one
+/// catalog version (concurrent publishes swap in new versions but never
+/// mutate a pinned one, so the store contributes one consistent state —
+/// never a half-published unit or a blend of two epochs) and the I/O
+/// counters at pin time. Counters are shared, so concurrent queries' I/O
+/// can be co-attributed.
+struct Pinned<'s> {
+    store: &'s TemporalIndex,
+    snap: Arc<CatalogVersion>,
+    io_before: IoSnapshot,
+}
+
+impl<'s> Pinned<'s> {
+    fn new(store: &'s TemporalIndex) -> Pinned<'s> {
+        Pinned { store, snap: store.snapshot(), io_before: store.file().stats().snapshot() }
+    }
+
+    /// Close the pins: charge their physical I/O and record the composite
+    /// epoch (the sum over pinned stores, each term individually
+    /// monotonic; with one store exactly its snapshot epoch).
+    fn settle<'p>(pins: impl Iterator<Item = &'p Pinned<'p>>, stats: &mut QueryStats) {
+        for pin in pins {
+            stats.epoch += pin.snap.epoch();
+            stats.io += pin.store.file().stats().snapshot().since(&pin.io_before);
+        }
+    }
+
+    /// The modeled cost of one page read of this store — the unit
+    /// `io_critical` is denominated in. Partitions of one facade share a
+    /// cost model + page size, so any pinned store is representative.
+    fn page_cost(&self) -> Duration {
+        let file = self.store.file();
+        file.cost_model().cost(file.page_size() as u64)
+    }
+}
+
+/// What one gather did: fetch outcomes, and the most disk fetches any one
+/// worker performed (the modeled critical path).
+#[derive(Default)]
+struct Gathered {
+    from_cache: usize,
+    from_disk: usize,
+    critical: usize,
+}
+
 impl<'a> QueryEngine<'a> {
     /// An engine over `index` using the exact DP planner, sequential.
     pub fn new(index: &'a TemporalIndex) -> QueryEngine<'a> {
@@ -156,9 +199,9 @@ impl<'a> QueryEngine<'a> {
         self
     }
 
-    /// Partition each query's fetch + aggregate work over `n` worker
-    /// threads (clamped to at least 1; 1 keeps execution on the calling
-    /// thread). Results are byte-identical at any setting.
+    /// Partition each query's gather work over `n` worker threads (clamped
+    /// to at least 1; 1 keeps execution on the calling thread). Results
+    /// are byte-identical at any setting.
     pub fn with_threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self
@@ -182,105 +225,73 @@ impl<'a> QueryEngine<'a> {
         self.stores.iter().zip(wanted).filter_map(|(s, hit)| hit.then_some(*s)).collect()
     }
 
-    /// Execute an analysis query.
+    /// Execute an analysis query. Both access paths fold into one
+    /// [`RecordAggregator`] — the same one the oracle uses — so rows,
+    /// percentages and ordering are produced in exactly one place.
     pub fn execute(&self, q: &AnalysisQuery) -> Result<QueryResult, QueryError> {
+        let start = Instant::now();
+        let selection = self.selection(q);
+        let mut stats = QueryStats::default();
+        let mut agg = RecordAggregator::new(q, self.sizes.as_ref());
         // A spatial filter changes the access path entirely: cubes
         // aggregate whole countries and cannot cut below one, so bbox
         // queries run against the block bank + warehouse instead.
-        if let Some(bbox) = q.bbox {
-            return self.execute_spatial(q, bbox);
+        match q.bbox {
+            None => self.execute_temporal(q, &selection, &mut agg, &mut stats)?,
+            Some(bbox) => self.execute_spatial(q, bbox, &selection, &mut agg, &mut stats)?,
         }
-        let start = Instant::now();
+        let mut result = agg.finish();
+        stats.wall = start.elapsed();
+        result.stats = stats;
+        Ok(result)
+    }
 
-        // Scatter: route to the stores this query can touch at all, then
-        // pin one catalog snapshot per routed store for the whole plan +
-        // execute. Concurrent publishes swap in new versions but never
-        // mutate a pinned one, so each store contributes one consistent
-        // state — never a half-published unit or a blend of two epochs.
-        let routed: Vec<(&'a TemporalIndex, Arc<CatalogVersion>)> =
-            self.route(q).into_iter().map(|s| (s, s.snapshot())).collect();
-        let io_before: Vec<IoSnapshot> =
-            routed.iter().map(|(s, _)| s.file().stats().snapshot()).collect();
-        let selection = self.selection(q);
-        let mut stats = QueryStats {
-            // The composite epoch of everything pinned: with one store
-            // this is exactly its snapshot epoch; sharded, it is the sum
-            // over routed shards (each term individually monotonic).
-            epoch: routed.iter().map(|(_, snap)| snap.epoch()).sum(),
-            ..QueryStats::default()
-        };
-
+    /// The cube path. Scatter: route to the stores this query can touch at
+    /// all and pin each; plan every date-group window on every pinned
+    /// store against its own catalog + cache state; gather the planned
+    /// cubes.
+    fn execute_temporal(
+        &self,
+        q: &AnalysisQuery,
+        selection: &DimSelection,
+        agg: &mut RecordAggregator<'_>,
+        stats: &mut QueryStats,
+    ) -> Result<(), QueryError> {
+        let pinned: Vec<Pinned<'a>> = self.route(q).into_iter().map(Pinned::new).collect();
         // A filter that selects no cell (e.g. only out-of-schema ids) can
         // never match; skip planning and cube fetches entirely.
-        if selection.is_empty() {
-            stats.wall = start.elapsed();
-            return Ok(QueryResult { rows: Vec::new(), stats });
-        }
-
-        // Phase 1 (planning, pure metadata): collect every cube to fetch,
-        // tagged with its store slot and the date group it lands in. Each
-        // store plans against its own catalog + cache state. Empty days
-        // are settled here so the worker phase only sees real fetches.
-        let mut items: Vec<(usize, Option<Period>, Period)> = Vec::new();
-        for (slot, (store, snap)) in routed.iter().enumerate() {
-            match q.date_granularity() {
-                None => {
-                    self.collect_plan(store, snap, q.range, None, slot, &mut items, &mut stats);
-                }
-                Some(g) => {
-                    // Date grouping: evaluate each period of granularity
-                    // `g` that intersects the range on its clipped
-                    // sub-range, so partial periods at the edges only
-                    // count in-range days.
-                    let mut p = Period::containing(g, q.range.start());
-                    while p.start() <= q.range.end() {
-                        // The loop condition keeps p overlapping q.range,
-                        // but a typed break beats a panic if Period
-                        // arithmetic drifts.
-                        let Some(sub) = p.range().intersect(q.range) else { break };
-                        self.collect_plan(store, snap, sub, Some(p), slot, &mut items, &mut stats);
-                        p = p.succ();
+        if !selection.is_empty() {
+            // Empty days are settled at planning time so the gather only
+            // sees real fetches. (Sharded, a day empty on k routed shards
+            // counts k times — `empty_days` is a per-store statistic.)
+            let windows = date_windows(q);
+            let mut items: Vec<(&Pinned<'a>, Option<Period>, Period)> = Vec::new();
+            for pin in &pinned {
+                for (date_key, sub) in &windows {
+                    for planned in &self.plan(pin.store, &pin.snap, *sub).cubes {
+                        if planned.source == CubeSource::Empty {
+                            stats.empty_days += 1;
+                        } else {
+                            items.push((pin, *date_key, planned.period));
+                        }
                     }
                 }
             }
+            let got = self.gather(&items, agg, |&(pin, date_key, period), agg| {
+                let (cube, outcome) =
+                    pin.store.fetch_at(&pin.snap, period)?.ok_or(QueryError::PlanRace(period))?;
+                cube.for_each_selected(selection, |et, c, r, u, v| {
+                    agg.push_cell(date_key, et, c, r, u, v)
+                });
+                Ok(outcome)
+            })?;
+            stats.cubes_from_cache = got.from_cache;
+            stats.cubes_from_disk = got.from_disk;
+            stats.io_critical =
+                pinned.first().map_or(Duration::ZERO, |p| p.page_cost() * got.critical as u32);
         }
-
-        // Phase 2 (gather: fetch + aggregate): sequential inline, or
-        // strided over the worker pool — cross-shard fan-out and
-        // intra-shard parallelism share the same pool. Merging is
-        // commutative addition, so the final map is identical either way.
-        let groups = if self.threads <= 1 || items.len() <= 1 {
-            self.run_sequential(&routed, &items, &selection, q, &mut stats)?
-        } else {
-            self.run_parallel(&routed, &items, &selection, q, &mut stats)?
-        };
-
-        let grand_total: u64 = groups.values().sum();
-        let mut rows: Vec<ResultRow> = groups
-            .into_iter()
-            .map(|(key, count)| ResultRow {
-                key,
-                count,
-                value: match q.value {
-                    ValueMode::Count => count as f64,
-                    ValueMode::Percentage => {
-                        percentage_value(count, &key, self.sizes.as_ref(), grand_total)
-                    }
-                },
-            })
-            .collect();
-        rows.sort_by_key(|r| r.key);
-
-        for ((store, _), before) in routed.iter().zip(io_before.iter()) {
-            let delta = store.file().stats().snapshot().since(before);
-            stats.io.reads += delta.reads;
-            stats.io.writes += delta.writes;
-            stats.io.bytes_read += delta.bytes_read;
-            stats.io.bytes_written += delta.bytes_written;
-            stats.io.modeled = stats.io.modeled.saturating_add(delta.modeled);
-        }
-        stats.wall = start.elapsed();
-        Ok(QueryResult { rows, stats })
+        Pinned::settle(pinned.iter(), stats);
+        Ok(())
     }
 
     fn plan(&self, store: &TemporalIndex, snap: &CatalogVersion, range: DateRange) -> QueryPlan {
@@ -310,200 +321,101 @@ impl<'a> QueryEngine<'a> {
         sel
     }
 
-    /// Plan `range` on one store and append its fetchable cubes to
-    /// `items`; days the planner proves empty are settled into `stats`
-    /// immediately. (Sharded, a day empty on k routed shards counts k
-    /// times — `empty_days` is a per-store planning statistic.)
-    #[allow(clippy::too_many_arguments)]
-    fn collect_plan(
+    /// The gather loop: `fetch_fold` every item — fetch one planned cube or
+    /// block and fold its selected cells into the aggregator it is handed.
+    /// Items are stride-partitioned over `min(threads, items)` workers;
+    /// one worker runs on the calling thread straight into `agg`, more run
+    /// on a bounded `thread::scope` pool (cross-shard fan-out and
+    /// intra-shard parallelism share it), each into a private partial that
+    /// merges back by commutative addition — so the aggregate is identical
+    /// regardless of width or scheduling.
+    fn gather<T: Sync>(
         &self,
-        store: &TemporalIndex,
-        snap: &CatalogVersion,
-        range: DateRange,
-        date_key: Option<Period>,
-        slot: usize,
-        items: &mut Vec<(usize, Option<Period>, Period)>,
-        stats: &mut QueryStats,
-    ) {
-        let plan = self.plan(store, snap, range);
-        for planned in &plan.cubes {
-            if planned.source == CubeSource::Empty {
-                stats.empty_days += 1;
-            } else {
-                items.push((slot, date_key, planned.period));
+        items: &[T],
+        agg: &mut RecordAggregator<'_>,
+        fetch_fold: impl Fn(&T, &mut RecordAggregator<'_>) -> Result<FetchOutcome, QueryError>
+            + Sync,
+    ) -> Result<Gathered, QueryError> {
+        let workers = self.threads.min(items.len()).max(1);
+        let run = |w: usize, agg: &mut RecordAggregator<'_>| {
+            let mut got = Gathered::default();
+            for item in items.iter().skip(w).step_by(workers) {
+                match fetch_fold(item, agg)? {
+                    FetchOutcome::Cache => got.from_cache += 1,
+                    FetchOutcome::Disk => got.from_disk += 1,
+                }
             }
+            got.critical = got.from_disk;
+            Ok::<_, QueryError>(got)
+        };
+        if workers == 1 {
+            return run(0, agg);
         }
-    }
-
-    /// Fetch one planned cube from its store and fold its selected cells
-    /// into `groups`.
-    #[allow(clippy::too_many_arguments)]
-    fn fetch_and_aggregate(
-        &self,
-        routed: &[(&'a TemporalIndex, Arc<CatalogVersion>)],
-        slot: usize,
-        period: Period,
-        selection: &DimSelection,
-        q: &AnalysisQuery,
-        date_key: Option<Period>,
-        groups: &mut HashMap<GroupKey, u64>,
-    ) -> Result<FetchOutcome, QueryError> {
-        // `slot` indexes `routed` by construction; a typed error beats a
-        // panic if that invariant ever drifts.
-        let (store, snap) = routed.get(slot).ok_or(QueryError::PlanRace(period))?;
-        let (cube, outcome) =
-            store.fetch_at(snap, period)?.ok_or(QueryError::PlanRace(period))?;
-        cube.for_each_selected(selection, |et, c, r, u, v| {
-            *groups.entry(cell_group_key(q, date_key, et, c, r, u)).or_insert(0) += v;
-        });
-        Ok(outcome)
-    }
-
-    /// Sequential phase 2: one pass over the items on the calling thread.
-    fn run_sequential(
-        &self,
-        routed: &[(&'a TemporalIndex, Arc<CatalogVersion>)],
-        items: &[(usize, Option<Period>, Period)],
-        selection: &DimSelection,
-        q: &AnalysisQuery,
-        stats: &mut QueryStats,
-    ) -> Result<HashMap<GroupKey, u64>, QueryError> {
-        let mut groups = HashMap::new();
-        for (slot, date_key, period) in items {
-            match self
-                .fetch_and_aggregate(routed, *slot, *period, selection, q, *date_key, &mut groups)?
-            {
-                FetchOutcome::Cache => stats.cubes_from_cache += 1,
-                FetchOutcome::Disk => stats.cubes_from_disk += 1,
-            }
-        }
-        stats.io_critical = self.unit_io_cost() * stats.cubes_from_disk as u32;
-        Ok(groups)
-    }
-
-    /// Parallel phase 2: stride-partition the items over a bounded
-    /// `thread::scope` pool. Each worker aggregates into a private map;
-    /// workers' maps merge by commutative addition, so the result equals
-    /// the sequential map regardless of scheduling.
-    fn run_parallel(
-        &self,
-        routed: &[(&'a TemporalIndex, Arc<CatalogVersion>)],
-        items: &[(usize, Option<Period>, Period)],
-        selection: &DimSelection,
-        q: &AnalysisQuery,
-        stats: &mut QueryStats,
-    ) -> Result<HashMap<GroupKey, u64>, QueryError> {
-        type WorkerOut = Result<(HashMap<GroupKey, u64>, usize, usize), QueryError>;
-        let workers = self.threads.min(items.len());
-        let merged: Mutex<Vec<(usize, WorkerOut)>> =
-            Mutex::new_named(Vec::with_capacity(workers), "query.exec_merge");
+        let merged = Mutex::new_named(Vec::with_capacity(workers), "query.exec_merge");
         std::thread::scope(|scope| {
             for w in 0..workers {
-                let merged = &merged;
+                let (merged, run) = (&merged, &run);
+                let mut part = agg.fork();
                 scope.spawn(move || {
-                    let mut groups: HashMap<GroupKey, u64> = HashMap::new();
-                    let (mut from_cache, mut from_disk) = (0usize, 0usize);
-                    let mut verdict: Result<(), QueryError> = Ok(());
-                    for (slot, date_key, period) in items.iter().skip(w).step_by(workers) {
-                        match self.fetch_and_aggregate(
-                            routed, *slot, *period, selection, q, *date_key, &mut groups,
-                        ) {
-                            Ok(FetchOutcome::Cache) => from_cache += 1,
-                            Ok(FetchOutcome::Disk) => from_disk += 1,
-                            Err(e) => {
-                                verdict = Err(e);
-                                break;
-                            }
-                        }
-                    }
-                    merged.lock().push((w, verdict.map(|()| (groups, from_cache, from_disk))));
+                    let out = run(w, &mut part).map(|got| (part, got));
+                    merged.lock().push((w, out));
                 });
             }
         });
         let mut outputs = std::mem::take(&mut *merged.lock());
         // Deterministic error selection: lowest worker index wins.
         outputs.sort_by_key(|(w, _)| *w);
-        let mut groups: HashMap<GroupKey, u64> = HashMap::new();
-        let mut critical_fetches = 0usize;
+        let mut total = Gathered::default();
         for (_w, out) in outputs {
-            let (worker_groups, from_cache, from_disk) = out?;
-            stats.cubes_from_cache += from_cache;
-            stats.cubes_from_disk += from_disk;
-            critical_fetches = critical_fetches.max(from_disk);
-            for (key, count) in worker_groups {
-                *groups.entry(key).or_insert(0) += count;
-            }
+            let (part, got) = out?;
+            agg.absorb(part);
+            total.from_cache += got.from_cache;
+            total.from_disk += got.from_disk;
+            total.critical = total.critical.max(got.critical);
         }
-        stats.io_critical = self.unit_io_cost() * critical_fetches as u32;
-        Ok(groups)
+        Ok(total)
     }
 
-    /// The modeled cost of one cube-page read — the unit `io_critical` is
-    /// denominated in. Shards share one cost model + page size, so the
-    /// first store's is representative.
-    fn unit_io_cost(&self) -> std::time::Duration {
-        match self.stores.first() {
-            Some(store) => {
-                let file = store.file();
-                file.cost_model().cost(file.page_size() as u64)
-            }
-            None => std::time::Duration::ZERO,
-        }
-    }
-
-    /// Execute a bbox-filtered query. With a bank, interior cover cells
-    /// are answered from pre-aggregated spatial blocks (per-cell lattice
-    /// plan) and everything else — boundary cells, unmaterialized
-    /// (cell, day)s — from warehouse scans; without one, the whole box is
-    /// one exhaustive grid scan. Both paths feed the same
-    /// [`RecordAggregator`] the oracle uses, so rows are byte-identical to
-    /// [`crate::naive_execute`] by construction.
-    fn execute_spatial(&self, q: &AnalysisQuery, bbox: BBox) -> Result<QueryResult, QueryError> {
+    /// The bbox path. With a bank, interior cover cells are answered from
+    /// pre-aggregated spatial blocks (per-cell lattice plan) and
+    /// everything else — boundary cells, unmaterialized (cell, day)s —
+    /// from warehouse scans; without one, the whole box is one exhaustive
+    /// grid scan. Scanned rows go through [`RecordAggregator::push`], so
+    /// rows are byte-identical to [`crate::naive_execute`] by
+    /// construction.
+    fn execute_spatial(
+        &self,
+        q: &AnalysisQuery,
+        bbox: BBox,
+        selection: &DimSelection,
+        agg: &mut RecordAggregator<'_>,
+        stats: &mut QueryStats,
+    ) -> Result<(), QueryError> {
         let sp = self.spatial.as_ref().ok_or(QueryError::NoSpatialContext)?;
-        let start = Instant::now();
-        let mut stats = QueryStats::default();
-        let selection = self.selection(q);
-        let mut agg = RecordAggregator::new(q, self.sizes.as_ref());
-
         if selection.is_empty() {
-            stats.wall = start.elapsed();
-            return Ok(QueryResult { rows: Vec::new(), stats });
+            return Ok(());
         }
-
         let wh_before = sp.warehouse.io_snapshot();
         match sp.bank {
             None => {
                 // Grid-scan baseline: the aggregator applies every filter
                 // (range, dimensions, and the bbox itself).
-                let mut rows = 0u64;
                 sp.warehouse.scan_region(&bbox, |r| {
-                    rows += 1;
+                    stats.scan_rows += 1;
                     agg.push(r);
                 })?;
-                stats.scan_rows = rows;
             }
-            Some(bank) => {
-                self.execute_viewport(q, bbox, sp, bank, &selection, &mut agg, &mut stats)?;
-            }
+            Some(bank) => self.execute_viewport(q, bbox, sp, bank, selection, agg, stats)?,
         }
         // Warehouse pages read by scans (the whole grid-scan baseline, and
         // the banked path's boundary/fallback cells) are physical I/O of
         // this query, charged like cube fetches. Scans run serially on the
         // caller thread, so the full modeled delta sits on the critical
-        // path. Same caveat as the bank-shard deltas above: counters are
-        // shared, so concurrent queries' I/O can be co-attributed.
+        // path.
         let wh_delta = sp.warehouse.io_snapshot().since(&wh_before);
-        stats.io.reads += wh_delta.reads;
-        stats.io.writes += wh_delta.writes;
-        stats.io.bytes_read += wh_delta.bytes_read;
-        stats.io.bytes_written += wh_delta.bytes_written;
-        stats.io.modeled = stats.io.modeled.saturating_add(wh_delta.modeled);
+        stats.io += wh_delta;
         stats.io_critical = stats.io_critical.saturating_add(wh_delta.modeled);
-
-        let mut result = agg.finish();
-        stats.wall = start.elapsed();
-        result.stats = stats;
-        Ok(result)
+        Ok(())
     }
 
     /// The bank-accelerated viewport path. Touches only the bank shards
@@ -523,40 +435,17 @@ impl<'a> QueryEngine<'a> {
         let grid = bank.grid();
         let cover = grid.cover(&bbox);
 
-        // Pin one snapshot per band shard the interior cells route to.
-        let mut snaps: HashMap<usize, Arc<CatalogVersion>> = HashMap::new();
-        let mut io_before: HashMap<usize, IoSnapshot> = HashMap::new();
+        // Pin each band shard the interior cells route to.
+        let mut pinned: BTreeMap<usize, Pinned<'_>> = BTreeMap::new();
         for &cell in &cover.interior {
-            let s = bank.shard_of(cell);
-            if !snaps.contains_key(&s) {
-                if let (Some(snap), Some(store)) = (bank.snapshot(s), bank.stores().get(s)) {
-                    io_before.insert(s, store.file().stats().snapshot());
-                    snaps.insert(s, snap);
-                }
-            }
-        }
-        stats.epoch = snaps.values().map(|snap| snap.epoch()).sum();
-
-        // Date-group sub-windows (same structure as the temporal path):
-        // every planned block lies inside exactly one group period, so a
-        // month block can only serve a month-or-coarser group.
-        let mut windows: Vec<(Option<Period>, DateRange)> = Vec::new();
-        match q.date_granularity() {
-            None => windows.push((None, q.range)),
-            Some(g) => {
-                let mut p = Period::containing(g, q.range.start());
-                while p.start() <= q.range.end() {
-                    let Some(sub) = p.range().intersect(q.range) else { break };
-                    windows.push((Some(p), sub));
-                    p = p.succ();
-                }
+            let band = bank.shard_of(cell);
+            if let Some(store) = bank.stores().get(band) {
+                pinned.entry(band).or_insert_with(|| Pinned::new(store));
             }
         }
 
         let probe = |cell: CellId, p: Period| {
-            snaps
-                .get(&bank.shard_of(cell))
-                .is_some_and(|snap| bank.has_block(snap, cell, p))
+            pinned.get(&bank.shard_of(cell)).is_some_and(|pin| bank.has_block(&pin.snap, cell, p))
         };
         let lattice = LatticePlanner::new(&probe);
         // One marker-registry snapshot for the whole plan: a (cell, day)
@@ -564,29 +453,22 @@ impl<'a> QueryEngine<'a> {
         // needs neither a fetch nor a scan.
         let marker = bank.marker_snapshot();
 
-        for (date_key, sub) in &windows {
-            let plan = lattice.plan_viewport(&cover.interior, *sub);
-            // Scan fallbacks batch into maximal per-cell day runs (the
-            // plan emits a cell's days in order).
-            let mut scan_runs: Vec<(CellId, Date, Date)> = Vec::new();
-            for b in &plan.blocks {
-                match b.source {
-                    BlockSource::Block => {
-                        let s = bank.shard_of(b.cell);
-                        let Some(snap) = snaps.get(&s) else { continue };
-                        let (block, outcome) = bank
-                            .fetch_block_traced(s, snap, b.cell, b.period)?
-                            .ok_or(QueryError::PlanRace(b.period))?;
-                        match outcome {
-                            FetchOutcome::Cache => stats.blocks_from_cache += 1,
-                            FetchOutcome::Disk => stats.blocks_from_disk += 1,
+        // Plan per date-group window: every planned block lies inside
+        // exactly one group period, so a month block can only serve a
+        // month-or-coarser group. Scan fallbacks batch into maximal
+        // per-cell day runs (the plan emits a cell's days in order).
+        let mut blocks: Vec<(usize, &Pinned<'_>, Option<Period>, CellId, Period)> = Vec::new();
+        let mut scan_runs: Vec<(CellId, Date, Date)> = Vec::new();
+        for (date_key, sub) in date_windows(q) {
+            for b in lattice.plan_viewport(&cover.interior, sub).blocks {
+                match (b.source, b.period) {
+                    (BlockSource::Block, _) => {
+                        let band = bank.shard_of(b.cell);
+                        if let Some(pin) = pinned.get(&band) {
+                            blocks.push((band, pin, date_key, b.cell, b.period));
                         }
-                        block.for_each_selected(selection, |et, c, r, u, v| {
-                            agg.push_count(cell_group_key(q, *date_key, et, c, r, u), v);
-                        });
                     }
-                    BlockSource::Scan => {
-                        let Period::Day(day) = b.period else { continue };
+                    (BlockSource::Scan, Period::Day(day)) => {
                         if bank.day_published(&marker, day) {
                             stats.empty_days += 1;
                             continue;
@@ -599,37 +481,54 @@ impl<'a> QueryEngine<'a> {
                             _ => scan_runs.push((b.cell, day, day)),
                         }
                     }
+                    (BlockSource::Scan, _) => {} // the planner only scans days
                 }
-            }
-            for (cell, from, to) in scan_runs {
-                scan_cell(sp, grid, cell, DateRange::new(from, to), agg, stats)?;
             }
         }
 
+        let got = self.gather(&blocks, agg, |&(band, pin, date_key, cell, period), agg| {
+            let (block, outcome) = bank
+                .fetch_block_traced(band, &pin.snap, cell, period)?
+                .ok_or(QueryError::PlanRace(period))?;
+            block.for_each_selected(selection, |et, c, r, u, v| {
+                agg.push_cell(date_key, et, c, r, u, v)
+            });
+            Ok(outcome)
+        })?;
+        stats.blocks_from_cache = got.from_cache;
+        stats.blocks_from_disk = got.from_disk;
+        stats.io_critical = pinned
+            .values()
+            .next()
+            .map_or(Duration::ZERO, |p| p.page_cost() * got.critical as u32);
+
+        for (cell, from, to) in scan_runs {
+            scan_cell(sp, grid, cell, DateRange::new(from, to), agg, stats)?;
+        }
         // Boundary cells are always scanned: their blocks aggregate the
         // whole cell, but the box only covers part of it. The aggregator's
         // bbox filter does the cutting.
         for &cell in &cover.boundary {
             scan_cell(sp, grid, cell, q.range, agg, stats)?;
         }
-
-        for (s, before) in &io_before {
-            if let Some(store) = bank.stores().get(*s) {
-                let delta = store.file().stats().snapshot().since(before);
-                stats.io.reads += delta.reads;
-                stats.io.writes += delta.writes;
-                stats.io.bytes_read += delta.bytes_read;
-                stats.io.bytes_written += delta.bytes_written;
-                stats.io.modeled = stats.io.modeled.saturating_add(delta.modeled);
-            }
-        }
-        if let Some(store) = bank.stores().first() {
-            let file = store.file();
-            stats.io_critical =
-                file.cost_model().cost(file.page_size() as u64) * stats.blocks_from_disk as u32;
-        }
+        Pinned::settle(pinned.values(), stats);
         Ok(())
     }
+}
+
+/// The query's date-group sub-windows: each period of the grouping
+/// granularity that intersects the range, clipped to it (so partial
+/// periods at the edges only count in-range days), tagged with the group
+/// it lands in — or the whole range, untagged, without date grouping.
+fn date_windows(q: &AnalysisQuery) -> Vec<(Option<Period>, DateRange)> {
+    let Some(g) = q.date_granularity() else { return vec![(None, q.range)] };
+    let mut windows = Vec::new();
+    let mut p = Period::containing(g, q.range.start());
+    while let Some(sub) = p.range().intersect(q.range) {
+        windows.push((Some(p), sub));
+        p = p.succ();
+    }
+    windows
 }
 
 /// Scan one cell's rows for `days` and push them through the aggregator.
@@ -645,82 +544,28 @@ fn scan_cell(
     stats: &mut QueryStats,
 ) -> Result<(), QueryError> {
     let Some(cell_box) = grid.cell_bbox(cell) else { return Ok(()) };
-    let mut rows = 0u64;
     sp.warehouse.scan_region(&cell_box, |r| {
-        if !days.contains(r.date) || grid.cell_of(Point::new(r.lat7, r.lon7)) != Some(cell) {
-            return;
+        if days.contains(r.date) && grid.cell_of(Point::new(r.lat7, r.lon7)) == Some(cell) {
+            stats.scan_rows += 1;
+            agg.push(r);
         }
-        rows += 1;
-        agg.push(r);
     })?;
-    stats.scan_rows += rows;
     Ok(())
-}
-
-/// The group key of one cube/block cell: the cell's coordinates projected
-/// onto the query's grouped dimensions (the cube path and the block path
-/// must build identical keys, so this lives once).
-fn cell_group_key(
-    q: &AnalysisQuery,
-    date_key: Option<Period>,
-    et: usize,
-    c: usize,
-    r: usize,
-    u: usize,
-) -> GroupKey {
-    let mut key = GroupKey { date: date_key, ..GroupKey::default() };
-    for dim in &q.group_by {
-        match dim {
-            GroupDim::ElementType => {
-                key.element_type = ElementType::from_index(et);
-            }
-            GroupDim::Country => key.country = Some(CountryId(c as u16)),
-            GroupDim::RoadType => key.road_type = Some(RoadTypeId(r as u16)),
-            GroupDim::UpdateType => {
-                key.update_type = UpdateType::from_index(u);
-            }
-            GroupDim::Date(_) => {} // already in date_key
-        }
-    }
-    key
-}
-
-/// Percentage semantics shared by engine and oracle: per-country network
-/// size when the row has a country and sizes are known; otherwise percent
-/// of the query's grand total.
-pub(crate) fn percentage_value(
-    count: u64,
-    key: &GroupKey,
-    sizes: Option<&NetworkSizes>,
-    grand_total: u64,
-) -> f64 {
-    let denom = match (key.country, sizes) {
-        (Some(c), Some(s)) => {
-            let n = s.get(c);
-            if n > 0 {
-                n
-            } else {
-                grand_total
-            }
-        }
-        _ => grand_total,
-    };
-    if denom == 0 {
-        0.0
-    } else {
-        count as f64 * 100.0 / denom as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::GroupDim;
     use crate::naive::naive_execute;
     use dettest::TempDir;
     use rased_cube::{CubeSchema, DataCube};
     use rased_index::CacheConfig;
-    use rased_osm_model::{ChangesetId, UpdateRecord};
+    use rased_osm_model::{
+        ChangesetId, CountryId, ElementType, RoadTypeId, UpdateRecord, UpdateType,
+    };
     use rased_storage::IoCostModel;
+    use std::collections::HashMap;
     use rased_temporal::Granularity;
     use rased_temporal::Date;
 
@@ -1059,6 +904,18 @@ mod tests {
             .execute(&q)
             .unwrap();
         assert_eq!(banked.rows, want.rows, "banked path diverges for {q:?}");
+        // Block fetches ride the same gather loop as cubes: any width
+        // must agree, and account for the same blocks.
+        let par = QueryEngine::new(&idx)
+            .with_spatial(SpatialExec::banked(&wh, &bank))
+            .with_threads(3)
+            .execute(&q)
+            .unwrap();
+        assert_eq!(par.rows, want.rows, "parallel banked path diverges for {q:?}");
+        assert_eq!(
+            par.stats.blocks_from_cache + par.stats.blocks_from_disk,
+            banked.stats.blocks_from_cache + banked.stats.blocks_from_disk
+        );
         let scanned = QueryEngine::new(&idx)
             .with_spatial(SpatialExec::scan_only(&wh))
             .execute(&q)

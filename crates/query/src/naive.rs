@@ -1,12 +1,11 @@
 //! Record-at-a-time aggregation: the semantics oracle and the streaming
 //! aggregator reused by the row-scan DBMS baseline.
 
-use crate::engine::percentage_value;
 use crate::model::{
     AnalysisQuery, GroupDim, GroupKey, NetworkSizes, QueryResult, QueryStats, ResultRow, ValueMode,
 };
 use rased_geo::Point;
-use rased_osm_model::UpdateRecord;
+use rased_osm_model::{CountryId, ElementType, RoadTypeId, UpdateRecord, UpdateType};
 use rased_temporal::Period;
 use std::collections::HashMap;
 
@@ -72,13 +71,48 @@ impl<'a> RecordAggregator<'a> {
         *self.groups.entry(key).or_insert(0) += 1;
     }
 
-    /// Merge a pre-aggregated count for an already-built group key. The
-    /// engine's block path lands here: its cells passed the dimension
-    /// filters via [`rased_cube::DimSelection`], and its spatial/temporal
-    /// filters are implied by which blocks were planned — no per-record
-    /// re-filtering is possible or needed.
-    pub fn push_count(&mut self, key: GroupKey, n: u64) {
-        if n > 0 {
+    /// Merge one pre-aggregated cube/block cell: its coordinates projected
+    /// onto the query's grouped dimensions, under the date group it was
+    /// planned for. The engine's cube and block folds both land here, so
+    /// the two paths cannot build different keys. The cell already passed
+    /// the dimension filters via [`rased_cube::DimSelection`], and the
+    /// spatial/temporal filters are implied by which cubes and blocks
+    /// were planned — no per-record re-filtering is possible or needed.
+    pub fn push_cell(
+        &mut self,
+        date: Option<Period>,
+        et: usize,
+        c: usize,
+        r: usize,
+        u: usize,
+        n: u64,
+    ) {
+        if n == 0 {
+            return;
+        }
+        let mut key = GroupKey { date, ..GroupKey::default() };
+        for dim in &self.q.group_by {
+            match dim {
+                GroupDim::ElementType => key.element_type = ElementType::from_index(et),
+                GroupDim::Country => key.country = Some(CountryId(c as u16)),
+                GroupDim::RoadType => key.road_type = Some(RoadTypeId(r as u16)),
+                GroupDim::UpdateType => key.update_type = UpdateType::from_index(u),
+                GroupDim::Date(_) => {} // already in `date`
+            }
+        }
+        *self.groups.entry(key).or_insert(0) += n;
+    }
+
+    /// An empty aggregator for the same query — a gather worker's private
+    /// partial, merged back with [`RecordAggregator::absorb`].
+    pub fn fork(&self) -> RecordAggregator<'a> {
+        RecordAggregator::new(self.q, self.sizes)
+    }
+
+    /// Add a partial's groups into this one. Addition commutes, so the
+    /// final rows do not depend on how the work was partitioned.
+    pub fn absorb(&mut self, part: RecordAggregator<'a>) {
+        for (key, n) in part.groups {
             *self.groups.entry(key).or_insert(0) += n;
         }
     }
@@ -101,6 +135,33 @@ impl<'a> RecordAggregator<'a> {
             .collect();
         rows.sort_by_key(|r| r.key);
         QueryResult { rows, stats: QueryStats::default() }
+    }
+}
+
+/// Percentage semantics: per-country network size when the row has a
+/// country and sizes are known; otherwise percent of the query's grand
+/// total.
+fn percentage_value(
+    count: u64,
+    key: &GroupKey,
+    sizes: Option<&NetworkSizes>,
+    grand_total: u64,
+) -> f64 {
+    let denom = match (key.country, sizes) {
+        (Some(c), Some(s)) => {
+            let n = s.get(c);
+            if n > 0 {
+                n
+            } else {
+                grand_total
+            }
+        }
+        _ => grand_total,
+    };
+    if denom == 0 {
+        0.0
+    } else {
+        count as f64 * 100.0 / denom as f64
     }
 }
 

@@ -72,6 +72,18 @@ impl IoSnapshot {
     }
 }
 
+/// Accumulate one operation's I/O delta into a running total (per-query
+/// statistics summed over stores, maintenance reports summed over shards).
+impl std::ops::AddAssign for IoSnapshot {
+    fn add_assign(&mut self, delta: IoSnapshot) {
+        self.reads += delta.reads;
+        self.writes += delta.writes;
+        self.bytes_read += delta.bytes_read;
+        self.bytes_written += delta.bytes_written;
+        self.modeled = self.modeled.saturating_add(delta.modeled);
+    }
+}
+
 /// Deterministic I/O latency model: every physical operation costs one seek
 /// plus transfer time at a fixed bandwidth.
 ///
@@ -162,6 +174,10 @@ mod tests {
         assert_eq!(d.bytes_written, 500);
         // 10 µs seek + 500 µs transfer at 1 MB/s.
         assert_eq!(d.modeled, Duration::from_micros(510));
+        // Deltas sum back to the total.
+        let mut total = a;
+        total += d;
+        assert_eq!(total, b);
     }
 
     #[test]
