@@ -40,7 +40,6 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 #                   others nothing)
 #   spatial lattice: geo_props, lattice_props (banked viewport == grid
 #                   scan == oracle, under publishes and ragged covers)
-#   load generator: workload_props
 timeout 1500 cargo test --workspace -q --offline --locked
 
 # The same cache-equivalence suite replaying a pinned seed — proves
@@ -48,28 +47,18 @@ timeout 1500 cargo test --workspace -q --offline --locked
 DETTEST_SEED=20260808 timeout 120 cargo test -q --offline --locked --test respcache_props
 
 # Bench smoke runs. Each harness exits non-zero when its gate fails, so
-# these lines are regression gates, not build checks:
+# these lines are regression gates, not build checks. All three gate on
+# *counters* no test and no benchmark/ workload checks (serving latency
+# and throughput are gated per PR by BENCHMARK.json's bounds instead):
 #   fig11  parallel scaling, incl. its single-flight stampede check
-#   fig12  ingest under load
-#   fig13  closed-loop SLO load: uncapped p99, an inert admission
-#          controller (overload must shed cheap 503s, not collapse
-#          latency), a non-503 5xx, a stalled live stream, or a response
-#          cache that is inert, byte-divergent, or no faster than a cold
-#          render
 #   fig14  shard scaling: a country-filtered query reading a non-owning
 #          shard, or no fan-out speedup at 4 shards
 #   fig15  viewport: banked and scanned rows diverging, a single-band
 #          viewport reading a foreign band, a marked day falling back to
 #          a scan, the month roll-up never engaging, or the warm block
 #          cache failing to beat the grid-scan baseline's modeled I/O.
-#          Appends BENCH_fig15.json to its scratch dir in smoke mode (full
-#          runs refresh the committed copy).
-for fig in fig11_parallel_scaling fig12_ingest_under_load fig13_slo_load \
-    fig14_shard_scaling fig15_viewport; do
+#          Smoke mode writes its BENCH_fig15.json into its own scratch dir
+#          (full runs refresh the committed copy).
+for fig in fig11_parallel_scaling fig14_shard_scaling fig15_viewport; do
     BENCH_MEASURE_MS=20 timeout 120 "./target/release/$fig"
 done
-
-# Cross-commit bench trajectory gate: the two most recent committed
-# BENCH_fig13.json points must not show an order-of-magnitude collapse in
-# qps or p99 (loose tolerances absorb hardware noise; see the bin's docs).
-./target/release/bench_compare

@@ -47,6 +47,7 @@ impl<'a> DbmsBaseline<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dettest::TempDir;
     use rased_osm_model::{ChangesetId, CountryId, ElementType, RoadTypeId, UpdateRecord, UpdateType};
     use rased_query::{naive_execute, GroupDim};
     use rased_storage::IoCostModel;
@@ -67,25 +68,21 @@ mod tests {
             .collect()
     }
 
-    fn heap(tag: &str, recs: &[UpdateRecord], pool_pages: usize) -> HeapFile {
-        let dir = std::env::temp_dir().join(format!(
-            "rased-dbms-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut h = HeapFile::create(&dir.join("h.pg"), IoCostModel::free(), pool_pages).unwrap();
+    /// A flushed heap of `recs`; the returned [`TempDir`] must outlive it.
+    fn heap(tag: &str, recs: &[UpdateRecord], pool_pages: usize) -> (TempDir, HeapFile) {
+        let dir = TempDir::new(&format!("dbms-{tag}"));
+        let mut h = HeapFile::create(&dir.file("h.pg"), IoCostModel::free(), pool_pages).unwrap();
         for r in recs {
             h.append(r).unwrap();
         }
         h.flush().unwrap();
-        h
+        (dir, h)
     }
 
     #[test]
     fn matches_naive_oracle() {
         let recs = records(5000);
-        let h = heap("oracle", &recs, 64);
+        let (_dir, h) = heap("oracle", &recs, 64);
         let q = rased_query::AnalysisQuery::over(DateRange::new(
             Date::new(2021, 2, 1).unwrap(),
             Date::new(2021, 10, 31).unwrap(),
@@ -103,7 +100,7 @@ mod tests {
         // The defining behaviour of Fig. 10: pages read do not depend on
         // the query window.
         let recs = records(20_000);
-        let h = heap("constcost", &recs, 0); // no pool: every scan hits disk
+        let (_dir, h) = heap("constcost", &recs, 0); // no pool: every scan hits disk
         let narrow = rased_query::AnalysisQuery::over(DateRange::new(
             Date::new(2021, 6, 1).unwrap(),
             Date::new(2021, 6, 2).unwrap(),
@@ -122,7 +119,7 @@ mod tests {
     #[test]
     fn warm_pool_avoids_rereads() {
         let recs = records(2000);
-        let h = heap("pool", &recs, 1024); // pool bigger than the relation
+        let (_dir, h) = heap("pool", &recs, 1024); // pool bigger than the relation
         let q = rased_query::AnalysisQuery::over(DateRange::new(
             Date::new(2021, 1, 1).unwrap(),
             Date::new(2021, 12, 31).unwrap(),

@@ -132,11 +132,11 @@ fn bench_warehouse(c: &mut Harness) {
     use rased_storage::IoCostModel;
     use rased_warehouse::Warehouse;
 
-    let dir = rased_bench::bench_dir("crit-wh").expect("bench dir");
+    let dir = rased_bench::bench_dir("crit-wh");
     let w = Workload::years(1, 2_000, 0x05);
     let mut synth = RecordSynth::new(&w);
     let warehouse =
-        Warehouse::create(&dir.join("wh.pg"), IoCostModel::free(), 1024).expect("create");
+        Warehouse::create(&dir.file("wh.pg"), IoCostModel::free(), 1024).expect("create");
     let mut some_changeset = None;
     for day in w.range.days().take(30) {
         for r in synth.day(day) {

@@ -17,11 +17,11 @@ fn window(w: &Workload, years: i32) -> DateRange {
 
 fn bench_query_latency(c: &mut Harness) {
     let w = Workload::years(4, 200, 0xBE4C);
-    let dir = bench_dir("crit-query").expect("bench dir");
-    rased_bench::build_index(&dir.join("index"), &w, 4, CacheConfig::disabled(), IoCostModel::free())
+    let dir = bench_dir("crit-query");
+    rased_bench::build_index(&dir.file("index"), &w, 4, CacheConfig::disabled(), IoCostModel::free())
         .expect("build index");
     let index = TemporalIndex::open(
-        &dir.join("index"),
+        &dir.file("index"),
         w.schema,
         4,
         CacheConfig { slots: 200, ..CacheConfig::paper_default() },

@@ -40,9 +40,9 @@ fn run_stream(
 
 fn main() -> Result<(), Box<dyn Error>> {
     let w = Workload::years(4, 250, 0xCA5E);
-    let dir = bench_dir("cache-strategy")?;
+    let dir = bench_dir("cache-strategy");
     println!("# building a 4-year index...");
-    rased_bench::build_index(&dir.join("index"), &w, 4, CacheConfig::disabled(), IoCostModel::hdd())?;
+    rased_bench::build_index(&dir.file("index"), &w, 4, CacheConfig::disabled(), IoCostModel::hdd())?;
 
     let queries = 150;
     println!(
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         for recent_bias in [true, false] {
             for strategy in [CacheStrategy::paper_default(), CacheStrategy::Lru] {
                 let index = TemporalIndex::open(
-                    &dir.join("index"),
+                    &dir.file("index"),
                     w.schema,
                     4,
                     CacheConfig { slots, strategy },

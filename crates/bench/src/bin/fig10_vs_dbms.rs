@@ -23,12 +23,12 @@ use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let w = Workload::years(16, 1000, 0xF1610);
-    let dir = bench_dir("fig10")?;
+    let dir = bench_dir("fig10");
 
     println!("# Fig 10: building a 16-year index + heap ({} days)...", w.range.len_days());
     {
         let index = rased_bench::build_index(
-            &dir.join("index"),
+            &dir.file("index"),
             &w,
             4,
             CacheConfig { slots: 500, ..CacheConfig::paper_default() },
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // 2 GB buffer (in 8 KB pages) exceeds our scaled relation, exactly as
     // the paper's 2 GB did not hold its 336 GB relation — so force cold
     // scans by sizing the pool at zero and charging sequential I/O per scan.
-    let heap = rased_bench::build_heap(&dir.join("heap.pg"), &w, seq_model, 0)?;
+    let heap = rased_bench::build_heap(&dir.file("heap.pg"), &w, seq_model, 0)?;
     let heap_bytes = heap.page_count() * rased_warehouse::HEAP_PAGE_BYTES as u64;
     println!(
         "heap: {} rows, {:.1} MB",
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     let index = TemporalIndex::open(
-        &dir.join("index"),
+        &dir.file("index"),
         w.schema,
         4,
         CacheConfig { slots: 500, ..CacheConfig::paper_default() },

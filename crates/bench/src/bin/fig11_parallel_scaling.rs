@@ -39,9 +39,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         (Workload::years(3, 200, 0xF11A), 30)
     };
 
-    let dir = bench_dir("fig11")?;
+    let dir = bench_dir("fig11");
     println!("# Fig 11: building a {}-day index...", w.range.len_days());
-    drop(build_index(&dir.join("index"), &w, 4, CacheConfig::disabled(), IoCostModel::hdd())?);
+    drop(build_index(&dir.file("index"), &w, 4, CacheConfig::disabled(), IoCostModel::hdd())?);
 
     let windows = random_windows(&w, WINDOW_DAYS, queries, 0x11AA);
 
@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     for t in THREADS {
         // Cold: no cube cache, so every planned cube faults from disk.
         let cold_index = TemporalIndex::open(
-            &dir.join("index"),
+            &dir.file("index"),
             w.schema,
             4,
             CacheConfig::disabled(),
@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
         // Warm: recency cache sized to hold the hot tail of the windows.
         let warm_index = TemporalIndex::open(
-            &dir.join("index"),
+            &dir.file("index"),
             w.schema,
             4,
             CacheConfig { slots: 256, strategy: CacheStrategy::paper_default() },
@@ -101,7 +101,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         );
     }
 
-    stampede_microbench(&dir)?;
+    stampede_microbench(dir.path())?;
     println!(
         "\n(avg of {queries} one-cell {WINDOW_DAYS}-day queries per point; modeled disk: \
          5 ms seek + 150 MB/s; latency = wall + critical-path modeled I/O)"

@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         (Workload::years(2, 150, 0xF14A), 20)
     };
     let windows = random_windows(&w, WINDOW_DAYS, queries, 0x14AA);
-    let dir = bench_dir("fig14")?;
+    let dir = bench_dir("fig14");
     println!(
         "# Fig 14: {}-day workload at {:?} country shards ({} windows of {} days)",
         w.range.len_days(),
@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut speedup_at_4 = 0.0f64;
     let mut routing_ok = true;
     for n in SHARDS {
-        let shard_dir = dir.join(format!("shards-{n}"));
+        let shard_dir = dir.file(&format!("shards-{n}"));
         // Cold store: no cube cache, modeled HDD — every planned cube is
         // a physical (modeled) read.
         let cold = build_sharded_index(

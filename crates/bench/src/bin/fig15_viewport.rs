@@ -111,7 +111,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         (Workload::years(2, 150, SEED), 20usize, 4096usize)
     };
     let grid = GridSpec::new(BBox::world(), GRID_ROWS, GRID_COLS);
-    let dir = bench_dir("fig15")?;
+    let dir = bench_dir("fig15");
     println!(
         "# Fig 15: {}-day workload, {}x{} grid / {} bands, {} Zipf viewports of {} days",
         w.range.len_days(),
@@ -126,7 +126,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // the same synthetic records day by day (the ingest pipeline's
     // publish ordering, minus the dashboard).
     let idx = TemporalIndex::create(
-        &dir.join("index"),
+        &dir.file("index"),
         w.schema,
         4,
         CacheConfig::disabled(),
@@ -135,10 +135,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     // 16-page (128 KiB) buffer pool: big enough to matter, small enough
     // that neither mode's heap fits in memory — the flat baseline pays
     // real (modeled) page reads, which is the regime being compared.
-    let wh = Warehouse::create(&dir.join("wh"), IoCostModel::hdd(), 16)?;
+    let wh = Warehouse::create(&dir.file("wh"), IoCostModel::hdd(), 16)?;
     {
         let bank = SpatialBank::create(
-            &dir.join("bank"),
+            &dir.file("bank"),
             BANDS,
             grid,
             w.schema,
@@ -163,7 +163,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         // cold one.
     }
     let bank = SpatialBank::open(
-        &dir.join("bank"),
+        &dir.file("bank"),
         BANDS,
         grid,
         w.schema,
@@ -324,7 +324,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         ));
     }
 
-    let out = if smoke { dir.join("BENCH_fig15.json") } else { PathBuf::from("BENCH_fig15.json") };
+    let out = if smoke { dir.file("BENCH_fig15.json") } else { PathBuf::from("BENCH_fig15.json") };
     std::fs::write(
         &out,
         report_json(

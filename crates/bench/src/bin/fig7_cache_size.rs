@@ -19,10 +19,10 @@ use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let w = Workload::years(3, 400, 0xF167);
-    let dir = bench_dir("fig7")?;
+    let dir = bench_dir("fig7");
     println!("# Fig 7: building a 3-year index ({} days)...", w.range.len_days());
     let index = rased_bench::build_index(
-        &dir.join("index"),
+        &dir.file("index"),
         &w,
         4,
         CacheConfig::disabled(),
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     for &slots in &cache_slots {
         let index = TemporalIndex::open(
-            &dir.join("index"),
+            &dir.file("index"),
             w.schema,
             4,
             CacheConfig { slots, strategy: CacheStrategy::paper_default() },

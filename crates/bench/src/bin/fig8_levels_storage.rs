@@ -16,7 +16,7 @@ use std::error::Error;
 fn main() -> Result<(), Box<dyn Error>> {
     let years_axis = [1i32, 2, 4, 8, 16];
     let levels_axis = [1u8, 2, 3, 4];
-    let dir = bench_dir("fig8")?;
+    let dir = bench_dir("fig8");
 
     println!(
         "{:>6} | {} | 4-level / flat",
@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         let mut sizes = Vec::new();
         for &levels in &levels_axis {
             let index = rased_bench::build_index(
-                &dir.join(format!("y{years}-l{levels}")),
+                &dir.file(&format!("y{years}-l{levels}")),
                 &w,
                 levels,
                 CacheConfig::disabled(),

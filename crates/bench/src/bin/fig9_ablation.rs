@@ -22,11 +22,11 @@ use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let w = Workload::years(16, 300, 0xF169);
-    let dir = bench_dir("fig9")?;
+    let dir = bench_dir("fig9");
     println!("# Fig 9: building a 16-year index ({} days)...", w.range.len_days());
     {
         let full = rased_bench::build_index(
-            &dir.join("index"),
+            &dir.file("index"),
             &w,
             4,
             RasedVariant::Full.cache(0),
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         let mut results = Vec::new();
         for variant in RasedVariant::ALL {
             let index = TemporalIndex::open(
-                &dir.join("index"),
+                &dir.file("index"),
                 w.schema,
                 variant.levels(),
                 variant.cache(cache_slots),

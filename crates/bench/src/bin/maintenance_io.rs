@@ -16,10 +16,9 @@ use std::error::Error;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let w = Workload::years(1, 200, 0x3A10);
-    let dir = bench_dir("maintenance")?;
-    let _ = std::fs::remove_dir_all(dir.join("index"));
+    let dir = bench_dir("maintenance");
     let index = TemporalIndex::create(
-        &dir.join("index"),
+        &dir.file("index"),
         w.schema,
         4,
         CacheConfig::disabled(),

@@ -12,11 +12,11 @@ use std::error::Error;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let w = Workload::years(4, 150, 0xAB1A);
-    let dir = bench_dir("planner")?;
+    let dir = bench_dir("planner");
     println!("# building a 4-year index...");
     {
         rased_bench::build_index(
-            &dir.join("index"),
+            &dir.file("index"),
             &w,
             4,
             CacheConfig::disabled(),
@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         )?;
     }
     let index = TemporalIndex::open(
-        &dir.join("index"),
+        &dir.file("index"),
         w.schema,
         4,
         CacheConfig { slots: 120, strategy: CacheStrategy::paper_default() },

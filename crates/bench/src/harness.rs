@@ -175,44 +175,6 @@ impl Bencher {
     }
 }
 
-/// Nearest-rank percentile over an **ascending-sorted** slice: the value at
-/// rank `⌈p·N⌉` (1-based), i.e. the smallest element ≥ `p` of the sample.
-/// No interpolation, so small-N behaviour is unsurprising: `p=1.0` is the
-/// max, `p=0.0` the min, and every result is an actual observed sample.
-/// Returns `None` on an empty slice.
-pub fn percentile<T: Copy>(sorted: &[T], p: f64) -> Option<T> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let rank = (p.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
-    sorted.get(rank.clamp(1, sorted.len()) - 1).copied()
-}
-
-/// A latency profile summarized from per-request samples — the shape every
-/// serving-side figure reports (fig12, fig13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencyProfile {
-    pub count: usize,
-    pub p50: Duration,
-    pub p99: Duration,
-    pub p999: Duration,
-    pub max: Duration,
-}
-
-impl LatencyProfile {
-    /// Summarize samples (sorted in place). `None` when empty.
-    pub fn from_samples(samples: &mut [Duration]) -> Option<LatencyProfile> {
-        samples.sort_unstable();
-        Some(LatencyProfile {
-            count: samples.len(),
-            p50: percentile(samples, 0.50)?,
-            p99: percentile(samples, 0.99)?,
-            p999: percentile(samples, 0.999)?,
-            max: *samples.last()?,
-        })
-    }
-}
-
 fn report(name: &str, stats: &Stats, throughput: Option<Throughput>) {
     let tp = match throughput {
         Some(Throughput::Elements(n)) => {
@@ -314,61 +276,5 @@ mod tests {
         assert!(fmt_secs(5e-6).ends_with("µs"));
         assert!(fmt_secs(5e-3).ends_with("ms"));
         assert!(fmt_secs(5.0).ends_with(" s"));
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let v: Vec<u32> = (1..=100).collect();
-        assert_eq!(percentile(&v, 0.50), Some(50));
-        assert_eq!(percentile(&v, 0.99), Some(99));
-        assert_eq!(percentile(&v, 0.999), Some(100));
-        assert_eq!(percentile(&v, 1.0), Some(100));
-        assert_eq!(percentile(&v, 0.0), Some(1));
-    }
-
-    #[test]
-    fn percentile_small_n_has_no_interpolation_surprises() {
-        // N=1: every percentile is the single sample.
-        assert_eq!(percentile(&[7u64], 0.5), Some(7));
-        assert_eq!(percentile(&[7u64], 0.999), Some(7));
-        // N=2: p50 rank ⌈1.0⌉=1 → first; p99 rank ⌈1.98⌉=2 → second.
-        assert_eq!(percentile(&[1u64, 9], 0.50), Some(1));
-        assert_eq!(percentile(&[1u64, 9], 0.99), Some(9));
-        // N=4: p50 rank 2, p75 rank 3.
-        assert_eq!(percentile(&[1u64, 2, 3, 4], 0.50), Some(2));
-        assert_eq!(percentile(&[1u64, 2, 3, 4], 0.75), Some(3));
-        // Empty → None, never a panic.
-        assert_eq!(percentile::<u64>(&[], 0.5), None);
-    }
-
-    #[test]
-    fn latency_profile_sorts_and_summarizes() {
-        let mut samples = vec![
-            Duration::from_millis(9),
-            Duration::from_millis(1),
-            Duration::from_millis(5),
-        ];
-        let p = LatencyProfile::from_samples(&mut samples).unwrap();
-        assert_eq!(p.count, 3);
-        assert_eq!(p.p50, Duration::from_millis(5));
-        assert_eq!(p.p99, Duration::from_millis(9));
-        assert_eq!(p.p999, Duration::from_millis(9));
-        assert_eq!(p.max, Duration::from_millis(9));
-        assert_eq!(LatencyProfile::from_samples(&mut []), None);
-    }
-
-    #[test]
-    fn latency_profile_pins_the_full_ladder_fig12_and_fig13_report() {
-        // Both serving figures print p50/p99/p999/max from this one type;
-        // pin the exact nearest-rank indices at N=1000 so neither figure
-        // can silently drift back to a hand-rolled (truncating) rank.
-        let mut samples: Vec<Duration> =
-            (1..=1000u64).rev().map(Duration::from_micros).collect();
-        let p = LatencyProfile::from_samples(&mut samples).unwrap();
-        assert_eq!(p.count, 1000);
-        assert_eq!(p.p50, Duration::from_micros(500));
-        assert_eq!(p.p99, Duration::from_micros(990));
-        assert_eq!(p.p999, Duration::from_micros(999));
-        assert_eq!(p.max, Duration::from_micros(1000));
     }
 }

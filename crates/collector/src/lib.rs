@@ -71,6 +71,17 @@ pub struct CrawlStats {
     pub skipped_no_country: u64,
 }
 
+/// Accumulate one crawl's statistics into a running total (a batch run's
+/// report, the streaming writer's status).
+impl std::ops::AddAssign for CrawlStats {
+    fn add_assign(&mut self, other: CrawlStats) {
+        self.emitted += other.emitted;
+        self.skipped_not_road += other.skipped_not_road;
+        self.skipped_no_changeset += other.skipped_no_changeset;
+        self.skipped_no_country += other.skipped_no_country;
+    }
+}
+
 impl CrawlStats {
     /// Total updates inspected.
     pub fn inspected(&self) -> u64 {

@@ -4,12 +4,13 @@ use crate::system::{Rased, RasedError};
 use rased_collector::{CrawlStats, DailyCrawler, MonthlyCrawler};
 use rased_cube::DataCube;
 use rased_osm_gen::Dataset;
-use rased_osm_model::{ChangesetMeta, CountryResolver};
+use rased_osm_model::{ChangesetMeta, CountryResolver, UpdateRecord};
 use rased_osm_xml::ChangesetReader;
 use rased_temporal::{Date, DateRange, Period};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::BufReader;
+use std::path::{Path, PathBuf};
 
 /// What an ingestion run did.
 #[derive(Debug, Clone, Copy, Default)]
@@ -99,7 +100,7 @@ impl Rased {
             // ...then ingest sequentially in date order.
             for (day, parsed) in chunk.iter().zip(parsed) {
                 let (records, stats) = parsed?;
-                accumulate(&mut report.daily, stats);
+                report.daily += stats;
                 report.maintenance_ops += self.apply_day(*day, &records)?;
                 report.days += 1;
             }
@@ -110,18 +111,9 @@ impl Rased {
         // dump; refine those.
         for month in range.periods_within(rased_temporal::Granularity::Month) {
             let Period::Month(y, m) = month else { continue };
-            let history = BufReader::new(File::open(history_path(y, m))?);
-            let mut metas: Vec<ChangesetMeta> = Vec::new();
-            for day in month.range().days() {
-                let reader =
-                    ChangesetReader::new(BufReader::new(File::open(changesets_path(day))?));
-                for meta in reader {
-                    metas.push(meta.map_err(rased_collector::CollectError::from)?);
-                }
-            }
-            let crawler = MonthlyCrawler::new(resolver, &self.road_table);
-            let (by_day, stats) = crawler.crawl(history, metas, y, m)?;
-            accumulate(&mut report.monthly, stats);
+            let (by_day, stats) =
+                self.crawl_month(resolver, &history_path(y, m), &changesets_path, y, m)?;
+            report.monthly += stats;
             report.maintenance_ops += self.apply_month(y, m, &by_day)?;
             report.months += 1;
         }
@@ -129,6 +121,29 @@ impl Rased {
         self.index.warm_cache()?;
         self.sync()?;
         Ok(report)
+    }
+
+    /// Crawl one month's full-history dump (plus its days' changeset files)
+    /// into refined per-day records. Shared by the batch path above and
+    /// the streaming [`crate::IngestController`].
+    pub(crate) fn crawl_month(
+        &self,
+        resolver: &dyn CountryResolver,
+        history_path: &Path,
+        changesets_path: impl Fn(Date) -> PathBuf,
+        y: i32,
+        m: u32,
+    ) -> Result<(HashMap<Date, Vec<UpdateRecord>>, CrawlStats), RasedError> {
+        let history = BufReader::new(File::open(history_path)?);
+        let mut metas: Vec<ChangesetMeta> = Vec::new();
+        for day in Period::Month(y, m).range().days() {
+            let reader = ChangesetReader::new(BufReader::new(File::open(changesets_path(day))?));
+            for meta in reader {
+                metas.push(meta.map_err(rased_collector::CollectError::from)?);
+            }
+        }
+        let crawler = MonthlyCrawler::new(resolver, &self.road_table);
+        Ok(crawler.crawl(history, metas, y, m)?)
     }
 
     /// Publish one day: expand zones, build the daily cube, append + flush
@@ -218,31 +233,17 @@ impl Rased {
     }
 }
 
-fn accumulate(into: &mut CrawlStats, from: CrawlStats) {
-    into.emitted += from.emitted;
-    into.skipped_not_road += from.skipped_not_road;
-    into.skipped_no_changeset += from.skipped_no_changeset;
-    into.skipped_no_country += from.skipped_no_country;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::system::RasedConfig;
+    use dettest::TempDir;
     use rased_cube::CubeSchema;
     use rased_osm_gen::DatasetConfig;
     use rased_osm_model::UpdateType;
     use rased_query::{naive_execute, AnalysisQuery, GroupDim};
-    use std::path::PathBuf;
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("rased-core-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
-
-    fn small_dataset(tag: &str) -> Dataset {
+    fn small_dataset(dir: &TempDir) -> Dataset {
         let mut cfg = DatasetConfig::small(21);
         cfg.range = DateRange::new(
             Date::new(2021, 1, 1).unwrap(),
@@ -250,24 +251,23 @@ mod tests {
         );
         cfg.sim.daily_edits_mean = 30.0;
         cfg.seed_nodes_per_country = 12;
-        Dataset::generate(&tmpdir(tag).join("osm"), cfg).unwrap()
+        Dataset::generate(&dir.file("osm"), cfg).unwrap()
     }
 
-    fn system_for(tag: &str, dataset: &Dataset) -> Rased {
+    fn system_for(dir: &TempDir, dataset: &Dataset) -> Rased {
         let schema = CubeSchema::new(
             dataset.config.world.n_countries,
             dataset.config.sim.n_road_types,
         );
-        // Distinct tag: tmpdir() wipes its directory, and the dataset from
-        // `small_dataset(tag)` lives under the same-tag path.
-        let config = RasedConfig::new(tmpdir(&format!("{tag}-sys"))).with_schema(schema);
+        let config = RasedConfig::new(dir.file("system")).with_schema(schema);
         Rased::create(config).unwrap()
     }
 
     #[test]
     fn end_to_end_counts_match_ground_truth() {
-        let dataset = small_dataset("e2e");
-        let rased = system_for("e2e", &dataset);
+        let dir = TempDir::new("core-e2e");
+        let dataset = small_dataset(&dir);
+        let rased = system_for(&dir, &dataset);
         let report = rased.ingest_dataset(&dataset).unwrap();
         assert_eq!(report.days, 59);
         assert_eq!(report.months, 2, "Jan + Feb are complete months");
@@ -292,8 +292,9 @@ mod tests {
 
     #[test]
     fn viewport_query_matches_ground_truth() {
-        let dataset = small_dataset("vp");
-        let rased = system_for("vp", &dataset);
+        let dir = TempDir::new("core-vp");
+        let dataset = small_dataset(&dir);
+        let rased = system_for(&dir, &dataset);
         rased.ingest_dataset(&dataset).unwrap();
         let atlas = dataset.atlas();
         // One country's box (boundary-heavy cover) and a wide box spanning
@@ -313,8 +314,9 @@ mod tests {
 
     #[test]
     fn warehouse_holds_every_update() {
-        let dataset = small_dataset("wh");
-        let rased = system_for("wh", &dataset);
+        let dir = TempDir::new("core-wh");
+        let dataset = small_dataset(&dir);
+        let rased = system_for(&dir, &dataset);
         rased.ingest_dataset(&dataset).unwrap();
         assert_eq!(rased.warehouse().row_count() as usize, dataset.truth.len());
 
@@ -326,8 +328,9 @@ mod tests {
 
     #[test]
     fn sample_region_returns_located_updates() {
-        let dataset = small_dataset("sample");
-        let rased = system_for("sample", &dataset);
+        let dir = TempDir::new("core-sample");
+        let dataset = small_dataset(&dir);
+        let rased = system_for(&dir, &dataset);
         rased.ingest_dataset(&dataset).unwrap();
         let atlas = dataset.atlas();
         let zone = &atlas.countries()[0];
@@ -342,8 +345,9 @@ mod tests {
     #[test]
     fn query_scoped_sampling_respects_filters() {
         use rased_osm_model::ElementType;
-        let dataset = small_dataset("scoped");
-        let rased = system_for("scoped", &dataset);
+        let dir = TempDir::new("core-scoped");
+        let dataset = small_dataset(&dir);
+        let rased = system_for(&dir, &dataset);
         rased.ingest_dataset(&dataset).unwrap();
         let q = AnalysisQuery::over(dataset.config.range)
             .elements(vec![ElementType::Node])
@@ -367,13 +371,13 @@ mod tests {
 
     #[test]
     fn reopen_preserves_query_results() {
-        let dataset = small_dataset("reopen");
-        let dir = tmpdir("reopen-sys");
+        let dir = TempDir::new("core-reopen");
+        let dataset = small_dataset(&dir);
         let schema = CubeSchema::new(
             dataset.config.world.n_countries,
             dataset.config.sim.n_road_types,
         );
-        let config = RasedConfig::new(&dir).with_schema(schema);
+        let config = RasedConfig::new(dir.file("system")).with_schema(schema);
         let q = AnalysisQuery::over(dataset.config.range).group(GroupDim::Country).percentage();
         let before = {
             let rased = Rased::create(config.clone()).unwrap();

@@ -18,13 +18,12 @@
 //! the state machine in [`IngestPhase::Failed`] until the next job.
 
 use crate::system::{Rased, RasedError};
-use rased_collector::{CrawlStats, DailyCrawler, MonthlyCrawler};
+use rased_collector::{CrawlStats, DailyCrawler};
 use rased_osm_gen::Dataset;
-use rased_osm_model::{ChangesetMeta, UpdateRecord};
-use rased_osm_xml::ChangesetReader;
+use rased_osm_model::UpdateRecord;
 use rased_storage::sync::{Condvar, Mutex};
 use rased_temporal::{Date, Period};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::fs::File;
 use std::io::{self, BufReader};
 use std::path::{Path, PathBuf};
@@ -278,7 +277,7 @@ fn ingest_job(
         }
         inner.set_phase(IngestPhase::Crawling);
         let (records, stats) = retry_unit(inner, || crawl_day(sys, &atlas, &dataset, day))?;
-        inner.with_status(|s| accumulate(&mut s.daily, stats));
+        inner.with_status(|s| s.daily += stats);
         inner.set_phase(IngestPhase::Publishing);
         // The publish itself is not retried: `apply_day` commits the cube
         // unit atomically, and a failure after the commit must not publish
@@ -305,8 +304,11 @@ fn ingest_job(
             continue;
         }
         inner.set_phase(IngestPhase::Crawling);
-        let (by_day, stats) = retry_unit(inner, || crawl_month(sys, &atlas, &dataset, y, m))?;
-        inner.with_status(|s| accumulate(&mut s.monthly, stats));
+        let (by_day, stats) = retry_unit(inner, || {
+            let paths = &dataset.paths;
+            sys.crawl_month(&atlas, &paths.history(y, m), |day| paths.changesets(day), y, m)
+        })?;
+        inner.with_status(|s| s.monthly += stats);
         inner.set_phase(IngestPhase::Publishing);
         sys.apply_month(y, m, &by_day)?;
         refined.insert((y, m));
@@ -329,27 +331,6 @@ fn crawl_day(
     let changesets = BufReader::new(File::open(dataset.paths.changesets(day))?);
     let crawler = DailyCrawler::new(atlas, sys.roads());
     Ok(crawler.crawl(diff, changesets)?)
-}
-
-/// Crawl one month's full-history dump (plus its days' changeset files)
-/// into refined per-day records.
-fn crawl_month(
-    sys: &Rased,
-    atlas: &rased_osm_gen::WorldAtlas,
-    dataset: &Dataset,
-    y: i32,
-    m: u32,
-) -> Result<(HashMap<Date, Vec<UpdateRecord>>, CrawlStats), RasedError> {
-    let history = BufReader::new(File::open(dataset.paths.history(y, m))?);
-    let mut metas: Vec<ChangesetMeta> = Vec::new();
-    for day in Period::Month(y, m).range().days() {
-        let reader = ChangesetReader::new(BufReader::new(File::open(dataset.paths.changesets(day))?));
-        for meta in reader {
-            metas.push(meta.map_err(rased_collector::CollectError::from)?);
-        }
-    }
-    let crawler = MonthlyCrawler::new(atlas, sys.roads());
-    Ok(crawler.crawl(history, metas, y, m)?)
 }
 
 /// Run one unit, retrying transient I/O failures with fixed backoff.
@@ -377,30 +358,19 @@ fn is_transient(e: &RasedError) -> bool {
     matches!(e, RasedError::Io(_) | RasedError::Index(_) | RasedError::Warehouse(_))
 }
 
-fn accumulate(into: &mut CrawlStats, from: CrawlStats) {
-    into.emitted += from.emitted;
-    into.skipped_not_road += from.skipped_not_road;
-    into.skipped_no_changeset += from.skipped_no_changeset;
-    into.skipped_no_country += from.skipped_no_country;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::system::RasedConfig;
+    use dettest::TempDir;
     use rased_cube::CubeSchema;
     use rased_osm_gen::DatasetConfig;
     use rased_query::{naive_execute, AnalysisQuery, GroupDim};
     use rased_temporal::DateRange;
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("rased-ictl-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
-
-    fn dataset_and_system(tag: &str) -> (Dataset, Arc<Rased>) {
+    /// A generated dataset and an empty system beside it; the returned
+    /// [`TempDir`] must outlive both.
+    fn dataset_and_system(tag: &str) -> (TempDir, Dataset, Arc<Rased>) {
         let mut cfg = DatasetConfig::small(31);
         cfg.range = DateRange::new(
             Date::new(2021, 1, 1).unwrap(),
@@ -408,14 +378,15 @@ mod tests {
         );
         cfg.sim.daily_edits_mean = 20.0;
         cfg.seed_nodes_per_country = 10;
-        let root = tmpdir(tag);
-        let dataset = Dataset::generate(&root.join("osm"), cfg).unwrap();
+        let root = TempDir::new(&format!("ictl-{tag}"));
+        let dataset = Dataset::generate(&root.file("osm"), cfg).unwrap();
         let schema = CubeSchema::new(
             dataset.config.world.n_countries,
             dataset.config.sim.n_road_types,
         );
-        let config = RasedConfig::new(root.join("system")).with_schema(schema);
-        (dataset, Arc::new(Rased::create(config).unwrap()))
+        let config = RasedConfig::new(root.file("system")).with_schema(schema);
+        let system = Arc::new(Rased::create(config).unwrap());
+        (root, dataset, system)
     }
 
     fn wait_idle(ctl: &IngestController) -> IngestStatus {
@@ -431,7 +402,7 @@ mod tests {
 
     #[test]
     fn streams_a_dataset_to_the_same_answer_as_batch_ingest() {
-        let (dataset, sys) = dataset_and_system("stream");
+        let (_root, dataset, sys) = dataset_and_system("stream");
         let ctl = IngestController::start(Arc::clone(&sys)).unwrap();
         ctl.enqueue(dataset.paths.root.clone()).unwrap();
         let status = wait_idle(&ctl);
@@ -452,7 +423,7 @@ mod tests {
 
     #[test]
     fn re_enqueueing_the_same_directory_is_idempotent() {
-        let (dataset, sys) = dataset_and_system("idem");
+        let (_root, dataset, sys) = dataset_and_system("idem");
         let ctl = IngestController::start(Arc::clone(&sys)).unwrap();
         ctl.enqueue(dataset.paths.root.clone()).unwrap();
         wait_idle(&ctl);
@@ -469,9 +440,11 @@ mod tests {
 
     #[test]
     fn bad_directory_parks_the_machine_in_failed() {
-        let (_dataset, sys) = dataset_and_system("badjob");
+        let (root, _dataset, sys) = dataset_and_system("badjob");
         let ctl = IngestController::start(Arc::clone(&sys)).unwrap();
-        ctl.enqueue(tmpdir("badjob-empty")).unwrap();
+        let empty = root.file("empty");
+        std::fs::create_dir_all(&empty).unwrap();
+        ctl.enqueue(empty).unwrap();
         let status = wait_idle(&ctl);
         assert_eq!(status.phase, IngestPhase::Failed);
         assert!(status.last_error.is_some());
@@ -480,7 +453,7 @@ mod tests {
 
     #[test]
     fn queue_rejects_beyond_capacity() {
-        let (_dataset, sys) = dataset_and_system("cap");
+        let (_root, _dataset, sys) = dataset_and_system("cap");
         // Capacity 2; the writer is busy failing the first bogus dir, but
         // enqueue never blocks either way.
         let ctl = IngestController::with_capacity(sys, 2).unwrap();

@@ -223,6 +223,7 @@ pub fn result_to_json(system: &Rased, result: &QueryResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dettest::TempDir;
     use rased_core::Rased;
 
     #[test]
@@ -242,14 +243,11 @@ mod tests {
         }
     }
 
-    fn empty_system(tag: &str) -> Rased {
-        let dir = std::env::temp_dir().join(format!(
-            "rased-api-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        Rased::create(rased_core::RasedConfig::new(&dir)).expect("create")
+    /// A fresh empty system; the returned [`TempDir`] must outlive it.
+    fn empty_system(tag: &str) -> (TempDir, Rased) {
+        let dir = TempDir::new(&format!("api-{tag}"));
+        let system = Rased::create(rased_core::RasedConfig::new(dir.path())).expect("create");
+        (dir, system)
     }
 
     fn params(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
@@ -258,7 +256,7 @@ mod tests {
 
     #[test]
     fn parse_full_query() {
-        let system = empty_system("full");
+        let (_dir, system) = empty_system("full");
         let q = parse_analysis_query(
             &system,
             &params(&[
@@ -285,7 +283,7 @@ mod tests {
 
     #[test]
     fn parse_rejects_bad_parameters() {
-        let system = empty_system("bad");
+        let (_dir, system) = empty_system("bad");
         let base = [("start", "2021-01-01"), ("end", "2021-12-31")];
         // Missing start.
         assert!(parse_analysis_query(&system, &params(&[("end", "2021-12-31")])).is_err());
@@ -353,7 +351,7 @@ mod tests {
 
     #[test]
     fn bbox_and_viewport_params_attach_a_spatial_filter() {
-        let system = empty_system("bbox");
+        let (_dir, system) = empty_system("bbox");
         let base = [("start", "2021-01-01"), ("end", "2021-01-31")];
         for key in ["bbox", "viewport"] {
             let mut p = params(&base);

@@ -687,21 +687,21 @@ fn write_step(conn: &mut Conn) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dettest::TempDir;
     use rased_core::{Rased, RasedConfig, ServerConfig};
     use rased_osm_model::{ChangesetId, CountryId, ElementType, RoadTypeId, UpdateRecord, UpdateType};
     use std::sync::Arc;
 
-    fn test_server(tag: &str, shards: usize) -> DashboardServer {
-        let dir = std::env::temp_dir().join(format!(
-            "rased-evloop-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut config = RasedConfig::new(&dir);
+    /// A bound server over a fresh system; the returned [`TempDir`] must
+    /// outlive it.
+    fn test_server(tag: &str, shards: usize) -> (TempDir, DashboardServer) {
+        let dir = TempDir::new(&format!("evloop-{tag}"));
+        let mut config = RasedConfig::new(dir.path());
         config.shard = rased_core::ShardConfig { shards };
         let system = Arc::new(Rased::create(config).expect("create"));
-        DashboardServer::bind_with(system, "127.0.0.1:0", ServerConfig::default()).expect("bind")
+        let server = DashboardServer::bind_with(system, "127.0.0.1:0", ServerConfig::default())
+            .expect("bind");
+        (dir, server)
     }
 
     fn rec(lon_deg: f64) -> UpdateRecord {
@@ -726,13 +726,8 @@ mod tests {
     /// pre-publish numbers forever.
     #[test]
     fn country_tiles_are_stamped_where_the_index_placed_them() {
-        let dir = std::env::temp_dir().join(format!(
-            "rased-evloop-routing-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut config = RasedConfig::new(&dir);
+        let dir = TempDir::new("evloop-routing");
+        let mut config = RasedConfig::new(dir.path());
         config.shard = rased_core::ShardConfig { shards: 3 };
         let system = Arc::new(Rased::create(config).expect("create"));
         let server =
@@ -802,7 +797,7 @@ mod tests {
     /// box whenever that day's marker is a different shard.
     #[test]
     fn sample_tiles_narrow_only_by_filters_the_render_honours() {
-        let server = test_server("sample", 3);
+        let (_dir, server) = test_server("sample", 3);
         let name = server.system.countries().name(CountryId(1)).unwrap();
         let boxed = "min_lat=-10&min_lon=-10&max_lat=10&max_lon=10";
         let windowless = cache_stamp(&server, "/api/sample", &format!("{boxed}&countries={name}"));
@@ -822,7 +817,7 @@ mod tests {
 
     #[test]
     fn viewport_stamps_cover_only_their_bands() {
-        let server = test_server("stamp", 1);
+        let (_dir, server) = test_server("stamp", 1);
         // Default spatial config: 4 longitude bands over the world grid.
         // A west-quadrant box and an east-quadrant box land on different
         // bands; both stamps live entirely in the spatial namespace.
@@ -848,7 +843,7 @@ mod tests {
 
     #[test]
     fn spatial_publish_evicts_only_the_touched_regions_tiles() {
-        let server = test_server("confine", 1);
+        let (_dir, server) = test_server("confine", 1);
         let cache = server.response_cache().expect("cache on by default");
         let key = |q: &str| {
             RespKey::with_stamp("/api/analysis", q, cache_stamp(&server, "/api/analysis", q))

@@ -1,25 +1,18 @@
 //! End-to-end CLI test: drive the `rased` binary through
 //! generate → ingest → query, checking outputs and exit codes.
 
-use std::path::PathBuf;
+use dettest::TempDir;
 use std::process::Command;
 
 fn rased() -> Command {
     Command::new(env!("CARGO_BIN_EXE_rased"))
 }
 
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("rased-cli-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
-
 #[test]
 fn generate_ingest_query_roundtrip() {
-    let dir = tmpdir("roundtrip");
-    let data = dir.join("osm");
-    let system = dir.join("system");
+    let dir = TempDir::new("cli-roundtrip");
+    let data = dir.file("osm");
+    let system = dir.file("system");
 
     // generate
     let out = rased()
@@ -89,10 +82,10 @@ fn cli_reports_errors_cleanly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--system"));
 
     // Nonexistent dataset.
-    let dir = tmpdir("errs");
+    let dir = TempDir::new("cli-errs");
     let out = rased()
         .args(["ingest", "--data", "/nonexistent", "--system"])
-        .arg(dir.join("sys"))
+        .arg(dir.file("sys"))
         .output()
         .unwrap();
     assert!(!out.status.success());

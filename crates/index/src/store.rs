@@ -1139,18 +1139,8 @@ fn load_catalog(path: &Path) -> Result<(HashMap<CubeKey, PageId>, u64, Option<u6
 mod tests {
     use super::*;
     use crate::cache::CacheStrategy;
+    use dettest::TempDir;
     use rased_osm_model::{ChangesetId, CountryId, ElementType, RoadTypeId, UpdateRecord, UpdateType};
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "rased-index-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
 
     fn d(s: &str) -> Date {
         s.parse().unwrap()
@@ -1175,20 +1165,23 @@ mod tests {
         DataCube::from_records(schema, &records).unwrap()
     }
 
-    fn index(tag: &str, levels: u8) -> TemporalIndex {
-        TemporalIndex::create(
-            &tmpdir(tag),
+    /// A fresh index; the returned [`TempDir`] must outlive it.
+    fn index(tag: &str, levels: u8) -> (TempDir, TemporalIndex) {
+        let dir = TempDir::new(&format!("index-{tag}"));
+        let idx = TemporalIndex::create(
+            dir.path(),
             CubeSchema::tiny(),
             levels,
             CacheConfig::disabled(),
             IoCostModel::free(),
         )
-        .unwrap()
+        .unwrap();
+        (dir, idx)
     }
 
     #[test]
     fn put_fetch_roundtrip() {
-        let idx = index("roundtrip", 4);
+        let (_dir, idx) = index("roundtrip", 4);
         let cube = day_cube(idx.schema(), "2021-05-05", 10);
         idx.put(Period::Day(d("2021-05-05")), &cube).unwrap();
         let (got, outcome) = idx.fetch(Period::Day(d("2021-05-05"))).unwrap().unwrap();
@@ -1199,7 +1192,7 @@ mod tests {
 
     #[test]
     fn plain_day_costs_one_write() {
-        let idx = index("plain", 4);
+        let (_dir, idx) = index("plain", 4);
         // 2021-06-02 is a Wednesday, mid-month.
         let report = idx.ingest_day(d("2021-06-02"), &day_cube(idx.schema(), "2021-06-02", 5)).unwrap();
         assert_eq!(report.cubes_written, 1);
@@ -1210,7 +1203,7 @@ mod tests {
 
     #[test]
     fn week_boundary_builds_weekly_cube() {
-        let idx = index("week", 4);
+        let (_dir, idx) = index("week", 4);
         // Week of Sunday 2021-06-06 .. Saturday 2021-06-12.
         let mut last = MaintenanceReport::default();
         for i in 0..7 {
@@ -1229,7 +1222,7 @@ mod tests {
 
     #[test]
     fn gap_on_week_closing_day_does_not_lose_data_in_month_roll_up() {
-        let idx = index("gapweek", 4);
+        let (_dir, idx) = index("gapweek", 4);
         // Feb 2021: weeks (Sun..Sat) fully inside are 02-07..13, 14..20,
         // 21..27. Skip Saturday 02-27 — the 02-21 week's roll-up never
         // fires, so the month roll-up (at 02-28) must fall back to that
@@ -1248,7 +1241,7 @@ mod tests {
 
     #[test]
     fn month_and_year_boundaries_roll_up() {
-        let idx = index("year", 4);
+        let (_dir, idx) = index("year", 4);
         // Ingest all of 2021 with 1 update per day.
         let mut day = d("2021-01-01");
         while day <= d("2021-12-31") {
@@ -1269,7 +1262,7 @@ mod tests {
 
     #[test]
     fn flat_index_skips_roll_ups() {
-        let idx = index("flat", 1);
+        let (_dir, idx) = index("flat", 1);
         for i in 0..31 {
             let day = d("2021-01-01").add_days(i);
             let r = idx.ingest_day(day, &day_cube(idx.schema(), &day.to_string(), 1)).unwrap();
@@ -1284,7 +1277,7 @@ mod tests {
 
     #[test]
     fn mid_period_dataset_start_tolerated() {
-        let idx = index("midstart", 4);
+        let (_dir, idx) = index("midstart", 4);
         // Start ingesting on Dec 29 (Wednesday); the year boundary roll-up
         // must not fail on the 360 missing days.
         for i in 0..3 {
@@ -1297,7 +1290,7 @@ mod tests {
 
     #[test]
     fn rebuild_month_refines_update_types() {
-        let idx = index("rebuild", 4);
+        let (_dir, idx) = index("rebuild", 4);
         // Daily ingest: coarse Unclassified updates.
         let schema = idx.schema();
         let mut day = d("2021-03-01");
@@ -1334,7 +1327,7 @@ mod tests {
         // Regression: the week of 2021-02-28 covers Mar 1-6; a March
         // rebuild must refresh it even though it is not a child of March,
         // or queries planned through it would see stale coarse counts.
-        let idx = index("straddle", 4);
+        let (_dir, idx) = index("straddle", 4);
         let schema = idx.schema();
         let mut day = d("2021-02-25");
         while day <= d("2021-03-31") {
@@ -1361,7 +1354,7 @@ mod tests {
 
     #[test]
     fn rebuild_refreshes_year_cube() {
-        let idx = index("rebuild-year", 4);
+        let (_dir, idx) = index("rebuild-year", 4);
         let schema = idx.schema();
         let mut day = d("2021-01-01");
         while day <= d("2021-12-31") {
@@ -1384,7 +1377,7 @@ mod tests {
 
     #[test]
     fn rebuild_month_tombstones_days_dropped_by_refinement() {
-        let idx = index("tombstone", 4);
+        let (_dir, idx) = index("tombstone", 4);
         let schema = idx.schema();
         // Coarse daily ingest: every day of March 2021 has one update.
         let mut day = d("2021-03-01");
@@ -1419,11 +1412,11 @@ mod tests {
 
     #[test]
     fn tombstones_survive_wal_replay_and_checkpoint() {
-        let dir = tmpdir("tombstone-replay");
+        let dir = TempDir::new("index-tombstone-replay");
         let schema = CubeSchema::tiny();
         let build = |sync: bool| {
             let idx =
-                TemporalIndex::create(&dir, schema, 4, CacheConfig::disabled(), IoCostModel::free())
+                TemporalIndex::create(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free())
                     .unwrap();
             let mut day = d("2021-03-01");
             while day <= d("2021-03-31") {
@@ -1446,7 +1439,7 @@ mod tests {
             // the checkpoint (the WAL was reset). Both must reopen to the
             // same single surviving day.
             build(sync);
-            let idx = TemporalIndex::open(&dir, schema, 4, CacheConfig::disabled(), IoCostModel::free())
+            let idx = TemporalIndex::open(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free())
                 .unwrap();
             assert!(idx.has(Period::Day(d("2021-03-05"))), "sync={sync}");
             assert!(!idx.has(Period::Day(d("2021-03-10"))), "sync={sync}: tombstone must replay");
@@ -1460,15 +1453,15 @@ mod tests {
 
     #[test]
     fn epoch_is_monotonic_across_restarts() {
-        let dir = tmpdir("epoch-mono");
+        let dir = TempDir::new("index-epoch-mono");
         let schema = CubeSchema::tiny();
         let mut last_epoch = 0;
         for round in 0..3u32 {
             let idx = if round == 0 {
-                TemporalIndex::create(&dir, schema, 4, CacheConfig::disabled(), IoCostModel::free())
+                TemporalIndex::create(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free())
                     .unwrap()
             } else {
-                TemporalIndex::open(&dir, schema, 4, CacheConfig::disabled(), IoCostModel::free())
+                TemporalIndex::open(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free())
                     .unwrap()
             };
             assert_eq!(idx.epoch(), last_epoch, "round {round}: epoch must resume, not reset");
@@ -1488,11 +1481,11 @@ mod tests {
 
     #[test]
     fn durable_mark_survives_replay_and_checkpoint() {
-        let dir = tmpdir("mark");
+        let dir = TempDir::new("index-mark");
         let schema = CubeSchema::tiny();
         {
             let idx =
-                TemporalIndex::create(&dir, schema, 4, CacheConfig::disabled(), IoCostModel::free())
+                TemporalIndex::create(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free())
                     .unwrap();
             assert_eq!(idx.durable_mark(), Some(0), "a fresh index accounts for no rows");
             idx.ingest_day_marked(d("2021-01-04"), &day_cube(schema, "2021-01-04", 1), 17).unwrap();
@@ -1504,21 +1497,21 @@ mod tests {
         }
         {
             let idx =
-                TemporalIndex::open(&dir, schema, 4, CacheConfig::disabled(), IoCostModel::free())
+                TemporalIndex::open(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free())
                     .unwrap();
             assert_eq!(idx.durable_mark(), Some(43), "mark must replay from the WAL");
             idx.sync().unwrap();
         }
         let idx =
-            TemporalIndex::open(&dir, schema, 4, CacheConfig::disabled(), IoCostModel::free()).unwrap();
+            TemporalIndex::open(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free()).unwrap();
         assert_eq!(idx.durable_mark(), Some(43), "mark must load from the checkpoint");
     }
 
     #[test]
     fn cache_serves_warm_cubes() {
-        let dir = tmpdir("cache");
+        let dir = TempDir::new("index-cache");
         let idx = TemporalIndex::create(
-            &dir,
+            dir.path(),
             CubeSchema::tiny(),
             4,
             CacheConfig { slots: 8, strategy: CacheStrategy::paper_default() },
@@ -1540,9 +1533,9 @@ mod tests {
 
     #[test]
     fn put_overwrite_invalidates_cache() {
-        let dir = tmpdir("inval");
+        let dir = TempDir::new("index-inval");
         let idx = TemporalIndex::create(
-            &dir,
+            dir.path(),
             CubeSchema::tiny(),
             4,
             CacheConfig { slots: 8, strategy: CacheStrategy::Lru },
@@ -1560,11 +1553,11 @@ mod tests {
 
     #[test]
     fn persistence_roundtrip() {
-        let dir = tmpdir("persist");
+        let dir = TempDir::new("index-persist");
         let schema = CubeSchema::tiny();
         {
             let idx =
-                TemporalIndex::create(&dir, schema, 4, CacheConfig::disabled(), IoCostModel::free())
+                TemporalIndex::create(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free())
                     .unwrap();
             for i in 0..14 {
                 let day = d("2021-01-03").add_days(i);
@@ -1573,7 +1566,7 @@ mod tests {
             idx.sync().unwrap();
         }
         let idx =
-            TemporalIndex::open(&dir, schema, 4, CacheConfig::disabled(), IoCostModel::free()).unwrap();
+            TemporalIndex::open(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free()).unwrap();
         assert!(idx.has(Period::Week(d("2021-01-03"))));
         assert_eq!(idx.fetch(Period::Week(d("2021-01-10"))).unwrap().unwrap().0.total(), 21);
         assert_eq!(idx.coverage(), Some((d("2021-01-03"), d("2021-01-16"))));
@@ -1581,17 +1574,17 @@ mod tests {
 
     #[test]
     fn open_rejects_corrupt_catalog() {
-        let dir = tmpdir("badcat");
+        let dir = TempDir::new("index-badcat");
         let schema = CubeSchema::tiny();
         {
             let idx =
-                TemporalIndex::create(&dir, schema, 4, CacheConfig::disabled(), IoCostModel::free())
+                TemporalIndex::create(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free())
                     .unwrap();
             idx.sync().unwrap();
         }
-        std::fs::write(dir.join("catalog.bin"), b"garbage").unwrap();
+        std::fs::write(dir.file("catalog.bin"), b"garbage").unwrap();
         assert!(matches!(
-            TemporalIndex::open(&dir, schema, 4, CacheConfig::disabled(), IoCostModel::free()),
+            TemporalIndex::open(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free()),
             Err(IndexError::BadCatalog(_))
         ));
     }
@@ -1600,11 +1593,11 @@ mod tests {
     fn reopen_replays_unsynced_units() {
         // Publication must survive on the WAL alone: no sync() before the
         // handle is dropped (simulating a crash after commits).
-        let dir = tmpdir("replay");
+        let dir = TempDir::new("index-replay");
         let schema = CubeSchema::tiny();
         {
             let idx =
-                TemporalIndex::create(&dir, schema, 4, CacheConfig::disabled(), IoCostModel::free())
+                TemporalIndex::create(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free())
                     .unwrap();
             for i in 0..10 {
                 let day = d("2021-01-03").add_days(i);
@@ -1612,7 +1605,7 @@ mod tests {
             }
         }
         let idx =
-            TemporalIndex::open(&dir, schema, 4, CacheConfig::disabled(), IoCostModel::free()).unwrap();
+            TemporalIndex::open(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free()).unwrap();
         assert_eq!(idx.coverage(), Some((d("2021-01-03"), d("2021-01-12"))));
         assert!(idx.has(Period::Week(d("2021-01-03"))));
         assert_eq!(idx.fetch(Period::Week(d("2021-01-03"))).unwrap().unwrap().0.total(), 14);
@@ -1621,39 +1614,39 @@ mod tests {
 
     #[test]
     fn torn_wal_tail_is_discarded_on_open() {
-        let dir = tmpdir("torn");
+        let dir = TempDir::new("index-torn");
         let schema = CubeSchema::tiny();
         {
             let idx =
-                TemporalIndex::create(&dir, schema, 4, CacheConfig::disabled(), IoCostModel::free())
+                TemporalIndex::create(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free())
                     .unwrap();
             idx.put(Period::Day(d("2021-01-01")), &day_cube(schema, "2021-01-01", 1)).unwrap();
             idx.put(Period::Day(d("2021-01-02")), &day_cube(schema, "2021-01-02", 2)).unwrap();
         }
         // Tear the second unit's record mid-payload.
-        let wal_path = dir.join("wal.log");
+        let wal_path = dir.file("wal.log");
         let len = std::fs::metadata(&wal_path).unwrap().len();
         let f = std::fs::OpenOptions::new().write(true).open(&wal_path).unwrap();
         f.set_len(len - 3).unwrap();
         drop(f);
         let idx =
-            TemporalIndex::open(&dir, schema, 4, CacheConfig::disabled(), IoCostModel::free()).unwrap();
+            TemporalIndex::open(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free()).unwrap();
         assert!(idx.has(Period::Day(d("2021-01-01"))));
         assert!(!idx.has(Period::Day(d("2021-01-02"))), "torn unit must be rolled back");
         // The tail was truncated: a second reopen sees the same state.
         drop(idx);
         let idx =
-            TemporalIndex::open(&dir, schema, 4, CacheConfig::disabled(), IoCostModel::free()).unwrap();
+            TemporalIndex::open(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free()).unwrap();
         assert_eq!(idx.cube_count(), 1);
     }
 
     #[test]
     fn orphan_staged_pages_are_ignored_on_reopen() {
-        let dir = tmpdir("orphan");
+        let dir = TempDir::new("index-orphan");
         let schema = CubeSchema::tiny();
         {
             let idx =
-                TemporalIndex::create(&dir, schema, 4, CacheConfig::disabled(), IoCostModel::free())
+                TemporalIndex::create(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free())
                     .unwrap();
             idx.put(Period::Day(d("2021-01-01")), &day_cube(schema, "2021-01-01", 1)).unwrap();
             // A staged-but-never-committed page (crash between stage and
@@ -1663,14 +1656,14 @@ mod tests {
             idx.file().sync().unwrap();
         }
         let idx =
-            TemporalIndex::open(&dir, schema, 4, CacheConfig::disabled(), IoCostModel::free()).unwrap();
+            TemporalIndex::open(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free()).unwrap();
         assert_eq!(idx.cube_count(), 1, "orphan page must not become a cube");
         assert_eq!(idx.fetch(Period::Day(d("2021-01-01"))).unwrap().unwrap().0.total(), 1);
     }
 
     #[test]
     fn snapshot_pins_pre_publish_version() {
-        let idx = index("snap", 4);
+        let (_dir, idx) = index("snap", 4);
         let p = Period::Day(d("2021-01-01"));
         idx.put(p, &day_cube(idx.schema(), "2021-01-01", 3)).unwrap();
         let snap = idx.snapshot();
@@ -1684,7 +1677,7 @@ mod tests {
 
     #[test]
     fn publish_counts_units_and_invalidations() {
-        let idx = index("counters", 4);
+        let (_dir, idx) = index("counters", 4);
         let p = Period::Day(d("2021-01-01"));
         idx.put(p, &day_cube(idx.schema(), "2021-01-01", 1)).unwrap();
         assert_eq!((idx.published_units(), idx.invalidations()), (1, 0));

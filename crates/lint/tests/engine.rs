@@ -6,7 +6,8 @@
 //! counts are reviewable next to the code that produces them.
 
 use rased_lint::{run_workspace, Category};
-use std::path::{Path, PathBuf};
+use dettest::TempDir;
+use std::path::Path;
 
 const PANICS_FIXTURE: &str = include_str!("fixtures/panics_fixture.rs");
 const DETERMINISM_FIXTURE: &str = include_str!("fixtures/determinism_fixture.rs");
@@ -16,20 +17,17 @@ const APP_MANIFEST: &str = "[package]\nname = \"app\"\nversion = \"0.1.0\"\n";
 const ROOT_MANIFEST: &str = "[workspace]\nmembers = [\"crates/*\"]\n";
 
 /// Build a fresh scratch workspace from `(relative path, contents)` pairs.
-fn workspace(name: &str, files: &[(&str, &str)]) -> PathBuf {
-    let root = std::env::temp_dir().join(format!("rased-lint-engine-{}-{name}", std::process::id()));
-    if root.exists() {
-        std::fs::remove_dir_all(&root).expect("clear scratch dir");
-    }
+fn workspace(name: &str, files: &[(&str, &str)]) -> TempDir {
+    let root = TempDir::new(&format!("lint-engine-{name}"));
     for (rel, contents) in files {
-        let path = root.join(rel);
+        let path = root.file(rel);
         std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
         std::fs::write(&path, contents).expect("write fixture");
     }
     root
 }
 
-fn app_workspace(name: &str, extra: &[(&str, &str)]) -> PathBuf {
+fn app_workspace(name: &str, extra: &[(&str, &str)]) -> TempDir {
     let mut files = vec![
         ("Cargo.toml", ROOT_MANIFEST),
         ("crates/app/Cargo.toml", APP_MANIFEST),
@@ -46,7 +44,7 @@ fn lock_failures(root: &Path) -> Vec<String> {
 #[test]
 fn fixture_counts_are_exact() {
     let root = app_workspace("counts", &[]);
-    let report = run_workspace(&root).expect("run");
+    let report = run_workspace(root.path()).expect("run");
 
     assert_eq!(report.panic_counts.get("app"), Some(&3), "unsuppressed panic findings");
     assert_eq!(report.slice_index_counts.get("app"), Some(&1), "slice_index findings");
@@ -68,7 +66,7 @@ fn fixture_counts_are_exact() {
 fn ratchet_blocks_growth_and_reports_slack() {
     let tight = "[panic]\n\"app\" = 1\n[slice_index]\n\"app\" = 1\n";
     let root = app_workspace("ratchet-tight", &[("lint-baseline.toml", tight)]);
-    let report = run_workspace(&root).expect("run");
+    let report = run_workspace(root.path()).expect("run");
     assert!(!report.ok());
     assert!(
         report.failures.iter().any(|f| f.contains("exceed the baseline of 1")),
@@ -78,7 +76,7 @@ fn ratchet_blocks_growth_and_reports_slack() {
 
     let slack = "[panic]\n\"app\" = 5\n[slice_index]\n\"app\" = 1\n";
     let root = app_workspace("ratchet-slack", &[("lint-baseline.toml", slack)]);
-    let report = run_workspace(&root).expect("run");
+    let report = run_workspace(root.path()).expect("run");
     assert!(report.ok(), "below-baseline counts pass: {:?}", report.failures);
     assert!(report.notices.iter().any(|n| n.contains("tighten")));
 }
@@ -87,7 +85,7 @@ fn ratchet_blocks_growth_and_reports_slack() {
 fn request_path_crates_are_denied_any_panic_finding() {
     let policy = "[panic]\ndeny_crates = [\"app\"]\n";
     let root = app_workspace("deny", &[("lint.toml", policy)]);
-    let failures = lock_failures(&root);
+    let failures = lock_failures(root.path());
     assert_eq!(failures.len(), 3, "one failure per unsuppressed finding: {failures:?}");
     assert!(failures.iter().all(|f| f.contains("request-path crate")));
 }
@@ -102,7 +100,7 @@ fn determinism_findings_fail_unless_allowlisted() {
             ("crates/app/src/lib.rs", DETERMINISM_FIXTURE),
         ],
     );
-    let failures = lock_failures(&root);
+    let failures = lock_failures(root.path());
     assert_eq!(failures.len(), 2, "wall clock + env read: {failures:?}");
     assert!(failures.iter().any(|f| f.contains("SystemTime")));
     assert!(failures.iter().any(|f| f.contains("std::env")));
@@ -117,7 +115,7 @@ fn determinism_findings_fail_unless_allowlisted() {
             ("lint.toml", policy),
         ],
     );
-    assert!(lock_failures(&root).is_empty(), "allowlisted file is exempt");
+    assert!(lock_failures(root.path()).is_empty(), "allowlisted file is exempt");
 }
 
 #[test]
@@ -132,7 +130,7 @@ fn lock_rank_inversions_are_flagged() {
             ("lint.toml", policy),
         ],
     );
-    let failures = lock_failures(&root);
+    let failures = lock_failures(root.path());
     assert_eq!(failures.len(), 1, "only the inverted nesting fails: {failures:?}");
     assert!(failures[0].contains("app:low") && failures[0].contains("app:high"));
 }
@@ -148,7 +146,7 @@ fn hermetic_scan_rejects_banned_dependencies() {
             ("crates/app/src/lib.rs", "pub fn nothing() {}\n"),
         ],
     );
-    let failures = lock_failures(&root);
+    let failures = lock_failures(root.path());
     assert!(
         failures.iter().any(|f| f.contains("banned dependency `proptest`")),
         "banned dep must fail: {failures:?}"

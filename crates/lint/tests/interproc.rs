@@ -7,7 +7,7 @@
 //! pragma-suppressed twin. Fixture sources live in `tests/fixtures/`.
 
 use rased_lint::{run_workspace, Category, Report};
-use std::path::PathBuf;
+use dettest::TempDir;
 
 const LOCKS_FIXTURE: &str = include_str!("fixtures/interproc_locks_fixture.rs");
 const NONBLOCKING_FIXTURE: &str = include_str!("fixtures/interproc_nonblocking_fixture.rs");
@@ -19,14 +19,10 @@ const APP_MANIFEST: &str = "[package]\nname = \"app\"\nversion = \"0.1.0\"\n";
 const UTIL_MANIFEST: &str = "[package]\nname = \"util\"\nversion = \"0.1.0\"\n";
 
 /// Build a fresh scratch workspace from `(relative path, contents)` pairs.
-fn workspace(name: &str, files: &[(&str, &str)]) -> PathBuf {
-    let root =
-        std::env::temp_dir().join(format!("rased-lint-interproc-{}-{name}", std::process::id()));
-    if root.exists() {
-        std::fs::remove_dir_all(&root).expect("clear scratch dir");
-    }
+fn workspace(name: &str, files: &[(&str, &str)]) -> TempDir {
+    let root = TempDir::new(&format!("lint-interproc-{name}"));
     for (rel, contents) in files {
-        let path = root.join(rel);
+        let path = root.file(rel);
         std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
         std::fs::write(&path, contents).expect("write fixture");
     }
@@ -57,7 +53,7 @@ fn lock_rank_propagation_sees_inversions_across_call_edges() {
             ("crates/app/src/lib.rs", LOCKS_FIXTURE),
         ],
     );
-    let report = run_workspace(&root).expect("run");
+    let report = run_workspace(root.path()).expect("run");
 
     // Two propagated inversions exist (`outer → inner`, `justified →
     // pardoned`); only the un-pragma'd one fails. No single function
@@ -84,7 +80,7 @@ fn nonblocking_scan_follows_calls_out_of_the_event_loop() {
             ("crates/app/src/lib.rs", NONBLOCKING_FIXTURE),
         ],
     );
-    let report = run_workspace(&root).expect("run");
+    let report = run_workspace(root.path()).expect("run");
 
     // Three findings — the fs read in `poll`, the denied `route` edge in
     // `dispatch`, the pragma'd checkpoint write — of which one is
@@ -115,7 +111,7 @@ fn panic_reachability_crosses_crate_boundaries() {
             ("crates/util/src/lib.rs", REACH_UTIL_FIXTURE),
         ],
     );
-    let report = run_workspace(&root).expect("run");
+    let report = run_workspace(root.path()).expect("run");
 
     // `util` is not a deny crate, so its unwraps only ratchet — but
     // `app:handle` reaches both over the `util::` qualified call, and the
@@ -152,7 +148,7 @@ fn clean_interprocedural_workspace_passes() {
             ("crates/app/src/lib.rs", src),
         ],
     );
-    let report = run_workspace(&root).expect("run");
+    let report = run_workspace(root.path()).expect("run");
     assert!(report.ok(), "failures: {:?}", report.failures);
     for category in [Category::Lock, Category::Nonblocking, Category::PanicReach] {
         assert_eq!(category_findings(&report, category), (0, 0));

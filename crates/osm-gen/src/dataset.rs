@@ -218,17 +218,9 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dettest::TempDir;
     use rased_osm_xml::{ChangesetReader, DiffReader, PlanetReader};
     use std::io::BufReader;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "rased-dataset-{tag}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&d);
-        d
-    }
 
     fn tiny_config() -> DatasetConfig {
         let mut c = DatasetConfig::small(11);
@@ -243,8 +235,8 @@ mod tests {
 
     #[test]
     fn generates_complete_file_tree() {
-        let root = tmpdir("tree");
-        let ds = Dataset::generate(&root, tiny_config()).unwrap();
+        let root = TempDir::new("dataset-tree");
+        let ds = Dataset::generate(root.path(), tiny_config()).unwrap();
         for day in ds.config.range.days() {
             assert!(ds.paths.diff(day).exists(), "missing diff for {day}");
             assert!(ds.paths.changesets(day).exists(), "missing changesets for {day}");
@@ -257,8 +249,8 @@ mod tests {
 
     #[test]
     fn files_parse_back_and_counts_line_up() {
-        let root = tmpdir("parse");
-        let ds = Dataset::generate(&root, tiny_config()).unwrap();
+        let root = TempDir::new("dataset-parse");
+        let ds = Dataset::generate(root.path(), tiny_config()).unwrap();
         let day = ds.config.range.start();
 
         let diff = DiffReader::new(BufReader::new(File::open(ds.paths.diff(day)).unwrap()));
@@ -284,8 +276,9 @@ mod tests {
 
     #[test]
     fn generation_is_reproducible() {
-        let a = Dataset::generate(&tmpdir("rep-a"), tiny_config()).unwrap();
-        let b = Dataset::generate(&tmpdir("rep-b"), tiny_config()).unwrap();
+        let (dir_a, dir_b) = (TempDir::new("dataset-rep-a"), TempDir::new("dataset-rep-b"));
+        let a = Dataset::generate(dir_a.path(), tiny_config()).unwrap();
+        let b = Dataset::generate(dir_b.path(), tiny_config()).unwrap();
         assert_eq!(a.truth, b.truth);
         // And the bytes of a diff file match too.
         let day = a.config.range.start();

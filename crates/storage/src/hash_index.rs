@@ -365,21 +365,13 @@ impl std::fmt::Debug for DiskHashIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dettest::TempDir;
     use std::collections::HashMap;
-
-    fn tmppath(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "rased-hashidx-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&d).unwrap();
-        d.join("index.pg")
-    }
 
     #[test]
     fn insert_and_get_multivalued() {
-        let mut idx = DiskHashIndex::create(&tmppath("basic"), IoCostModel::free()).unwrap();
+        let dir = TempDir::new("hashidx-basic");
+        let mut idx = DiskHashIndex::create(&dir.file("index.pg"), IoCostModel::free()).unwrap();
         idx.insert(5, 100).unwrap();
         idx.insert(5, 101).unwrap();
         idx.insert(9, 200).unwrap();
@@ -393,7 +385,8 @@ mod tests {
 
     #[test]
     fn grows_past_many_splits_and_matches_model() {
-        let mut idx = DiskHashIndex::create(&tmppath("grow"), IoCostModel::free()).unwrap();
+        let dir = TempDir::new("hashidx-grow");
+        let mut idx = DiskHashIndex::create(&dir.file("index.pg"), IoCostModel::free()).unwrap();
         let mut model: HashMap<u64, Vec<u64>> = HashMap::new();
         // Sequential keys with several values each — the changeset pattern.
         for key in 0..3000u64 {
@@ -415,7 +408,8 @@ mod tests {
 
     #[test]
     fn hot_key_overflow_chain() {
-        let mut idx = DiskHashIndex::create(&tmppath("hot"), IoCostModel::free()).unwrap();
+        let dir = TempDir::new("hashidx-hot");
+        let mut idx = DiskHashIndex::create(&dir.file("index.pg"), IoCostModel::free()).unwrap();
         // One key with far more values than a bucket holds.
         let n = (BUCKET_CAPACITY * 3 + 7) as u64;
         for v in 0..n {
@@ -433,7 +427,8 @@ mod tests {
 
     #[test]
     fn persistence_roundtrip() {
-        let path = tmppath("persist");
+        let dir = TempDir::new("hashidx-persist");
+        let path = dir.file("index.pg");
         {
             let mut idx = DiskHashIndex::create(&path, IoCostModel::free()).unwrap();
             for key in 0..500u64 {
@@ -450,7 +445,8 @@ mod tests {
 
     #[test]
     fn corrupt_directory_sidecar_rejected() {
-        let path = tmppath("corrupt");
+        let dir = TempDir::new("hashidx-corrupt");
+        let path = dir.file("index.pg");
         {
             let idx = DiskHashIndex::create(&path, IoCostModel::free()).unwrap();
             idx.sync().unwrap();
@@ -464,7 +460,8 @@ mod tests {
 
     #[test]
     fn lookups_touch_few_pages() {
-        let mut idx = DiskHashIndex::create(&tmppath("iocount"), IoCostModel::free()).unwrap();
+        let dir = TempDir::new("hashidx-iocount");
+        let mut idx = DiskHashIndex::create(&dir.file("index.pg"), IoCostModel::free()).unwrap();
         for key in 0..5_000u64 {
             idx.insert(key, key).unwrap();
         }

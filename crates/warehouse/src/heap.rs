@@ -303,6 +303,7 @@ fn record_chunk(buf: &[u8], slot: usize) -> Result<&[u8; UPDATE_RECORD_BYTES], S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dettest::TempDir;
     use rased_osm_model::{ChangesetId, CountryId, ElementType, RoadTypeId, UpdateType};
 
     fn rec(i: u64) -> UpdateRecord {
@@ -318,19 +319,10 @@ mod tests {
         }
     }
 
-    fn tmppath(tag: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "rased-heap-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&d).unwrap();
-        d.join("heap.pg")
-    }
-
     #[test]
     fn append_and_get_across_pages() {
-        let mut h = HeapFile::create(&tmppath("basic"), IoCostModel::free(), 8).unwrap();
+        let dir = TempDir::new("heap-basic");
+        let mut h = HeapFile::create(&dir.file("heap.pg"), IoCostModel::free(), 8).unwrap();
         let mut rids = Vec::new();
         for i in 0..700u64 {
             // spans multiple pages (292 rows per 8 KB page)
@@ -345,7 +337,8 @@ mod tests {
 
     #[test]
     fn bulk_load_writes_one_page_per_page() {
-        let mut h = HeapFile::create(&tmppath("bulk"), IoCostModel::free(), 8).unwrap();
+        let dir = TempDir::new("heap-bulk");
+        let mut h = HeapFile::create(&dir.file("heap.pg"), IoCostModel::free(), 8).unwrap();
         let before = h.file().stats().snapshot();
         for i in 0..(3 * ROWS_PER_PAGE as u64) {
             h.append(&rec(i)).unwrap();
@@ -356,7 +349,8 @@ mod tests {
 
     #[test]
     fn scan_visits_all_rows_in_order_including_tail() {
-        let mut h = HeapFile::create(&tmppath("scan"), IoCostModel::free(), 8).unwrap();
+        let dir = TempDir::new("heap-scan");
+        let mut h = HeapFile::create(&dir.file("heap.pg"), IoCostModel::free(), 8).unwrap();
         for i in 0..400u64 {
             h.append(&rec(i)).unwrap();
         }
@@ -371,7 +365,8 @@ mod tests {
 
     #[test]
     fn reopen_recovers_flushed_tail() {
-        let path = tmppath("reopen");
+        let dir = TempDir::new("heap-reopen");
+        let path = dir.file("heap.pg");
         {
             let mut h = HeapFile::create(&path, IoCostModel::free(), 8).unwrap();
             for i in 0..300u64 {
@@ -393,7 +388,8 @@ mod tests {
 
     #[test]
     fn reopen_exact_page_boundary() {
-        let path = tmppath("boundary");
+        let dir = TempDir::new("heap-boundary");
+        let path = dir.file("heap.pg");
         let n = ROWS_PER_PAGE as u64; // exactly one full page
         {
             let mut h = HeapFile::create(&path, IoCostModel::free(), 8).unwrap();
@@ -412,7 +408,8 @@ mod tests {
 
     #[test]
     fn unflushed_tail_is_lost_on_reopen() {
-        let path = tmppath("lost");
+        let dir = TempDir::new("heap-lost");
+        let path = dir.file("heap.pg");
         {
             let mut h = HeapFile::create(&path, IoCostModel::free(), 8).unwrap();
             for i in 0..10u64 {
@@ -426,7 +423,8 @@ mod tests {
 
     #[test]
     fn truncate_rows_mid_page_keeps_exact_prefix() {
-        let path = tmppath("trunc-mid");
+        let dir = TempDir::new("heap-trunc-mid");
+        let path = dir.file("heap.pg");
         let n = 2 * ROWS_PER_PAGE as u64 + 50; // 2 full pages + tail
         let mut h = HeapFile::create(&path, IoCostModel::free(), 8).unwrap();
         for i in 0..n {
@@ -456,7 +454,8 @@ mod tests {
 
     #[test]
     fn truncate_rows_boundary_and_zero() {
-        let path = tmppath("trunc-edge");
+        let dir = TempDir::new("heap-trunc-edge");
+        let path = dir.file("heap.pg");
         let mut h = HeapFile::create(&path, IoCostModel::free(), 8).unwrap();
         for i in 0..(ROWS_PER_PAGE as u64 + 10) {
             h.append(&rec(i)).unwrap();
@@ -480,7 +479,8 @@ mod tests {
 
     #[test]
     fn empty_heap() {
-        let path = tmppath("empty");
+        let dir = TempDir::new("heap-empty");
+        let path = dir.file("heap.pg");
         {
             let _ = HeapFile::create(&path, IoCostModel::free(), 8).unwrap();
         }

@@ -358,6 +358,7 @@ impl Warehouse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dettest::TempDir;
     use rased_osm_model::{CountryId, ElementType, RoadTypeId, UpdateType};
 
     fn rec(i: u64, lat7: i32, lon7: i32) -> UpdateRecord {
@@ -373,29 +374,21 @@ mod tests {
         }
     }
 
-    fn tmppath(tag: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "rased-wh-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&d).unwrap();
-        d.join("wh.pg")
-    }
-
-    fn filled(tag: &str, n: u64) -> Warehouse {
-        let w = Warehouse::create(&tmppath(tag), IoCostModel::free(), 16).unwrap();
+    /// A warehouse of `n` rows; the returned [`TempDir`] must outlive it.
+    fn filled(tag: &str, n: u64) -> (TempDir, Warehouse) {
+        let dir = TempDir::new(&format!("wh-{tag}"));
+        let w = Warehouse::create(&dir.file("wh.pg"), IoCostModel::free(), 16).unwrap();
         for i in 0..n {
             let lat = (i as i32 % 1_000) * 100_000; // 0°..~10° in 0.01° steps
             let lon = (i as i32 % 500) * 200_000;
             w.insert(&rec(i, lat, lon)).unwrap();
         }
-        w
+        (dir, w)
     }
 
     #[test]
     fn changeset_lookup() {
-        let w = filled("changeset", 30);
+        let (_dir, w) = filled("changeset", 30);
         let got = w.by_changeset(ChangesetId(2)).unwrap();
         assert_eq!(got.len(), 3, "changeset 2 holds updates 3,4,5");
         assert!(got.iter().all(|r| r.changeset == ChangesetId(2)));
@@ -404,7 +397,7 @@ mod tests {
 
     #[test]
     fn refine_types_upgrades_matching_rows_in_place() {
-        let w = filled("refine", 700); // spans disk pages + in-memory tail
+        let (_dir, w) = filled("refine", 700); // spans disk pages + in-memory tail
         // Refine every third row to Geometry; identity fields unchanged.
         let refined: Vec<UpdateRecord> = (0..700u64)
             .filter(|i| i % 3 == 0)
@@ -453,7 +446,7 @@ mod tests {
 
     #[test]
     fn region_sampling_respects_limit_and_bbox() {
-        let w = filled("region", 2000);
+        let (_dir, w) = filled("region", 2000);
         let bbox = BBox::from_deg(0.0, 0.0, 5.0, 5.0);
         let sample = w.sample_region(&bbox, 100).unwrap();
         assert_eq!(sample.len(), 100, "default N = 100");
@@ -467,7 +460,7 @@ mod tests {
 
     #[test]
     fn scan_region_is_exhaustive() {
-        let w = filled("scanregion", 2000);
+        let (_dir, w) = filled("scanregion", 2000);
         let bbox = BBox::from_deg(0.0, 0.0, 5.0, 5.0);
         let mut via_scan = 0u64;
         w.scan_region(&bbox, |r| {
@@ -489,7 +482,7 @@ mod tests {
 
     #[test]
     fn filtered_sampling() {
-        let w = filled("filtered", 500);
+        let (_dir, w) = filled("filtered", 500);
         let bbox = BBox::world();
         let only_c2 = w
             .sample_region_filtered(&bbox, 50, |r| r.country == CountryId(2))
@@ -501,7 +494,8 @@ mod tests {
 
     #[test]
     fn truncate_rows_rebuilds_both_indexes_without_duplicates() {
-        let path = tmppath("truncate");
+        let dir = TempDir::new("wh-truncate");
+        let path = dir.file("wh.pg");
         let w = Warehouse::create(&path, IoCostModel::free(), 16).unwrap();
         for i in 0..60 {
             w.insert(&rec(i, 10_000_000 + i as i32, 20_000_000)).unwrap();
@@ -533,7 +527,8 @@ mod tests {
 
     #[test]
     fn reopen_rebuilds_indexes() {
-        let path = tmppath("reopen");
+        let dir = TempDir::new("wh-reopen");
+        let path = dir.file("wh.pg");
         {
             let w = Warehouse::create(&path, IoCostModel::free(), 16).unwrap();
             for i in 0..100 {

@@ -189,9 +189,9 @@ fn metrics_endpoint_reports_status_classes() {
     assert_eq!(server.metrics().active(), 0);
 }
 
-/// The fields the fig13 load harness consumes off `/api/metrics`: per-
-/// endpoint latency percentile estimates, the admission-control section,
-/// and the cumulative cube-cache counters it derives hit rates from.
+/// The fields an operator (or a load harness) reads off `/api/metrics`:
+/// per-endpoint latency percentile estimates, the admission-control
+/// section, and the cumulative cube-cache counters hit rates derive from.
 #[test]
 fn metrics_endpoint_serves_percentiles_admission_and_cache() {
     let (_dir, system) = demo_system("metricsfields");

@@ -165,10 +165,8 @@ fn engine_matches_oracle_on_random_queries() {
     let mut rng = Rng::new(0xD5EED_0BAC1E);
     let records: Vec<UpdateRecord> = vec_of(any_record(), 3000usize).sample(&mut rng);
 
-    let dir = std::env::temp_dir().join(format!("rased-prop-engine-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let index = TemporalIndex::create(&dir, schema, 4, CacheConfig::disabled(), IoCostModel::free())
+    let dir = dettest::TempDir::new("prop-engine");
+    let index = TemporalIndex::create(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free())
         .expect("create");
     let mut by_day: HashMap<Date, Vec<UpdateRecord>> = HashMap::new();
     for r in &records {
