@@ -1,6 +1,6 @@
 //! [`RasedVariant`]: the ablation configurations of Fig. 9.
 
-use rased_index::{CacheConfig, PlannerKind};
+use rased_index::CacheConfig;
 
 /// Which RASED configuration to run (Fig. 9's three curves).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,16 +30,8 @@ impl RasedVariant {
     pub fn cache(self, slots: usize) -> CacheConfig {
         match self {
             RasedVariant::Flat | RasedVariant::Optimized => CacheConfig::disabled(),
-            RasedVariant::Full => CacheConfig { slots, ..CacheConfig::paper_default() },
+            RasedVariant::Full => CacheConfig { slots },
         }
-    }
-
-    /// Planner used by this variant.
-    pub fn planner(self) -> PlannerKind {
-        // The flat index only has daily cubes, so the planner degenerates;
-        // using the DP everywhere keeps the comparison about the *index*,
-        // not the planning algorithm.
-        PlannerKind::ExactDp
     }
 
     /// The label the paper uses.

@@ -24,7 +24,7 @@ fn bench_query_latency(c: &mut Harness) {
         &dir.file("index"),
         w.schema,
         4,
-        CacheConfig { slots: 200, ..CacheConfig::paper_default() },
+        CacheConfig { slots: 200 },
         IoCostModel::free(),
     )
     .expect("open");

@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             &dir.file("index"),
             &w,
             4,
-            CacheConfig { slots: 500, ..CacheConfig::paper_default() },
+            CacheConfig::paper_default(),
             IoCostModel::hdd(),
         )?;
         index.sync()?;
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         &dir.file("index"),
         w.schema,
         4,
-        CacheConfig { slots: 500, ..CacheConfig::paper_default() },
+        CacheConfig::paper_default(),
         IoCostModel::hdd(),
     )?;
     index.warm_cache()?;

@@ -20,7 +20,7 @@
 
 use rased_bench::{bench_dir, build_index, fmt_duration, one_cell_query, random_windows, Workload};
 use rased_bench::harness::Harness;
-use rased_core::{CacheConfig, CacheStrategy, IoCostModel, QueryEngine, TemporalIndex};
+use rased_core::{CacheConfig, IoCostModel, QueryEngine, TemporalIndex};
 use rased_storage::sync::Mutex;
 use rased_storage::{BufferPool, PageFile};
 use std::error::Error;
@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             &dir.file("index"),
             w.schema,
             4,
-            CacheConfig { slots: 256, strategy: CacheStrategy::paper_default() },
+            CacheConfig { slots: 256 },
             IoCostModel::hdd(),
         )?;
         warm_index.warm_cache()?;

@@ -35,8 +35,7 @@
 use rased_bench::harness::Harness;
 use rased_bench::{bench_dir, build_sharded_index, fmt_duration, one_cell_query, random_windows, Workload};
 use rased_core::{
-    shard_for, AnalysisQuery, CacheConfig, CacheStrategy, GroupDim, IoCostModel, QueryEngine,
-    ShardedIndex,
+    shard_for, AnalysisQuery, CacheConfig, GroupDim, IoCostModel, QueryEngine, ShardedIndex,
 };
 use rased_osm_model::CountryId;
 use rased_temporal::DateRange;
@@ -141,7 +140,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             n,
             w.schema,
             4,
-            CacheConfig { slots: 256 * n, strategy: CacheStrategy::paper_default() },
+            CacheConfig { slots: 256 * n },
             IoCostModel::hdd(),
         )?;
         warm.warm_cache()?;

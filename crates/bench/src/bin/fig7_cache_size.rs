@@ -11,7 +11,7 @@
 //! premise of the recency cache, §VII-A).
 
 use rased_bench::{bench_dir, fmt_duration, one_cell_query, Workload};
-use rased_core::{CacheConfig, CacheStrategy, IoCostModel, QueryEngine, TemporalIndex};
+use rased_core::{CacheConfig, IoCostModel, QueryEngine, TemporalIndex};
 use rased_osm_gen::rng::Rng;
 use rased_temporal::DateRange;
 use std::error::Error;
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             &dir.file("index"),
             w.schema,
             4,
-            CacheConfig { slots, strategy: CacheStrategy::paper_default() },
+            CacheConfig { slots },
             IoCostModel::hdd(),
         )?;
         index.warm_cache()?;

@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn Error>> {
                 IoCostModel::hdd(),
             )?;
             index.warm_cache()?;
-            let engine = QueryEngine::new(&index).with_planner(variant.planner());
+            let engine = QueryEngine::new(&index);
             let mut total = Duration::ZERO;
             for _ in 0..reps {
                 let r = engine.execute(&query)?;

@@ -6,7 +6,7 @@
 //! cache states.
 
 use rased_bench::{bench_dir, random_windows, Workload};
-use rased_core::{CacheConfig, CacheStrategy, IoCostModel, TemporalIndex};
+use rased_core::{CacheConfig, IoCostModel, TemporalIndex};
 use rased_index::{with_planner, PlannerKind};
 use std::error::Error;
 
@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         &dir.file("index"),
         w.schema,
         4,
-        CacheConfig { slots: 120, strategy: CacheStrategy::paper_default() },
+        CacheConfig { slots: 120 },
         IoCostModel::free(),
     )?;
     index.warm_cache()?;

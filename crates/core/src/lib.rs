@@ -45,8 +45,8 @@ pub use system::{Rased, RasedConfig, RasedError};
 // dashboard, the root crate) can reach every subsystem through one import.
 pub use rased_cube::{CubeSchema, DataCube, DimSelection};
 pub use rased_index::{
-    marker_shard, shard_for, spatial_shard_for, CacheConfig, CacheStrategy, CubeCache,
-    LevelPlanner, MaintenanceReport, PlannerKind, ShardedIndex, SpatialBank, TemporalIndex,
+    marker_shard, shard_for, spatial_shard_for, CacheConfig, CubeCache, LevelPlanner,
+    MaintenanceReport, PlannerKind, ShardedIndex, SpatialBank, TemporalIndex,
 };
 pub use rased_osm_model as model;
 pub use rased_query::{

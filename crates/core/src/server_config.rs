@@ -16,12 +16,14 @@ use std::time::Duration;
 /// request caps far above anything the JSON API legitimately needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Worker threads handling connections. `0` means "one per available
+    /// Worker threads executing response-cache misses (the event loop owns
+    /// every socket; workers only render). `0` means "one per available
     /// core" (`std::thread::available_parallelism`, minimum 2).
     pub workers: usize,
-    /// Accepted connections waiting for a free worker. When the queue is
-    /// full new connections are rejected with `503` + `Retry-After` —
-    /// backpressure instead of unbounded thread spawn.
+    /// Open connections allowed beyond one per worker: `workers +
+    /// queue_depth` bounds the event loop's connection slab, and a
+    /// connection accepted past it is answered `503` + `Retry-After` and
+    /// closed — backpressure instead of unbounded buffering.
     pub queue_depth: usize,
     /// Socket read timeout; a connection that stalls mid-request this long
     /// is answered `408` and closed (slowloris defense). Also bounds how
@@ -39,8 +41,6 @@ pub struct ServerConfig {
     /// Requests served over one keep-alive connection before the server
     /// closes it (bounds per-connection state lifetime).
     pub max_keep_alive_requests: usize,
-    /// Value of the `Retry-After` header on `503` queue-full rejections.
-    pub retry_after_secs: u32,
     /// Admission control: how many *expensive* requests (`/api/analysis`,
     /// `/api/sample`) one client may have in flight at once. Above the cap
     /// the surplus request is shed with a cheap-path `503` + `Retry-After`
@@ -64,10 +64,10 @@ pub struct ServerConfig {
     /// epoch key makes staleness structurally impossible, so the only
     /// reason to turn it off is to measure the uncached path.
     pub response_cache: bool,
-    /// Response-cache budget in total cached body+header bytes. `0` means
-    /// the default (16 MiB). Eviction is LRU once either budget is hit.
+    /// Response-cache budget in total cached body+header bytes. Eviction
+    /// is LRU once either budget is hit.
     pub response_cache_bytes: usize,
-    /// Response-cache budget in entries. `0` means the default (4096).
+    /// Response-cache budget in entries.
     pub response_cache_entries: usize,
 }
 
@@ -82,13 +82,12 @@ impl Default for ServerConfig {
             max_header_bytes: 32 * 1024,
             max_body_bytes: 64 * 1024,
             max_keep_alive_requests: 1000,
-            retry_after_secs: 1,
             max_active_per_client: 0,
             shed_threshold: 0,
             trust_forwarded_for: false,
             response_cache: true,
-            response_cache_bytes: 0,
-            response_cache_entries: 0,
+            response_cache_bytes: 16 * 1024 * 1024,
+            response_cache_entries: 4096,
         }
     }
 }
@@ -122,20 +121,17 @@ impl ServerConfig {
         }
     }
 
-    /// The effective response-cache byte budget (`0` → 16 MiB).
+    /// The response-cache byte budget, `response_cache_bytes` as is. Kept
+    /// as a method because the `benchmark/` package sizes its replay cache
+    /// through it.
     pub fn effective_response_cache_bytes(&self) -> usize {
-        match self.response_cache_bytes {
-            0 => 16 * 1024 * 1024,
-            n => n,
-        }
+        self.response_cache_bytes
     }
 
-    /// The effective response-cache entry budget (`0` → 4096).
+    /// The response-cache entry budget, `response_cache_entries` as is
+    /// (named by `benchmark/` like the byte budget).
     pub fn effective_response_cache_entries(&self) -> usize {
-        match self.response_cache_entries {
-            0 => 4096,
-            n => n,
-        }
+        self.response_cache_entries
     }
 }
 
@@ -169,15 +165,8 @@ mod tests {
     fn response_cache_defaults_on_with_bounded_budgets() {
         let c = ServerConfig::default();
         assert!(c.response_cache);
-        assert_eq!(c.effective_response_cache_bytes(), 16 * 1024 * 1024);
-        assert_eq!(c.effective_response_cache_entries(), 4096);
-        let c = ServerConfig {
-            response_cache_bytes: 1024,
-            response_cache_entries: 8,
-            ..ServerConfig::default()
-        };
-        assert_eq!(c.effective_response_cache_bytes(), 1024);
-        assert_eq!(c.effective_response_cache_entries(), 8);
+        assert_eq!(c.response_cache_bytes, 16 * 1024 * 1024);
+        assert_eq!(c.response_cache_entries, 4096);
     }
 
     #[test]

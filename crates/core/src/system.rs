@@ -2,7 +2,7 @@
 
 use rased_cube::CubeSchema;
 use rased_geo::BBox;
-use rased_index::{CacheConfig, IndexError, PlannerKind, ShardedIndex, SpatialBank};
+use rased_index::{CacheConfig, IndexError, ShardedIndex, SpatialBank};
 use rased_osm_model::{ChangesetId, CountryTable, RoadTypeTable, UpdateRecord, ZoneMap};
 use rased_query::{AnalysisQuery, NetworkSizes, QueryEngine, QueryError, QueryResult, SpatialExec};
 use rased_storage::sync::RwLock;
@@ -74,10 +74,8 @@ pub struct RasedConfig {
     pub schema: CubeSchema,
     /// Index levels, 1 (flat daily) ..= 4 (daily/weekly/monthly/yearly).
     pub levels: u8,
-    /// Cube-cache sizing and strategy (§VII-A).
+    /// Cube-cache size (§VII-A).
     pub cache: CacheConfig,
-    /// Level-planner algorithm (§VII-B).
-    pub planner: PlannerKind,
     /// I/O cost model applied to all physical page I/O.
     pub io_model: IoCostModel,
     /// Warehouse buffer-pool size in 8 KB pages.
@@ -108,14 +106,13 @@ pub struct RasedConfig {
 
 impl RasedConfig {
     /// Sensible defaults over `dir`: a small schema (60 countries × 40 road
-    /// types), 4 levels, paper cache strategy with 64 slots, HDD cost model.
+    /// types), 4 levels, paper cache policy with 64 slots, HDD cost model.
     pub fn new(dir: impl Into<PathBuf>) -> RasedConfig {
         RasedConfig {
             dir: dir.into(),
             schema: CubeSchema::new(60, 40),
             levels: 4,
-            cache: CacheConfig { slots: 64, ..CacheConfig::paper_default() },
-            planner: PlannerKind::ExactDp,
+            cache: CacheConfig { slots: 64 },
             io_model: IoCostModel::hdd(),
             warehouse_pool_pages: 4096,
             n_countries: 60,
@@ -149,7 +146,7 @@ impl RasedConfig {
 
     /// Persist the structural parameters (schema, levels) under `dir` so a
     /// later process can [`RasedConfig::load`] them without knowing how the
-    /// system was built. Tuning knobs (cache, planner, I/O model) are *not*
+    /// system was built. Tuning knobs (cache size, I/O model) are *not*
     /// persisted — they are per-process choices.
     pub fn save(&self) -> std::io::Result<()> {
         let body = format!(
@@ -391,7 +388,6 @@ impl Rased {
     /// shift mid-execution under concurrent ingest.
     pub fn engine(&self) -> QueryEngine<'_> {
         QueryEngine::over_shards(&self.index)
-            .with_planner(self.config.planner)
             .with_network_sizes(self.network_sizes())
             .with_threads(self.config.exec.effective_threads())
             .with_spatial(SpatialExec::banked(&self.warehouse, &self.bank))

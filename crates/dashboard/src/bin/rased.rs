@@ -287,9 +287,6 @@ fn server_config(flags: &HashMap<String, String>) -> Result<ServerConfig, AnyErr
     if let Some(ms) = flags.get("write-timeout-ms") {
         cfg.write_timeout = std::time::Duration::from_millis(ms.parse()?);
     }
-    if let Some(kb) = flags.get("max-body-kb") {
-        cfg.max_body_bytes = kb.parse::<usize>()? * 1024;
-    }
     // Admission control (0 = disabled): per-client expensive-request cap,
     // global shed threshold, and whether X-Forwarded-For names the client.
     if let Some(n) = flags.get("max-active-per-client") {
@@ -298,26 +295,33 @@ fn server_config(flags: &HashMap<String, String>) -> Result<ServerConfig, AnyErr
     if let Some(n) = flags.get("shed-threshold") {
         cfg.shed_threshold = n.parse()?;
     }
-    if flags.contains_key("trust-forwarded-for") {
-        cfg.trust_forwarded_for = true;
-    }
+    cfg.trust_forwarded_for = flags.contains_key("trust-forwarded-for");
     // Response cache: on by default; size knobs take effect only while on.
-    if flags.contains_key("no-response-cache") {
-        cfg.response_cache = false;
-    }
-    if let Some(mb) = flags.get("response-cache-mb") {
-        cfg.response_cache_bytes = mb.parse::<usize>()? * 1024 * 1024;
-    }
-    if let Some(n) = flags.get("response-cache-entries") {
-        cfg.response_cache_entries = n.parse()?;
+    cfg.response_cache = !flags.contains_key("no-response-cache");
+    // Size flags. A product past `usize::MAX` is an error, never a wrapped
+    // budget; a zero cache budget would cache nothing, which is what
+    // `--no-response-cache` says.
+    for (name, unit, slot, is_cache) in [
+        ("max-body-kb", 1024, &mut cfg.max_body_bytes, false),
+        ("response-cache-mb", 1024 * 1024, &mut cfg.response_cache_bytes, true),
+        ("response-cache-entries", 1, &mut cfg.response_cache_entries, true),
+    ] {
+        let Some(n) = flags.get(name) else { continue };
+        *slot = match n.parse::<usize>()?.checked_mul(unit) {
+            None => return Err(format!("--{name} {n} overflows").into()),
+            Some(0) if is_cache => {
+                return Err(format!("--{name} 0 caches nothing; pass --no-response-cache").into())
+            }
+            Some(v) => v,
+        };
     }
     Ok(cfg)
 }
 
 fn serve(flags: &HashMap<String, String>) -> Result<(), AnyError> {
+    let config = server_config(flags)?;
     let system = Arc::new(open_or_create_system(get(flags, "system")?, None, flags)?);
     let addr = flags.get("addr").map(|s| s.as_str()).unwrap_or("127.0.0.1:7878");
-    let config = server_config(flags)?;
 
     // `--follow DATA_DIR` (or a bare `--follow` with `--data DIR`): tail the
     // generator's output — whenever the writer goes idle, re-enqueue the
@@ -347,8 +351,8 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), AnyError> {
     if server.config().response_cache {
         println!(
             "response cache: {} MiB / {} entries, keyed by publish epoch",
-            server.config().effective_response_cache_bytes() / (1024 * 1024),
-            server.config().effective_response_cache_entries(),
+            server.config().response_cache_bytes / (1024 * 1024),
+            server.config().response_cache_entries,
         );
     } else {
         println!("response cache: disabled (--no-response-cache)");

@@ -49,7 +49,7 @@ use crate::admission::Permit;
 use crate::http::{read_request, write_response, HttpError, Limits, Request};
 use crate::metrics::Endpoint;
 use crate::respcache::{CachedResponse, RespKey, SPATIAL_STAMP_BASE};
-use crate::server::DashboardServer;
+use crate::server::{DashboardServer, RETRY_AFTER_SECS};
 use rased_core::TemporalIndex;
 use rased_storage::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -561,14 +561,13 @@ fn dispatch<'a>(
             Ok(p) => Some(p),
             Err(shed) => {
                 server.metrics.record_request(endpoint, 503, start.elapsed());
-                let retry = server.config.retry_after_secs.to_string();
                 let _ = write_response(
                     &mut conn.outbuf,
                     503,
                     "text/plain",
                     shed.reason().as_bytes(),
                     keep,
-                    &[("Retry-After", &retry)],
+                    &[("Retry-After", RETRY_AFTER_SECS)],
                 );
                 conn.close_after_write = !keep;
                 conn.state = ConnState::Writing;

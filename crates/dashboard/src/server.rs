@@ -59,6 +59,10 @@ use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+/// `Retry-After` on every `503`, the connection-cap rejection and the
+/// admission shed alike.
+pub(crate) const RETRY_AFTER_SECS: &str = "1";
+
 /// The dashboard HTTP server.
 pub struct DashboardServer {
     pub(crate) system: Arc<Rased>,
@@ -125,8 +129,8 @@ impl DashboardServer {
         );
         let respcache = if config.response_cache {
             let cache = Arc::new(ResponseCache::new(
-                config.effective_response_cache_bytes(),
-                config.effective_response_cache_entries(),
+                config.response_cache_bytes,
+                config.response_cache_entries,
             ));
             // Invalidation rides the catalog publish hook: every committed
             // unit bumps its partition's epoch and (with no index locks
@@ -232,7 +236,6 @@ impl DashboardServer {
     pub(crate) fn reject_queue_full(&self, stream: TcpStream) {
         self.metrics.queue_full_rejection();
         let _ = stream.set_write_timeout(Some(self.config.write_timeout));
-        let retry = self.config.retry_after_secs.to_string();
         self.metrics.record_request(Endpoint::Other, 503, std::time::Duration::ZERO);
         let _ = write_response(
             &mut &stream,
@@ -240,7 +243,7 @@ impl DashboardServer {
             "text/plain",
             b"server busy, retry shortly",
             false,
-            &[("Retry-After", &retry)],
+            &[("Retry-After", RETRY_AFTER_SECS)],
         );
         let _ = stream.shutdown(std::net::Shutdown::Both);
     }

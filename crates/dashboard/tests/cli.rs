@@ -90,6 +90,25 @@ fn cli_reports_errors_cleanly() {
         .unwrap();
     assert!(!out.status.success());
 
+    // Size flags: an overflowing product and a zero cache budget are clean
+    // errors, reported before the system is opened or a socket bound.
+    for (flag, value, want) in [
+        ("--max-body-kb", "18446744073709551615", "overflows"),
+        ("--response-cache-mb", "17592186044416", "overflows"),
+        ("--response-cache-mb", "0", "--no-response-cache"),
+        ("--response-cache-entries", "0", "--no-response-cache"),
+    ] {
+        let out = rased()
+            .args(["serve", "--system"])
+            .arg(dir.file("serve"))
+            .args(["--addr", "not-an-address", flag, value])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flag} {value} must fail");
+        assert!(stderr.contains(want) && !stderr.contains("panicked"), "{flag} {value}: {stderr}");
+    }
+
     // Help prints usage and succeeds.
     let out = rased().arg("help").output().unwrap();
     assert!(out.status.success());

@@ -1,17 +1,19 @@
 //! The cube cache (§VII-A).
 //!
 //! RASED preloads "some of the very recent data cubes" so queries over
-//! recent windows hit memory. Given `N` slots and per-level ratios
-//! (α, β, γ, θ) summing to 1, the warm set is the most recent ⌊αN⌋ daily,
-//! ⌊βN⌋ weekly, ⌊γN⌋ monthly and ⌊θN⌋ yearly cubes. The ratios trade
-//! aggregation granularity against covered time span.
+//! recent windows hit memory. Given `N` slots, the warm set is the most
+//! recent ⌊αN⌋ daily, ⌊βN⌋ weekly, ⌊γN⌋ monthly and ⌊θN⌋ yearly cubes, at
+//! the paper's deployed ratios (α, β, γ, θ) = (0.40, 0.35, 0.20, 0.05). The
+//! ratios trade aggregation granularity against covered time span. Reads
+//! never admit: the warm set changes only on [`CubeCache::warm`], so
+//! nothing is ever evicted between two warms.
 //!
 //! Concurrency: like the storage-layer buffer pool, the cache is split
 //! into hash-picked shards — one named mutex per shard — so the parallel
-//! executor's workers don't serialize behind a single cache-wide lock, and
-//! the LRU ablation uses the O(1) recency list instead of a tick scan.
-//! Small caches (fewer than 8 slots) stay on one shard so their eviction
-//! order remains *globally* least-recently-used.
+//! executor's workers don't serialize behind a single cache-wide lock.
+//! Shards come one per 8 slots, at most 16: contention is capped at
+//! 16-way, and a small cache is not split into more locks than it has
+//! cubes worth contending for.
 //!
 //! Versioning: the store is copy-on-write — republishing a period binds it
 //! to a fresh page, never rewriting the old one — so every cached cube is
@@ -23,56 +25,34 @@
 
 use rased_cube::DataCube;
 use rased_storage::sync::Mutex;
-use rased_storage::{LruCache, PageId};
+use rased_storage::PageId;
 use rased_temporal::{Granularity, Period};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// How the cache decides what to keep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CacheStrategy {
-    /// The paper's policy: static per-level recency preload. Reads do not
-    /// admit; the warm set changes only on [`CubeCache::warm`].
-    Recency { alpha: f64, beta: f64, gamma: f64, theta: f64 },
-    /// Ablation: one global LRU over all levels; reads admit, coldest
-    /// entry evicted.
-    Lru,
-}
-
-impl CacheStrategy {
-    /// The paper's deployed ratios: (0.40, 0.35, 0.20, 0.05).
-    pub fn paper_default() -> CacheStrategy {
-        CacheStrategy::Recency { alpha: 0.40, beta: 0.35, gamma: 0.20, theta: 0.05 }
-    }
-
-    fn ratios(&self) -> [f64; 4] {
-        match *self {
-            CacheStrategy::Recency { alpha, beta, gamma, theta } => [alpha, beta, gamma, theta],
-            CacheStrategy::Lru => [0.0; 4],
-        }
-    }
-}
-
-/// Cache sizing + strategy.
+/// Cache sizing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
     /// Capacity in slots; one slot holds one cube (the paper's 2 GB default
     /// is ≈ 500 paper-scale cubes).
     pub slots: usize,
-    pub strategy: CacheStrategy,
 }
 
 impl CacheConfig {
-    /// The paper's deployment: 2 GB ≈ 500 slots, recency ratios above.
+    /// The paper's deployment: 2 GB ≈ 500 slots.
     pub fn paper_default() -> CacheConfig {
-        CacheConfig { slots: 500, strategy: CacheStrategy::paper_default() }
+        CacheConfig { slots: 500 }
     }
 
     /// A disabled cache (the "no caching" experimental variants).
     pub fn disabled() -> CacheConfig {
-        CacheConfig { slots: 0, strategy: CacheStrategy::paper_default() }
+        CacheConfig { slots: 0 }
     }
 }
+
+/// The paper's per-level ratios (α, β, γ, θ), in [`Granularity::ALL`] order.
+const LEVEL_RATIOS: [f64; 4] = [0.40, 0.35, 0.20, 0.05];
 
 /// Most shards a cache will spread its slots over.
 const MAX_SHARDS: usize = 16;
@@ -88,10 +68,7 @@ pub struct CubeCache {
 }
 
 struct CacheShard {
-    /// This shard's slice of the slot budget (enforced under LRU only; the
-    /// recency warm set is bounded by the quotas at `warm` time).
-    cap: usize,
-    cubes: Mutex<LruCache<Period, (PageId, Arc<DataCube>)>>,
+    cubes: Mutex<HashMap<Period, (PageId, Arc<DataCube>)>>,
 }
 
 impl CubeCache {
@@ -99,10 +76,7 @@ impl CubeCache {
     pub fn new(config: CacheConfig) -> CubeCache {
         let n = (config.slots / SLOTS_PER_SHARD).clamp(1, MAX_SHARDS);
         let shards = (0..n)
-            .map(|i| CacheShard {
-                cap: config.slots / n + usize::from(i < config.slots % n),
-                cubes: Mutex::new_named(LruCache::new(), "index.cube_cache"),
-            })
+            .map(|_| CacheShard { cubes: Mutex::new_named(HashMap::new(), "index.cube_cache") })
             .collect();
         CubeCache { config, shards, hits: AtomicU64::new(0), misses: AtomicU64::new(0) }
     }
@@ -112,19 +86,14 @@ impl CubeCache {
         self.config.slots
     }
 
-    /// The active strategy.
-    pub fn strategy(&self) -> CacheStrategy {
-        self.config.strategy
-    }
-
     /// Number of shards the slots are spread over.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
     /// Deterministic shard pick: granularity and start date, multiplicative
-    /// mix. (Deliberately not `RandomState`: shard placement — and with it
-    /// eviction grouping — must be reproducible run to run.)
+    /// mix. (Deliberately not `RandomState`: shard placement must be
+    /// reproducible run to run.)
     fn shard(&self, period: &Period) -> &CacheShard {
         let date = period.start();
         let raw = ((period.granularity() as u64) << 32)
@@ -142,14 +111,8 @@ impl CubeCache {
     /// Floors can leave unused slots; they are handed to the finest level
     /// (daily), which the paper's ratios favor anyway.
     pub fn level_quota(&self) -> [usize; 4] {
-        let ratios = self.config.strategy.ratios();
         let n = self.config.slots;
-        let mut q = [
-            (ratios[0] * n as f64).floor() as usize,
-            (ratios[1] * n as f64).floor() as usize,
-            (ratios[2] * n as f64).floor() as usize,
-            (ratios[3] * n as f64).floor() as usize,
-        ];
+        let mut q = LEVEL_RATIOS.map(|r| (r * n as f64).floor() as usize);
         let used: usize = q.iter().sum();
         q[0] += n.saturating_sub(used);
         q
@@ -160,16 +123,12 @@ impl CubeCache {
     /// period of that level with its current page binding, any order).
     ///
     /// `load` fetches a cube from disk; it is only called for (period,
-    /// page) pairs not already cached at that exact version. Under
-    /// [`CacheStrategy::Lru`] warming is a no-op.
+    /// page) pairs not already cached at that exact version.
     pub fn warm<E>(
         &self,
         available: &[(Period, PageId)],
         mut load: impl FnMut(Period, PageId) -> Result<Arc<DataCube>, E>,
     ) -> Result<(), E> {
-        if matches!(self.config.strategy, CacheStrategy::Lru) {
-            return Ok(());
-        }
         let quota = self.level_quota();
         let mut want: Vec<(Period, PageId)> = Vec::new();
         for (level, &q) in Granularity::ALL.iter().zip(quota.iter()) {
@@ -187,7 +146,7 @@ impl CubeCache {
         for &(p, page) in &want {
             let cached = {
                 let cubes = self.shard(&p).cubes.lock();
-                cubes.peek(&p).filter(|(tag, _)| *tag == page).map(|(_, c)| Arc::clone(c))
+                cubes.get(&p).filter(|(tag, _)| *tag == page).map(|(_, c)| Arc::clone(c))
             };
             let cube = match cached {
                 Some(c) => c,
@@ -207,7 +166,7 @@ impl CubeCache {
     }
 
     /// Look up the cube for `period` *at page version `current`*, updating
-    /// hit/miss counters. Under LRU a hit touches the entry.
+    /// hit/miss counters.
     ///
     /// A cached entry with a smaller tag predates `current` and can never
     /// be valid again (pages are never rewritten): it is dropped. A larger
@@ -215,13 +174,12 @@ impl CubeCache {
     /// snapshot — the entry stays (it serves current readers) but this
     /// caller misses and reads its own version from disk.
     pub fn get(&self, period: Period, current: PageId) -> Option<Arc<DataCube>> {
-        let touch = matches!(self.config.strategy, CacheStrategy::Lru);
         let found = {
             let mut cubes = self.shard(&period).cubes.lock();
-            match if touch { cubes.get(&period).map(|e| e.clone()) } else { cubes.peek(&period).cloned() } {
-                Some((tag, cube)) if tag == current => Some(cube),
+            match cubes.get(&period) {
+                Some((tag, cube)) if *tag == current => Some(Arc::clone(cube)),
                 Some((tag, _)) => {
-                    if tag < current {
+                    if *tag < current {
                         cubes.remove(&period);
                     }
                     None
@@ -246,30 +204,7 @@ impl CubeCache {
     /// version mismatch at fetch time costs one extra read, never
     /// correctness.
     pub fn contains(&self, period: Period) -> bool {
-        self.shard(&period).cubes.lock().contains(&period)
-    }
-
-    /// Offer a cube read from disk at page version `page`. Admits only
-    /// under LRU (the recency policy's warm set is fixed between `warm`
-    /// calls), and never replaces a newer version already cached.
-    pub fn admit(&self, period: Period, page: PageId, cube: &Arc<DataCube>) {
-        if self.config.slots == 0 || !matches!(self.config.strategy, CacheStrategy::Lru) {
-            return;
-        }
-        let shard = self.shard(&period);
-        if shard.cap == 0 {
-            return;
-        }
-        let mut cubes = shard.cubes.lock();
-        if cubes.peek(&period).is_some_and(|(tag, _)| *tag > page) {
-            return; // an old-snapshot reader must not clobber the fresh copy
-        }
-        cubes.insert(period, (page, Arc::clone(cube)));
-        while cubes.len() > shard.cap {
-            if cubes.pop_lru().is_none() {
-                break;
-            }
-        }
+        self.shard(&period).cubes.lock().contains_key(&period)
     }
 
     /// Invalidate one period unconditionally (any cached version).
@@ -282,7 +217,7 @@ impl CubeCache {
     /// published). Returns true when a stale entry was removed.
     pub fn invalidate_stale(&self, period: Period, current: PageId) -> bool {
         let mut cubes = self.shard(&period).cubes.lock();
-        if cubes.peek(&period).is_some_and(|(tag, _)| *tag != current) {
+        if cubes.get(&period).is_some_and(|(tag, _)| *tag != current) {
             cubes.remove(&period);
             return true;
         }
@@ -325,92 +260,93 @@ mod tests {
         (0..n).map(|i| (Period::Day(d("2021-01-01").add_days(i as i32)), PageId(i as u64))).collect()
     }
 
+    /// A cache of `slots` warmed with `entries` (each test below sizes
+    /// `slots` so the level quotas keep every entry).
+    fn warmed(slots: usize, entries: &[(Period, PageId)]) -> CubeCache {
+        let c = CubeCache::new(CacheConfig { slots });
+        c.warm(entries, |_, _| -> Result<_, ()> { Ok(cube()) }).unwrap();
+        c
+    }
+
     #[test]
     fn quota_split_matches_ratios_and_fills_remainder() {
-        let c = CubeCache::new(CacheConfig { slots: 100, strategy: CacheStrategy::paper_default() });
+        let c = CubeCache::new(CacheConfig { slots: 100 });
         assert_eq!(c.level_quota(), [40, 35, 20, 5]);
         // 10 slots: floors are [4,3,2,0], remainder 1 goes to daily.
-        let c = CubeCache::new(CacheConfig { slots: 10, strategy: CacheStrategy::paper_default() });
+        let c = CubeCache::new(CacheConfig { slots: 10 });
         assert_eq!(c.level_quota(), [5, 3, 2, 0]);
     }
 
     #[test]
     fn warm_takes_most_recent_per_level() {
-        let c = CubeCache::new(CacheConfig {
-            slots: 4,
-            strategy: CacheStrategy::Recency { alpha: 0.5, beta: 0.5, gamma: 0.0, theta: 0.0 },
-        });
+        // 10 slots: quotas [5, 3, 2, 0].
+        let c = CubeCache::new(CacheConfig { slots: 10 });
         let mut avail = days(10);
-        avail.push((Period::Week(d("2021-01-03")), PageId(20)));
-        avail.push((Period::Week(d("2021-01-10")), PageId(21)));
-        avail.push((Period::Week(d("2021-01-17")), PageId(22)));
+        for (i, week) in ["2021-01-03", "2021-01-10", "2021-01-17", "2021-01-24"].iter().enumerate() {
+            avail.push((Period::Week(d(week)), PageId(20 + i as u64)));
+        }
+        for m in 1..=3 {
+            avail.push((Period::Month(2021, m), PageId(30 + m as u64)));
+        }
+        avail.push((Period::Year(2021), PageId(40)));
         let mut loads = 0;
         c.warm(&avail, |_, _| -> Result<_, ()> {
             loads += 1;
             Ok(cube())
         })
         .unwrap();
-        assert_eq!(loads, 4);
-        // Two most recent days, two most recent weeks.
+        assert_eq!(loads, 10);
+        // Five most recent days, three most recent weeks, two most recent
+        // months, no year.
         assert!(c.contains(Period::Day(d("2021-01-10"))));
-        assert!(c.contains(Period::Day(d("2021-01-09"))));
-        assert!(!c.contains(Period::Day(d("2021-01-08"))));
-        assert!(c.contains(Period::Week(d("2021-01-17"))));
+        assert!(c.contains(Period::Day(d("2021-01-06"))));
+        assert!(!c.contains(Period::Day(d("2021-01-05"))));
+        assert!(c.contains(Period::Week(d("2021-01-24"))));
         assert!(c.contains(Period::Week(d("2021-01-10"))));
         assert!(!c.contains(Period::Week(d("2021-01-03"))));
+        assert!(c.contains(Period::Month(2021, 3)));
+        assert!(c.contains(Period::Month(2021, 2)));
+        assert!(!c.contains(Period::Month(2021, 1)));
+        assert!(!c.contains(Period::Year(2021)));
     }
 
     #[test]
-    fn recency_reads_do_not_admit() {
-        let c = CubeCache::new(CacheConfig { slots: 4, strategy: CacheStrategy::paper_default() });
+    fn reads_do_not_admit() {
+        let c = CubeCache::new(CacheConfig { slots: 4 });
         assert!(c.get(Period::Day(d("2021-06-01")), P0).is_none());
-        c.admit(Period::Day(d("2021-06-01")), P0, &cube());
-        assert!(c.is_empty(), "recency cache must not admit on read");
+        assert!(c.is_empty(), "a miss must not admit");
         assert_eq!(c.counters(), (0, 1));
     }
 
     #[test]
-    fn lru_admits_and_evicts() {
-        let c = CubeCache::new(CacheConfig { slots: 2, strategy: CacheStrategy::Lru });
-        // Two slots stay on one shard: eviction is globally LRU.
-        assert_eq!(c.shard_count(), 1);
-        let p1 = Period::Day(d("2021-01-01"));
-        let p2 = Period::Day(d("2021-01-02"));
-        let p3 = Period::Day(d("2021-01-03"));
-        c.admit(p1, P0, &cube());
-        c.admit(p2, PageId(1), &cube());
-        assert!(c.get(p1, P0).is_some()); // touch p1
-        c.admit(p3, PageId(2), &cube()); // evicts p2
-        assert!(c.contains(p1));
-        assert!(!c.contains(p2));
-        assert!(c.contains(p3));
-    }
-
-    #[test]
-    fn sharded_lru_respects_total_slots() {
-        let c = CubeCache::new(CacheConfig { slots: 32, strategy: CacheStrategy::Lru });
+    fn warm_set_spans_shards() {
+        // 32 slots: 4 shards; quotas [14, 11, 6, 1], so of 100 days the 14
+        // most recent are warm, each served from its own shard at its tag.
+        let c = warmed(32, &days(100));
         assert!(c.shard_count() > 1);
+        assert_eq!(c.len(), 14);
         for (p, page) in days(100) {
-            c.admit(p, page, &cube());
+            assert_eq!(c.get(p, page).is_some(), page.0 >= 86, "{p}");
         }
-        assert!(c.len() <= 32, "len {} exceeds slot budget", c.len());
-        // Whatever survived is still retrievable.
-        let alive = days(100).into_iter().filter(|(p, _)| c.contains(*p)).count();
-        assert_eq!(alive, c.len());
     }
 
     #[test]
     fn zero_slot_cache_stays_empty() {
-        let c = CubeCache::new(CacheConfig { slots: 0, strategy: CacheStrategy::Lru });
-        c.admit(Period::Day(d("2021-01-01")), P0, &cube());
+        let c = CubeCache::new(CacheConfig::disabled());
+        let mut loads = 0;
+        c.warm(&days(4), |_, _| -> Result<_, ()> {
+            loads += 1;
+            Ok(cube())
+        })
+        .unwrap();
         assert!(c.is_empty());
+        assert_eq!(loads, 0);
     }
 
     #[test]
     fn invalidate_removes_entry() {
-        let c = CubeCache::new(CacheConfig { slots: 4, strategy: CacheStrategy::Lru });
         let p = Period::Month(2021, 3);
-        c.admit(p, P0, &cube());
+        let c = warmed(10, &[(p, P0)]);
         assert!(c.contains(p));
         c.invalidate(p);
         assert!(!c.contains(p));
@@ -418,9 +354,8 @@ mod tests {
 
     #[test]
     fn version_tags_gate_hits() {
-        let c = CubeCache::new(CacheConfig { slots: 4, strategy: CacheStrategy::Lru });
         let p = Period::Day(d("2021-01-01"));
-        c.admit(p, PageId(3), &cube());
+        let c = warmed(4, &[(p, PageId(3))]);
         // Exact version hits.
         assert!(c.get(p, PageId(3)).is_some());
         // A reader whose snapshot binds a *newer* page sees the cached copy
@@ -428,25 +363,30 @@ mod tests {
         assert!(c.get(p, PageId(7)).is_none());
         assert!(!c.contains(p), "older-tagged entry must be evicted on sight");
         // A newer cached copy survives an old-snapshot reader's miss.
-        c.admit(p, PageId(7), &cube());
+        let c = warmed(4, &[(p, PageId(7))]);
         assert!(c.get(p, PageId(3)).is_none());
         assert!(c.contains(p), "newer entry must be kept for current readers");
+        assert!(c.get(p, PageId(7)).is_some());
     }
 
     #[test]
-    fn admit_never_downgrades_a_newer_entry() {
-        let c = CubeCache::new(CacheConfig { slots: 4, strategy: CacheStrategy::Lru });
-        let p = Period::Day(d("2021-01-01"));
-        c.admit(p, PageId(9), &cube());
-        c.admit(p, PageId(2), &cube()); // late old-snapshot reader
-        assert!(c.get(p, PageId(9)).is_some(), "stale admit must not clobber");
+    fn rewarm_reloads_only_a_changed_binding() {
+        let (a, b) = (Period::Day(d("2021-01-01")), Period::Day(d("2021-01-02")));
+        let c = warmed(4, &[(a, PageId(3)), (b, PageId(4))]);
+        let mut loaded = Vec::new();
+        c.warm(&[(a, PageId(3)), (b, PageId(9))], |p, page| -> Result<_, ()> {
+            loaded.push((p, page));
+            Ok(cube())
+        })
+        .unwrap();
+        assert_eq!(loaded, vec![(b, PageId(9))], "a tag-exact entry is reused, a stale one reloaded");
+        assert!(c.get(b, PageId(9)).is_some());
     }
 
     #[test]
     fn invalidate_stale_spares_the_current_version() {
-        let c = CubeCache::new(CacheConfig { slots: 4, strategy: CacheStrategy::Lru });
         let p = Period::Day(d("2021-01-01"));
-        c.admit(p, PageId(4), &cube());
+        let c = warmed(4, &[(p, PageId(4))]);
         assert!(!c.invalidate_stale(p, PageId(4)), "current copy must survive");
         assert!(c.contains(p));
         assert!(c.invalidate_stale(p, PageId(8)));
@@ -456,10 +396,10 @@ mod tests {
 
     #[test]
     fn counters_track_hits_and_misses() {
-        let c = CubeCache::new(CacheConfig { slots: 2, strategy: CacheStrategy::Lru });
         let p = Period::Day(d("2021-01-01"));
+        let c = CubeCache::new(CacheConfig { slots: 2 });
         assert!(c.get(p, P0).is_none());
-        c.admit(p, P0, &cube());
+        c.warm(&[(p, P0)], |_, _| -> Result<_, ()> { Ok(cube()) }).unwrap();
         assert!(c.get(p, P0).is_some());
         assert!(c.get(Period::Day(d("2021-01-02")), P0).is_none());
         assert_eq!(c.counters(), (1, 2));
@@ -470,8 +410,7 @@ mod tests {
 
     #[test]
     fn warm_error_leaves_cache_unchanged() {
-        let c = CubeCache::new(CacheConfig { slots: 2, strategy: CacheStrategy::paper_default() });
-        c.warm(&days(2), |_, _| -> Result<_, ()> { Ok(cube()) }).unwrap();
+        let c = warmed(2, &days(2));
         assert_eq!(c.len(), 2);
         let r = c.warm(&days(4), |p, _| {
             if p == Period::Day(d("2021-01-04")) {

@@ -11,10 +11,11 @@
 //! * [`LevelPlanner`] — the level optimizer (§VII-B): an exact dynamic
 //!   program that partitions the query window into cubes minimizing
 //!   (disk fetches, then total cubes), given what is cached. A greedy
-//!   coarsest-first planner is included for ablation.
-//! * [`CubeCache`] — the caching strategy (§VII-A): N memory slots split
+//!   coarsest-first planner is kept as the baseline the DP is tested
+//!   against; the query engine always runs the DP.
+//! * [`CubeCache`] — the paper's cache (§VII-A): N memory slots split
 //!   across levels by the (α, β, γ, θ) ratios, preloaded with each level's
-//!   most recent cubes. A plain global-LRU mode exists for ablation.
+//!   most recent cubes.
 //! * [`ShardedIndex`] — N independent `TemporalIndex` instances partitioned
 //!   by country ([`shard_for`]), each with its own WAL, caches, and epoch
 //!   stream; the scatter-gather substrate for `rased-query`.
@@ -32,7 +33,7 @@ mod spatial;
 mod store;
 mod wal;
 
-pub use cache::{CacheConfig, CacheStrategy, CubeCache};
+pub use cache::{CacheConfig, CubeCache};
 pub use planner::{
     BlockSource, CubeSource, LatticePlanner, LevelPlanner, PlannedBlock, PlannedCube, PlannerKind,
     QueryPlan, ViewportPlan,

@@ -144,10 +144,8 @@ impl ShardedIndex {
         mk: impl Fn(&Path, CubeSchema, u8, CacheConfig, IoCostModel) -> Result<TemporalIndex, IndexError>,
     ) -> Result<ShardedIndex, IndexError> {
         let n = shards.max(1);
-        let per_shard_cache = CacheConfig {
-            slots: if cache.slots == 0 { 0 } else { (cache.slots / n).max(1) },
-            strategy: cache.strategy,
-        };
+        let per_shard_cache =
+            CacheConfig { slots: if cache.slots == 0 { 0 } else { (cache.slots / n).max(1) } };
         let shards = partition::open_each(n, |i| {
             mk(&shard_dir(dir, n, i), schema, levels, per_shard_cache, model)
         })?;
@@ -427,7 +425,6 @@ impl ShardedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheStrategy;
     use dettest::{Rng, TempDir};
 
     fn cube_from(rng: &mut Rng, schema: CubeSchema, density: u64) -> DataCube {
@@ -452,7 +449,7 @@ mod tests {
             n,
             CubeSchema::tiny(),
             4,
-            CacheConfig { slots: 8, strategy: CacheStrategy::Lru },
+            CacheConfig { slots: 8 },
             IoCostModel::free(),
         )
         .expect("create")
@@ -511,7 +508,7 @@ mod tests {
             bare_dir.path(),
             schema,
             4,
-            CacheConfig { slots: 8, strategy: CacheStrategy::Lru },
+            CacheConfig { slots: 8 },
             IoCostModel::free(),
         )
         .expect("create");
@@ -606,7 +603,7 @@ mod tests {
                 n,
                 schema,
                 4,
-                CacheConfig { slots: 8, strategy: CacheStrategy::Lru },
+                CacheConfig { slots: 8 },
                 IoCostModel::free(),
             )
             .expect("open");

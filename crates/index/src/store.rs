@@ -726,12 +726,7 @@ impl TemporalIndex {
         // `Arc` but still count as `Disk` — each caller did miss the cache.
         // Pages are immutable once published, so a retry after a publish-
         // driven cancellation always reads correct bytes.
-        let cube = self.flights.run(page.0, || {
-            let bytes = self.file.read_page_vec(page)?;
-            let cube = Arc::new(DataCube::from_bytes(self.schema, &bytes)?);
-            self.cache.admit(period, page, &cube); // no-op under the recency policy
-            Ok::<_, IndexError>(cube)
-        })?;
+        let cube = self.flights.run(page.0, || self.read_cube(page))?;
         Ok(Some((cube, FetchOutcome::Disk)))
     }
 
@@ -977,7 +972,7 @@ impl TemporalIndex {
 pub fn with_planner<T>(index: &TemporalIndex, f: impl FnOnce(&LevelPlanner<'_>) -> T) -> T {
     let snap = index.snapshot();
     let exists = |p: Period| snap.contains(p);
-    let cached = |p: Period| index.cache().contains(p);
+    let cached = |p: Period| snap.contains(p) && index.cache().contains(p);
     let planner = LevelPlanner::new(index.levels(), &exists, &cached);
     f(&planner)
 }
@@ -1138,7 +1133,6 @@ fn load_catalog(path: &Path) -> Result<(HashMap<CubeKey, PageId>, u64, Option<u6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheStrategy;
     use dettest::TempDir;
     use rased_osm_model::{ChangesetId, CountryId, ElementType, RoadTypeId, UpdateRecord, UpdateType};
 
@@ -1514,7 +1508,7 @@ mod tests {
             dir.path(),
             CubeSchema::tiny(),
             4,
-            CacheConfig { slots: 8, strategy: CacheStrategy::paper_default() },
+            CacheConfig { slots: 8 },
             IoCostModel::free(),
         )
         .unwrap();
@@ -1538,13 +1532,13 @@ mod tests {
             dir.path(),
             CubeSchema::tiny(),
             4,
-            CacheConfig { slots: 8, strategy: CacheStrategy::Lru },
+            CacheConfig { slots: 8 },
             IoCostModel::free(),
         )
         .unwrap();
         let p = Period::Day(d("2021-01-01"));
         idx.put(p, &day_cube(idx.schema(), "2021-01-01", 1)).unwrap();
-        let _ = idx.fetch(p).unwrap(); // LRU admits
+        idx.warm_cache().unwrap();
         assert!(idx.cache().contains(p));
         idx.put(p, &day_cube(idx.schema(), "2021-01-01", 9)).unwrap();
         assert!(!idx.cache().contains(p), "stale cube must be dropped");

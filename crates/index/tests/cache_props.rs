@@ -1,11 +1,11 @@
 //! Randomized cube-cache coverage (dettest): warming must respect the
-//! (α, β, γ, θ) level quotas for arbitrary ratio mixes, slot counts, and
+//! paper's (α, β, γ, θ) level quotas for arbitrary slot counts and
 //! catalog shapes — per level, exactly the `min(quota, available)` most
 //! recent periods end up cached, never more than `slots` in total.
 
-use dettest::{det_proptest, vec_of};
+use dettest::det_proptest;
 use rased_cube::{CubeSchema, DataCube};
-use rased_index::{CacheConfig, CacheStrategy, CubeCache};
+use rased_index::{CacheConfig, CubeCache};
 use rased_storage::PageId;
 use rased_temporal::{Date, Granularity, Period};
 use std::sync::Arc;
@@ -38,17 +38,8 @@ fn catalog(counts: [usize; 4]) -> Vec<(Period, PageId)> {
 
 /// Warm a fresh recency cache over `catalog(counts)` and check every quota
 /// invariant. Returns (per-level cached counts, total loads) for pinning.
-fn check_warm_respects_quotas(
-    slots: usize,
-    weights: [u32; 4],
-    counts: [usize; 4],
-) -> ([usize; 4], usize) {
-    let sum: u32 = weights.iter().sum::<u32>().max(1);
-    let [a, b, g, t] = weights.map(|w| w as f64 / sum as f64);
-    let cache = CubeCache::new(CacheConfig {
-        slots,
-        strategy: CacheStrategy::Recency { alpha: a, beta: b, gamma: g, theta: t },
-    });
+fn check_warm_respects_quotas(slots: usize, counts: [usize; 4]) -> ([usize; 4], usize) {
+    let cache = CubeCache::new(CacheConfig { slots });
     let avail = catalog(counts);
     let mut loads = 0usize;
     cache
@@ -59,6 +50,7 @@ fn check_warm_respects_quotas(
         .expect("warm never fails here");
 
     let quota = cache.level_quota();
+    assert_eq!(quota.iter().sum::<usize>(), slots, "quotas must hand out every slot");
     let mut cached_per_level = [0usize; 4];
     for (i, &level) in Granularity::ALL.iter().enumerate() {
         let mut of_level: Vec<Period> =
@@ -79,7 +71,7 @@ fn check_warm_respects_quotas(
     }
     let total: usize = cached_per_level.iter().sum();
     assert_eq!(cache.len(), total, "cache holds strays beyond the warm set");
-    assert!(cache.len() <= slots.max(quota.iter().sum()), "over capacity");
+    assert!(cache.len() <= slots, "over capacity");
     assert_eq!(loads, total, "fresh cache must load exactly the warm set");
     (cached_per_level, loads)
 }
@@ -90,12 +82,10 @@ det_proptest! {
     #[test]
     fn warm_caches_min_of_quota_and_available(
         slots in 0usize..64,
-        weights in (0u32..8, 0u32..8, 0u32..8, 0u32..8),
         counts in (0usize..50, 0usize..30, 0usize..30, 0usize..20),
     ) {
-        let (w0, w1, w2, w3) = weights;
         let (c0, c1, c2, c3) = counts;
-        check_warm_respects_quotas(slots, [w0, w1, w2, w3], [c0, c1, c2, c3]);
+        check_warm_respects_quotas(slots, [c0, c1, c2, c3]);
     }
 
     #[test]
@@ -104,10 +94,7 @@ det_proptest! {
         counts in (0usize..40, 0usize..20, 0usize..12, 0usize..8),
     ) {
         let (c0, c1, c2, c3) = counts;
-        let cache = CubeCache::new(CacheConfig {
-            slots,
-            strategy: CacheStrategy::paper_default(),
-        });
+        let cache = CubeCache::new(CacheConfig { slots });
         let avail = catalog([c0, c1, c2, c3]);
         cache.warm(&avail, |_, _| -> Result<_, ()> { Ok(cube()) }).unwrap();
         let len = cache.len();
@@ -116,29 +103,16 @@ det_proptest! {
         assert_eq!(reloads, 0, "rewarming an unchanged catalog must reuse every cube");
         assert_eq!(cache.len(), len);
     }
-
-    #[test]
-    fn lru_never_exceeds_slots(
-        slots in 1usize..16,
-        ops in vec_of(0i32..120, 1..80),
-    ) {
-        let cache = CubeCache::new(CacheConfig { slots, strategy: CacheStrategy::Lru });
-        let day0 = Date::new(2021, 1, 1).expect("valid");
-        for off in ops {
-            cache.admit(Period::Day(day0.add_days(off)), PageId(off as u64), &cube());
-            assert!(cache.len() <= slots, "LRU overflowed its {slots} slots");
-        }
-    }
 }
 
-/// Fixed-seed regression: one concrete (slots, ratios, catalog) instance
-/// with its per-level warm-set sizes pinned.
+/// Fixed-seed regression: one concrete (slots, catalog) instance with its
+/// per-level warm-set sizes pinned.
 #[test]
 fn regression_fixed_instance() {
     // 20 slots at the paper's ratios over a catalog with scarce yearly
     // cubes: quotas [8, 7, 4, 1] → warm [8, 7, 4, 1] … except only 0 years
     // exist, so the yearly quota goes unfilled.
-    let (per_level, loads) = check_warm_respects_quotas(20, [40, 35, 20, 5], [30, 10, 6, 0]);
+    let (per_level, loads) = check_warm_respects_quotas(20, [30, 10, 6, 0]);
     assert_eq!(per_level, [8, 7, 4, 0]);
     assert_eq!(loads, 19);
 }

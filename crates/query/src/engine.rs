@@ -102,7 +102,6 @@ impl<'a> SpatialExec<'a> {
 /// rows stay byte-identical at any shard count × thread count.
 pub struct QueryEngine<'a> {
     stores: Vec<&'a TemporalIndex>,
-    planner: PlannerKind,
     sizes: Option<NetworkSizes>,
     threads: usize,
     spatial: Option<SpatialExec<'a>>,
@@ -158,7 +157,6 @@ impl<'a> QueryEngine<'a> {
     pub fn new(index: &'a TemporalIndex) -> QueryEngine<'a> {
         QueryEngine {
             stores: vec![index],
-            planner: PlannerKind::ExactDp,
             sizes: None,
             threads: 1,
             spatial: None,
@@ -172,7 +170,6 @@ impl<'a> QueryEngine<'a> {
     pub fn over_shards(index: &'a ShardedIndex) -> QueryEngine<'a> {
         QueryEngine {
             stores: index.stores().iter().collect(),
-            planner: PlannerKind::ExactDp,
             sizes: None,
             threads: 1,
             spatial: None,
@@ -182,12 +179,6 @@ impl<'a> QueryEngine<'a> {
     /// Attach a spatial execution context, enabling bbox-filtered queries.
     pub fn with_spatial(mut self, spatial: SpatialExec<'a>) -> Self {
         self.spatial = Some(spatial);
-        self
-    }
-
-    /// Switch planning algorithm (the greedy variant exists for ablation).
-    pub fn with_planner(mut self, kind: PlannerKind) -> Self {
-        self.planner = kind;
         self
     }
 
@@ -296,9 +287,11 @@ impl<'a> QueryEngine<'a> {
 
     fn plan(&self, store: &TemporalIndex, snap: &CatalogVersion, range: DateRange) -> QueryPlan {
         let exists = |p: Period| snap.contains(p);
-        let cached = |p: Period| store.cache().contains(p);
+        // A re-warm can cache a period published after `snap` was pinned;
+        // it is not this plan's to use.
+        let cached = |p: Period| snap.contains(p) && store.cache().contains(p);
         let planner = LevelPlanner::new(store.levels(), &exists, &cached);
-        planner.plan(range, self.planner)
+        planner.plan(range, PlannerKind::ExactDp)
     }
 
     fn selection(&self, q: &AnalysisQuery) -> DimSelection {
@@ -1115,14 +1108,29 @@ mod tests {
         }
     }
 
+    /// A cube the cache holds but the pinned snapshot does not — published
+    /// and warmed after the pin — must not be planned: fetching it at that
+    /// snapshot finds nothing (`PlanRace`).
     #[test]
-    fn greedy_planner_gives_same_answers() {
-        let records = dataset();
-        let (_dir, idx) = build_index("e11", &records);
-        let q = AnalysisQuery::over(DateRange::new(d("2021-01-03"), d("2021-03-20")))
-            .group(GroupDim::Country);
-        let dp = QueryEngine::new(&idx).execute(&q).unwrap();
-        let greedy = QueryEngine::new(&idx).with_planner(PlannerKind::Greedy).execute(&q).unwrap();
-        assert_eq!(dp.rows, greedy.rows, "planners must agree on answers");
+    fn plan_ignores_cached_cubes_newer_than_the_snapshot() {
+        let dir = TempDir::new("query-plan-pin");
+        let schema = CubeSchema::tiny();
+        let idx =
+            TemporalIndex::create(dir.path(), schema, 4, CacheConfig { slots: 8 }, IoCostModel::free())
+                .unwrap();
+        // Sunday 2021-01-03 .. Friday 01-08; Saturday 01-09 closes the week.
+        for day in DateRange::new(d("2021-01-03"), d("2021-01-08")).days() {
+            idx.ingest_day(day, &DataCube::zeroed(schema)).unwrap();
+        }
+        let snap = idx.snapshot();
+        idx.ingest_day(d("2021-01-09"), &DataCube::zeroed(schema)).unwrap();
+        idx.warm_cache().unwrap();
+        let week = Period::Week(d("2021-01-03"));
+        assert!(idx.cache().contains(week) && !snap.contains(week));
+        let range = DateRange::new(d("2021-01-03"), d("2021-01-09"));
+        let plan = QueryEngine::new(&idx).plan(&idx, &snap, range);
+        for c in &plan.cubes {
+            assert!(c.source == CubeSource::Empty || snap.contains(c.period), "planned {}", c.period);
+        }
     }
 }

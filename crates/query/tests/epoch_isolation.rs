@@ -7,7 +7,7 @@
 
 use dettest::{det_proptest, Rng, TempDir};
 use rased_cube::{CubeSchema, DataCube};
-use rased_index::{CacheConfig, CacheStrategy, TemporalIndex};
+use rased_index::{CacheConfig, TemporalIndex};
 use rased_osm_model::{ChangesetId, CountryId, ElementType, RoadTypeId, UpdateRecord, UpdateType};
 use rased_query::{naive_execute, AnalysisQuery, GroupDim, QueryEngine};
 use rased_storage::IoCostModel;
@@ -99,9 +99,11 @@ fn check_isolation(seed: u64, threads: usize) {
         dir.path(),
         schema,
         4,
-        // A small LRU keeps cubes cached across publishes, so a missed
-        // invalidation would serve stale data and break the oracle match.
-        CacheConfig { slots: 16, strategy: CacheStrategy::Lru },
+        // The writer re-warms before every refinement, so March's month,
+        // weeks and last days sit in the cache as each one publishes: a
+        // missed invalidation or a hit at the wrong page tag would serve
+        // stale data and break the oracle match.
+        CacheConfig { slots: 16 },
         IoCostModel::free(),
     )
     .unwrap();
@@ -127,6 +129,7 @@ fn check_isolation(seed: u64, threads: usize) {
     std::thread::scope(|s| {
         s.spawn(|| {
             for daily in &refined {
+                idx.warm_cache().expect("warm");
                 idx.rebuild_month(2021, 3, daily).expect("rebuild_month");
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }

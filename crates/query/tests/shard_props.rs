@@ -10,7 +10,7 @@
 
 use dettest::{det_proptest, Rng, TempDir};
 use rased_cube::{CubeSchema, DataCube};
-use rased_index::{CacheConfig, CacheStrategy, ShardedIndex, TemporalIndex};
+use rased_index::{CacheConfig, ShardedIndex, TemporalIndex};
 use rased_osm_model::{ChangesetId, CountryId, ElementType, RoadTypeId, UpdateRecord, UpdateType};
 use rased_query::{naive_execute, AnalysisQuery, GroupDim, QueryEngine};
 use rased_storage::IoCostModel;
@@ -147,12 +147,15 @@ fn check_shard_equivalence(seed: u64, span: u64, n_countries: usize, cache_mode:
     }
     let cache = match cache_mode {
         0 => CacheConfig::disabled(),
-        1 => CacheConfig { slots: 8, strategy: CacheStrategy::Lru },
-        _ => CacheConfig { slots: 16, ..CacheConfig::paper_default() },
+        1 => CacheConfig { slots: 8 },
+        _ => CacheConfig { slots: 16 },
     };
 
     let single_dir = TempDir::new("shard-props-single");
     let single = build_single(&single_dir, schema, cache, &records);
+    if cache_mode == 1 {
+        single.warm_cache().expect("warm");
+    }
     let queries: Vec<AnalysisQuery> =
         (0..3).map(|_| random_query(&mut rng, schema, start, span)).collect();
     let want: Vec<_> = queries
@@ -167,6 +170,9 @@ fn check_shard_equivalence(seed: u64, span: u64, n_countries: usize, cache_mode:
     for shards in SHARD_COUNTS {
         let dir = TempDir::new(&format!("shard-props-{shards}"));
         let sharded = build_sharded(&dir, shards, schema, cache, &records);
+        if cache_mode == 1 {
+            sharded.warm_cache().expect("warm");
+        }
         // A day publishes one unit per touched shard, so the summed epoch
         // equals the single store's only at one shard; above that it can
         // only grow.
@@ -262,7 +268,7 @@ fn concurrent_publish_preserves_prefix_isolation() {
         4,
         schema,
         4,
-        CacheConfig { slots: 8, strategy: CacheStrategy::Lru },
+        CacheConfig { slots: 8 },
         IoCostModel::free(),
     )
     .expect("create");
@@ -271,6 +277,7 @@ fn concurrent_publish_preserves_prefix_isolation() {
         let writer = scope.spawn(|| {
             for (day, cube) in &cubes {
                 sharded.ingest_day(*day, cube).expect("ingest");
+                sharded.warm_cache().expect("warm");
             }
         });
         let mut seen_prefixes = 0usize;
@@ -295,12 +302,7 @@ fn concurrent_publish_preserves_prefix_isolation() {
 
     // Quiescent: the raced store equals a never-raced single store.
     let single_dir = TempDir::new("shard-props-race-single");
-    let single = build_single(
-        &single_dir,
-        schema,
-        CacheConfig { slots: 8, strategy: CacheStrategy::Lru },
-        &records,
-    );
+    let single = build_single(&single_dir, schema, CacheConfig { slots: 8 }, &records);
     for q in [
         probe.clone(),
         AnalysisQuery::over(DateRange::new(start, start.add_days(39))).group(GroupDim::Country),

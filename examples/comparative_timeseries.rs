@@ -16,8 +16,8 @@ use rased_core::{AnalysisQuery, DateRange, Granularity, GroupDim};
 use rased_dashboard::charts;
 use rased_temporal::Date;
 
-fn main() {
-    let demo = build_demo_system("comparative-timeseries", 17);
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let demo = build_demo_system("comparative-timeseries", 17)?;
 
     let countries: Vec<_> = ["DE", "SG", "QA"]
         .iter()
@@ -28,15 +28,15 @@ fn main() {
     assert!(!countries.is_empty(), "at least Germany resolves");
 
     let q = AnalysisQuery::over(DateRange::new(
-        Date::new(2020, 1, 1).expect("valid"),
-        Date::new(2021, 12, 31).expect("valid"),
+        Date::new(2020, 1, 1)?,
+        Date::new(2021, 12, 31)?,
     ))
     .countries(countries)
     .group(GroupDim::Country)
     .group(GroupDim::Date(Granularity::Day))
     .percentage();
 
-    let result = demo.rased.query(&q).expect("query");
+    let result = demo.rased.query(&q)?;
 
     println!("\nDaily road-network change percentage, 2020-2021 (intensity per day):\n");
     print!("{}", charts::time_series(&demo.rased, &result, 72));
@@ -51,7 +51,7 @@ fn main() {
                 .group(GroupDim::Date(Granularity::Month))
                 .percentage(),
         )
-        .expect("query");
+        ?;
     println!("\nMonthly granularity (top rows):\n");
     print!("{}", charts::table(&demo.rased, &monthly, 12));
 
@@ -61,4 +61,5 @@ fn main() {
         result.stats.cubes_from_cache + result.stats.cubes_from_disk,
         result.stats.cubes_from_cache,
     );
+    Ok(())
 }

@@ -17,18 +17,18 @@ use rased_core::{AnalysisQuery, DateRange, GroupDim};
 use rased_dashboard::charts;
 use rased_temporal::Date;
 
-fn main() {
-    let demo = build_demo_system("country-analysis", 11);
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let demo = build_demo_system("country-analysis", 11)?;
 
     let q = AnalysisQuery::over(DateRange::new(
-        Date::new(2021, 1, 1).expect("valid"),
-        Date::new(2021, 12, 31).expect("valid"),
+        Date::new(2021, 1, 1)?,
+        Date::new(2021, 12, 31)?,
     ))
     .updates(UpdateType::NEW_OR_UPDATE.to_vec())
     .group(GroupDim::Country)
     .group(GroupDim::ElementType);
 
-    let result = demo.rased.query(&q).expect("query");
+    let result = demo.rased.query(&q)?;
 
     // Fig. 2: bar chart of the top country × element-type groups.
     println!("\nNew or modified elements per country and element type, 2021 (bar chart):\n");
@@ -45,4 +45,5 @@ fn main() {
         result.stats.wall,
         result.stats.io.modeled,
     );
+    Ok(())
 }

@@ -10,19 +10,19 @@ use rased_core::{AnalysisQuery, DateRange, GroupDim};
 use rased_dashboard::charts;
 use rased_temporal::Date;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One call builds the whole pipeline: synthetic world → daily diffs &
     // changesets → crawlers → cube index + warehouse.
-    let demo = build_demo_system("quickstart", 7);
+    let demo = build_demo_system("quickstart", 7)?;
 
     // "How many updates did each country receive in 2021?"
     let q = AnalysisQuery::over(DateRange::new(
-        Date::new(2021, 1, 1).expect("valid"),
-        Date::new(2021, 12, 31).expect("valid"),
+        Date::new(2021, 1, 1)?,
+        Date::new(2021, 12, 31)?,
     ))
     .group(GroupDim::Country);
 
-    let result = demo.rased.query(&q).expect("query");
+    let result = demo.rased.query(&q)?;
     println!("\nUpdates per country, 2021:");
     print!("{}", charts::table(&demo.rased, &result, 15));
 
@@ -33,7 +33,8 @@ fn main() {
     );
 
     // The same query as a percentage of each country's network size.
-    let pct = demo.rased.query(&q.clone().percentage()).expect("query");
+    let pct = demo.rased.query(&q.clone().percentage())?;
     println!("\nAs a percentage of each country's road network:");
     print!("{}", charts::table(&demo.rased, &pct, 5));
+    Ok(())
 }

@@ -22,20 +22,20 @@ use rased_core::{AnalysisQuery, DateRange, GroupDim};
 use rased_dashboard::charts;
 use rased_temporal::Date;
 
-fn main() {
-    let demo = build_demo_system("road-type-analysis", 13);
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let demo = build_demo_system("road-type-analysis", 13)?;
 
     let usa = demo.rased.countries().resolve("US").expect("US in the table");
     let q = AnalysisQuery::over(DateRange::new(
-        Date::new(2018, 1, 1).expect("valid"),
-        Date::new(2021, 12, 31).expect("valid"),
+        Date::new(2018, 1, 1)?,
+        Date::new(2021, 12, 31)?,
     ))
     .countries(vec![usa])
     .updates(UpdateType::NEW_OR_UPDATE.to_vec())
     .group(GroupDim::RoadType)
     .group(GroupDim::ElementType);
 
-    let result = demo.rased.query(&q).expect("query");
+    let result = demo.rased.query(&q)?;
 
     println!("\nNew or modified elements per road type in the United States since 2018:\n");
     print!("{}", charts::bar_chart(&demo.rased, &result, 20, 42));
@@ -47,4 +47,5 @@ fn main() {
         "\nempty days before dataset start handled for free: {} of the window",
         result.stats.empty_days
     );
+    Ok(())
 }

@@ -5,15 +5,15 @@
 
 use rased::demo::build_demo_system;
 
-fn main() {
-    let demo = build_demo_system("sample-updates", 19);
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let demo = build_demo_system("sample-updates", 19)?;
     let atlas = demo.dataset.atlas();
 
     // Sample inside the busiest country's territory (the paper's default
     // sample size is N = 100).
     let zone = &atlas.countries()[0];
     let bbox = zone.polygon.bbox();
-    let samples = demo.rased.sample_region(&bbox, 100).expect("sample");
+    let samples = demo.rased.sample_region(&bbox, 100)?;
     let name = demo.rased.countries().name(zone.id).unwrap_or("?");
 
     println!("\n{} of the updates in {name} (sample query, N = 100):", samples.len());
@@ -35,12 +35,12 @@ fn main() {
     use rased_core::model::{ElementType, UpdateType};
     use rased_core::{AnalysisQuery, DateRange};
     let q = AnalysisQuery::over(DateRange::new(
-        "2021-01-01".parse().expect("valid"),
-        "2021-12-31".parse().expect("valid"),
+        "2021-01-01".parse()?,
+        "2021-12-31".parse()?,
     ))
     .elements(vec![ElementType::Way])
     .updates(vec![UpdateType::Create]);
-    let scoped = demo.rased.sample_for_query(&q, &bbox, 100).expect("scoped sample");
+    let scoped = demo.rased.sample_for_query(&q, &bbox, 100)?;
     println!(
         "samples matching \"way creations in 2021\" in {name}: {} (all ways: {}, all creates: {})",
         scoped.len(),
@@ -52,7 +52,7 @@ fn main() {
     // Drill into the changeset of the first sample — the dashboard hands
     // this to a changeset viewer; we print its updates.
     let cs = samples.first().expect("samples in busiest country").changeset;
-    let updates = demo.rased.by_changeset(cs).expect("changeset lookup");
+    let updates = demo.rased.by_changeset(cs)?;
     println!("changeset {cs} contains {} updates:", updates.len());
     for r in &updates {
         println!(
@@ -63,4 +63,5 @@ fn main() {
             demo.rased.countries().name(r.country).unwrap_or("?"),
         );
     }
+    Ok(())
 }

@@ -11,19 +11,19 @@ use rased_core::{AnalysisQuery, DateRange, Granularity, GroupDim};
 use rased_dashboard::charts;
 use rased_temporal::Date;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let animate = std::env::args().any(|a| a == "--animate");
-    let demo = build_demo_system("timelapse", 23);
+    let demo = build_demo_system("timelapse", 23)?;
     let n_countries = demo.dataset.config.world.n_countries;
 
     let q = AnalysisQuery::over(DateRange::new(
-        Date::new(2020, 1, 1).expect("valid"),
-        Date::new(2021, 12, 31).expect("valid"),
+        Date::new(2020, 1, 1)?,
+        Date::new(2021, 12, 31)?,
     ))
     .group(GroupDim::Country)
     .group(GroupDim::Date(Granularity::Month));
 
-    let result = demo.rased.query(&q).expect("query");
+    let result = demo.rased.query(&q)?;
     let frames = charts::timelapse(&demo.rased, &result, n_countries);
     println!(
         "\nRoad-network update intensity per country, month by month ({} frames):\n",
@@ -46,10 +46,11 @@ fn main() {
     let total = demo
         .rased
         .query(&AnalysisQuery::over(q.range).group(GroupDim::Country))
-        .expect("query");
+        ?;
     println!("\nCumulative (whole period):\n{}", charts::choropleth(&demo.rased, &total, n_countries));
 
     // And the same data exported as CSV (first lines).
     let csv = charts::csv(&demo.rased, &total);
     println!("CSV export (head):\n{}", csv.lines().take(6).collect::<Vec<_>>().join("\n"));
+    Ok(())
 }

@@ -8,8 +8,8 @@ mod common;
 
 use common::{tmpdir, HttpClient, TempDir, TestServer};
 use rased_core::{
-    AnalysisQuery, CacheConfig, CacheStrategy, CubeSchema, DataCube, GroupDim, IoCostModel,
-    QueryEngine, Rased, RasedConfig, ServerConfig, TemporalIndex,
+    AnalysisQuery, CacheConfig, CubeSchema, DataCube, GroupDim, IoCostModel, QueryEngine, Rased,
+    RasedConfig, ServerConfig, TemporalIndex,
 };
 use rased_osm_gen::{Dataset, DatasetConfig};
 use rased_osm_model::{ChangesetId, CountryId, ElementType, RoadTypeId, UpdateRecord, UpdateType};
@@ -76,31 +76,66 @@ fn concurrent_queries_agree_with_serial_answers() {
 }
 
 #[test]
-fn concurrent_queries_with_lru_cache_stay_consistent() {
-    // The LRU cache admits and evicts under concurrency; answers must not
-    // change even as the cache churns.
-    let (_dir, index, range) = build(
-        "lru",
-        CacheConfig { slots: 4, strategy: CacheStrategy::Lru },
-    );
+fn concurrent_queries_racing_rewarm_and_republish_stay_consistent() {
+    // The warm set changes only when a writer republishes and re-warms,
+    // so that is the churn readers must survive: 8 readers race a thread
+    // that re-ingests the window's last day — 2021-06-30 closes June, so
+    // the June roll-up is republished with it — with a different cube
+    // each round, then re-warms. Every answer must be the one its pinned
+    // epoch names, never a cube cached for another version.
+    const ROUNDS: u64 = 40;
+    let (_dir, index, range) = build("rewarm", CacheConfig { slots: 16 });
+    index.warm_cache().unwrap();
+    let schema = index.schema();
+    let last = range.end();
+    // Version v holds 10 + v records on the last day (version 0 is what
+    // `build` ingested: 10).
+    let last_day = |v: u64| {
+        let records: Vec<UpdateRecord> = (0..10 + v)
+            .map(|j| UpdateRecord {
+                element_type: ElementType::Way,
+                update_type: UpdateType::Create,
+                country: CountryId((j % 4) as u16),
+                road_type: RoadTypeId(0),
+                date: last,
+                lat7: 0,
+                lon7: 0,
+                changeset: ChangesetId(10_000 + j),
+            })
+            .collect();
+        DataCube::from_records(schema, &records).unwrap()
+    };
     let q = AnalysisQuery::over(range).group(GroupDim::Country);
-    let expected = QueryEngine::new(&index).execute(&q).unwrap().rows;
+    let base = QueryEngine::new(&index).execute(&q).unwrap().total_count();
+    let e0 = index.epoch();
+    let done = std::sync::atomic::AtomicBool::new(false);
 
     std::thread::scope(|scope| {
         for _ in 0..8 {
-            let index = &index;
-            let q = &q;
-            let expected = &expected;
+            let (index, q, done) = (&index, &q, &done);
             scope.spawn(move || {
                 let engine = QueryEngine::new(index);
-                for _ in 0..25 {
-                    assert_eq!(engine.execute(q).unwrap().rows, *expected);
+                loop {
+                    let finished = done.load(std::sync::atomic::Ordering::Acquire);
+                    let res = engine.execute(q).unwrap();
+                    let v = res.stats.epoch - e0;
+                    assert!(v <= ROUNDS, "epoch {v} outside published history");
+                    assert_eq!(res.total_count(), base + v, "answer diverges at pinned version {v}");
+                    if finished {
+                        break;
+                    }
                 }
             });
         }
+        for v in 1..=ROUNDS {
+            index.ingest_day(last, &last_day(v)).unwrap();
+            index.warm_cache().unwrap();
+        }
+        done.store(true, std::sync::atomic::Ordering::Release);
     });
-    let (hits, misses) = index.cache().counters();
-    assert!(hits + misses > 0, "cache was exercised");
+    assert_eq!(index.epoch(), e0 + ROUNDS, "one publish per re-ingest");
+    let (hits, _) = index.cache().counters();
+    assert!(hits > 0, "readers were served from the warm set");
 }
 
 #[test]

@@ -144,7 +144,7 @@ fn cache_capacity_zero_and_warm_on_empty_index() {
         &dir,
         schema,
         4,
-        CacheConfig { slots: 0, ..CacheConfig::paper_default() },
+        CacheConfig { slots: 0 },
         IoCostModel::free(),
     )
     .unwrap();

@@ -9,9 +9,7 @@
 
 use rased_baseline::{DbmsBaseline, RasedVariant};
 use rased_bench::{build_heap, build_index, one_cell_query, Workload};
-use rased_core::{
-    CacheConfig, CacheStrategy, CubeSchema, IoCostModel, QueryEngine, TemporalIndex,
-};
+use rased_core::{CacheConfig, CubeSchema, IoCostModel, QueryEngine, TemporalIndex};
 use rased_temporal::{Date, DateRange};
 
 mod common;
@@ -115,7 +113,7 @@ fn fig7_shape_more_cache_never_more_disk() {
             &dir.join("index"),
             w.schema,
             4,
-            CacheConfig { slots, strategy: CacheStrategy::paper_default() },
+            CacheConfig { slots },
             IoCostModel::free(),
         )
         .unwrap();
