@@ -28,6 +28,10 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 # gate for each battery below — the lines that follow only add what it
 # does not already do (a pinned-seed replay, the bench smoke runs).
 #   serving tier:   http_parser, http_api, concurrency, failure_injection
+#                   (incl. the event loop's wake tests: misses then hits
+#                   on one connection, a pipelined miss+hit+miss, a lone
+#                   miss on an idle server, a stalled reader reaped at
+#                   write_timeout)
 #   executor:       parallel_props (parallel at every thread count ==
 #                   record-scan oracle), epoch_isolation
 #   write path:     crash_recovery (WAL truncated at every byte boundary

@@ -42,12 +42,15 @@
 //! by timeout, closes the job bridge, and returns once no connection
 //! remains — the worker scope joins every thread before `serve` returns.
 //!
-//! The loop polls with a short sleep only when an iteration made no
-//! progress; under load it spins productively without sleeping.
+//! An iteration that made no progress blocks in one [`crate::poll::wait`]
+//! until the listener, a reading or writing socket, or a worker
+//! completion (a byte on the bridge's wake socket) is ready, or the
+//! nearest connection deadline passes; under load the loop never waits.
 
 use crate::admission::Permit;
 use crate::http::{read_request, write_response, HttpError, Limits, Request};
 use crate::metrics::Endpoint;
+use crate::poll::{PollFd, POLLIN, POLLOUT};
 use crate::respcache::{CachedResponse, RespKey, SPATIAL_STAMP_BASE};
 use crate::server::{DashboardServer, RETRY_AFTER_SECS};
 use rased_core::TemporalIndex;
@@ -55,13 +58,10 @@ use rased_storage::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
-
-/// Sleep per idle iteration. Short enough that timeout precision and
-/// shutdown latency stay well under test tolerances; long enough that an
-/// idle server burns ~no CPU.
-const POLL_SLEEP: Duration = Duration::from_micros(500);
 
 /// Per-iteration read chunk.
 const SCRATCH_BYTES: usize = 16 * 1024;
@@ -151,6 +151,10 @@ struct Bridge<'a> {
     jobs: Mutex<JobQueue<'a>>,
     jobs_ready: Condvar,
     done: Mutex<Vec<Completion>>,
+    /// A nonblocking socket pair: a worker writes a byte to `wake_tx`
+    /// after each completion, and the loop polls `wake_rx`.
+    wake_tx: UnixStream,
+    wake_rx: UnixStream,
 }
 
 struct JobQueue<'a> {
@@ -159,15 +163,20 @@ struct JobQueue<'a> {
 }
 
 impl<'a> Bridge<'a> {
-    fn new() -> Bridge<'a> {
-        Bridge {
+    fn new() -> std::io::Result<Bridge<'a>> {
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        Ok(Bridge {
             jobs: Mutex::new_named(
                 JobQueue { queue: VecDeque::new(), closed: false },
                 "dashboard.evloop_jobs",
             ),
             jobs_ready: Condvar::new(),
             done: Mutex::new_named(Vec::new(), "dashboard.evloop_done"),
-        }
+            wake_tx,
+            wake_rx,
+        })
     }
 
     fn submit(&self, job: Job<'a>) {
@@ -196,8 +205,22 @@ impl<'a> Bridge<'a> {
         self.jobs_ready.notify_all();
     }
 
+    /// Push, *then* wake: the loop may only see the byte after the
+    /// completion it announces is in the list. A full socket
+    /// (`WouldBlock`) means a wake is already pending.
     fn finish(&self, completion: Completion) {
         self.done.lock().push(completion);
+        let _ = (&self.wake_tx).write(&[1]);
+    }
+
+    /// Consume pending wake bytes. Called *before* [`Self::drain_completions`]
+    /// takes the list — the lost-wakeup guard: a completion pushed after the
+    /// take writes a byte this drain has not seen, so the next wait returns
+    /// at once. The reverse order could swallow that byte and then block
+    /// with a completion waiting.
+    fn drain_wake(&self) {
+        let mut buf = [0u8; 64];
+        while matches!((&self.wake_rx).read(&mut buf), Ok(n) if n > 0) {}
     }
 
     fn drain_completions(&self) -> Vec<Completion> {
@@ -207,9 +230,9 @@ impl<'a> Bridge<'a> {
 
 /// Run the serving tier: worker pool + event loop, joined before return.
 pub(crate) fn run(server: &DashboardServer) -> std::io::Result<()> {
+    let bridge = Bridge::new()?;
     server.listener.set_nonblocking(true)?;
     let workers = server.config.effective_workers();
-    let bridge = Bridge::new();
     let result = std::thread::scope(|scope| {
         for _ in 0..workers {
             let bridge = &bridge;
@@ -260,6 +283,7 @@ fn event_loop<'a>(server: &'a DashboardServer, bridge: &Bridge<'a>) -> std::io::
     let mut free: Vec<usize> = Vec::new();
     let mut live = 0usize;
     let mut scratch = vec![0u8; SCRATCH_BYTES];
+    let mut fds: Vec<PollFd> = Vec::new();
     loop {
         let stopped = server.stop.load(Ordering::SeqCst);
         let mut progress = false;
@@ -319,7 +343,9 @@ fn event_loop<'a>(server: &'a DashboardServer, bridge: &Bridge<'a>) -> std::io::
 
         // 2. Deliver finished renders: record, then queue wire bytes —
         //    record-before-write is preserved because the socket write
-        //    strictly follows.
+        //    strictly follows. Wake bytes are consumed first: that order
+        //    is the lost-wakeup guard (`Bridge::drain_wake`).
+        bridge.drain_wake();
         for done in bridge.drain_completions() {
             progress = true;
             let Some(conn) = conns.get_mut(done.conn_id).and_then(|slot| slot.as_mut()) else {
@@ -354,10 +380,43 @@ fn event_loop<'a>(server: &'a DashboardServer, bridge: &Bridge<'a>) -> std::io::
             return Ok(());
         }
         if !progress {
-            // lint: allow(nonblocking, "bounded poll backoff: POLL_SLEEP is 500us, taken only when no socket or completion made progress")
-            std::thread::sleep(POLL_SLEEP);
+            let timeout = poll_set(server, bridge, &conns, &mut fds);
+            // lint: allow(nonblocking, "readiness wait: returns on any socket, the listener or a worker completion; bounded by the nearest connection deadline")
+            crate::poll::wait(&mut fds, timeout)?;
         }
     }
+}
+
+/// Fill `fds` with what an idle loop waits on — the listener and the wake
+/// socket for `POLLIN`, each `Reading` connection for `POLLIN`, each
+/// `Writing` one for `POLLOUT`; an `Executing` connection is covered by
+/// the wake socket — and return how long it may wait: until the nearest
+/// connection deadline, or the longer timeout when no socket has one.
+fn poll_set(
+    server: &DashboardServer,
+    bridge: &Bridge<'_>,
+    conns: &[Option<Conn>],
+    fds: &mut Vec<PollFd>,
+) -> Duration {
+    let (read_timeout, write_timeout) = (server.config.read_timeout, server.config.write_timeout);
+    fds.clear();
+    fds.push(PollFd::new(server.listener.as_raw_fd(), POLLIN));
+    fds.push(PollFd::new(bridge.wake_rx.as_raw_fd(), POLLIN));
+    let now = Instant::now();
+    let mut timeout = read_timeout.max(write_timeout);
+    for conn in conns.iter().flatten() {
+        let (events, limit) = match conn.state {
+            ConnState::Reading => (POLLIN, read_timeout),
+            ConnState::Writing => (POLLOUT, write_timeout),
+            ConnState::Executing => continue,
+        };
+        fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
+        // `check_deadline` fires strictly past the limit: wake 1 ms after.
+        let idle = now.saturating_duration_since(conn.last_activity);
+        let left = limit.saturating_sub(idle).saturating_add(Duration::from_millis(1));
+        timeout = timeout.min(left);
+    }
+    timeout
 }
 
 /// Drive one connection as far as it will go without blocking. Returns

@@ -31,6 +31,7 @@ pub mod server;
 
 mod api;
 mod evloop;
+mod poll;
 
 pub use api::{
     form_urlencode, parse_analysis_query, parse_query_string, result_to_json, url_decode, ApiError,

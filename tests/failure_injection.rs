@@ -441,4 +441,159 @@ mod http_hostile {
         ts.stop().unwrap();
         assert!(server.metrics().queue_full_total() >= 1);
     }
+
+    // -----------------------------------------------------------------------
+    // Event-loop wakes: the idle loop blocks in one readiness wait, so a
+    // reply that is ready must wake it. Server deadlines (30 s) sit far
+    // beyond the clients' 2 s read timeout: a missed wake fails fast
+    // instead of being rescued by a connection deadline.
+    // -----------------------------------------------------------------------
+
+    fn wake_server(tag: &str) -> (TestServer, common::TempDir) {
+        let (dir, system) = empty_system(tag);
+        let config = ServerConfig {
+            workers: 2,
+            read_timeout: Duration::from_secs(30),
+            write_timeout: Duration::from_secs(30),
+            ..ServerConfig::default()
+        };
+        (TestServer::start(system, config), dir)
+    }
+
+    /// A keep-alive client with a 2 s read timeout. Drop it before `stop`:
+    /// the drain would otherwise wait out its 30 s idle deadline.
+    fn wake_client(ts: &TestServer) -> (TcpStream, BufReader<TcpStream>) {
+        let stream = TcpStream::connect(ts.addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        (stream, reader)
+    }
+
+    /// A keep-alive `GET /api/analysis` over the first `days` days of 2021.
+    /// Each new `nonce`
+    /// is a distinct cache key, so a worker renders it; the empty system
+    /// answers with `"empty_days":<days>`, which names the reply.
+    fn analysis(days: u32, nonce: usize) -> String {
+        format!("GET /api/analysis?start=2021-01-01&end=2021-01-{days:02}&cb={nonce} HTTP/1.1\r\nHost: t\r\n\r\n")
+    }
+
+    /// 200 distinct misses (each delivered by its worker's completion wake)
+    /// then 200 repeats of one tile (hits answered inline), back to back on
+    /// one keep-alive connection: every one is answered.
+    #[test]
+    fn misses_then_hits_on_one_connection_are_all_answered() {
+        let (ts, _dir) = wake_server("wake-seq");
+        let (stream, mut reader) = wake_client(&ts);
+        for i in 0..400 {
+            // Requests 200.. repeat request 0's tile.
+            (&stream).write_all(analysis(31, if i < 200 { i } else { 0 }).as_bytes()).unwrap();
+            let r = read_response(&mut reader)
+                .unwrap_or_else(|e| panic!("request {i} unanswered (lost wake?): {e}"));
+            assert_eq!(r.status, 200, "request {i}: {}", r.body);
+        }
+        let cache = ts.server.response_cache().expect("cache on by default");
+        assert_eq!((cache.misses_total(), cache.hits_total()), (200, 200));
+        drop((stream, reader));
+        ts.stop().unwrap();
+    }
+
+    /// A miss, a hit and a miss pipelined in one `write`: the second and
+    /// third requests are already in the connection's buffer when the
+    /// first reply drains, so they must be served from it — no `POLLIN`
+    /// will ever announce them — and in order.
+    #[test]
+    fn pipelined_miss_hit_miss_in_one_write_are_answered_in_order() {
+        let (ts, _dir) = wake_server("wake-pipe");
+        let (stream, mut reader) = wake_client(&ts);
+        (&stream).write_all(analysis(20, 0).as_bytes()).unwrap();
+        assert_eq!(read_response(&mut reader).unwrap().status, 200);
+
+        let batch = [analysis(10, 1), analysis(20, 0), analysis(30, 2)].concat();
+        (&stream).write_all(batch.as_bytes()).unwrap();
+        for days in [10, 20, 30] {
+            let r = read_response(&mut reader)
+                .unwrap_or_else(|e| panic!("pipelined {days}-day request unanswered: {e}"));
+            assert_eq!(r.status, 200);
+            let named = format!("\"empty_days\":{days},");
+            assert!(r.body.contains(&named), "out of order: {}", r.body);
+        }
+        let cache = ts.server.response_cache().expect("cache on by default");
+        assert_eq!((cache.misses_total(), cache.hits_total()), (3, 1));
+        drop((stream, reader));
+        ts.stop().unwrap();
+    }
+
+    /// A single miss on an otherwise idle server: the loop is blocked with
+    /// only the listener and the wake socket to watch while the worker
+    /// renders, so only the completion wake can deliver the reply.
+    #[test]
+    fn idle_server_answers_a_single_miss_promptly() {
+        let (ts, _dir) = wake_server("wake-idle");
+        std::thread::sleep(Duration::from_millis(100));
+        let (stream, mut reader) = wake_client(&ts);
+        let t0 = Instant::now();
+        (&stream).write_all(analysis(31, 7).as_bytes()).unwrap();
+        let r = read_response(&mut reader).expect("miss unanswered: lost completion wake");
+        assert_eq!(r.status, 200);
+        assert!(t0.elapsed() < Duration::from_secs(1), "miss took {:?}", t0.elapsed());
+        drop((stream, reader));
+        ts.stop().unwrap();
+    }
+
+    /// A client that asks for far more than the socket buffers hold and
+    /// never reads parks in `Writing`, where `POLLOUT` never fires: the
+    /// wait's timeout must track the write deadline, not only read ones,
+    /// so the connection is reaped `write_timeout` after its last progress.
+    #[test]
+    fn stalled_reader_is_reaped_at_write_timeout() {
+        let (_dir, system) = empty_system("stalled-reader");
+        let write_timeout = Duration::from_secs(1);
+        let pages = 40_000;
+        let config = ServerConfig {
+            workers: 2,
+            read_timeout: Duration::from_secs(30),
+            write_timeout,
+            max_keep_alive_requests: pages + 1,
+            ..ServerConfig::default()
+        };
+        let ts = TestServer::start(system, config);
+        let server = Arc::clone(&ts.server);
+        let m = server.metrics();
+
+        // 40 000 dashboard pages (~130 MB), never read. The writer gets a
+        // clone; this handle keeps the socket open until the server reaps it.
+        let stream = TcpStream::connect(ts.addr).unwrap();
+        let batch = "GET / HTTP/1.1\r\nHost: t\r\n\r\n".repeat(pages);
+        let writer = {
+            let stream = stream.try_clone().unwrap();
+            // Blocks once the server stops reading; fails when it is reaped.
+            std::thread::spawn(move || {
+                let _ = (&stream).write_all(batch.as_bytes());
+            })
+        };
+
+        // Each answered request is the connection's last write progress.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while m.active() == 0 {
+            assert!(Instant::now() < deadline, "connection never opened");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (mut answered, mut last_progress) = (0, Instant::now());
+        while m.active() > 0 {
+            assert!(Instant::now() < deadline, "stalled reader never reaped");
+            std::thread::sleep(Duration::from_millis(1));
+            if m.requests_total() != answered {
+                answered = m.requests_total();
+                last_progress = Instant::now();
+            }
+        }
+        let reaped_after = last_progress.elapsed();
+        writer.join().unwrap();
+        assert!((answered as usize) < pages, "every page fit in the socket buffers");
+        assert!(
+            reaped_after.abs_diff(write_timeout) <= Duration::from_millis(250),
+            "reaped {reaped_after:?} after the last write progress, write_timeout {write_timeout:?}"
+        );
+        ts.stop().unwrap();
+    }
 }
