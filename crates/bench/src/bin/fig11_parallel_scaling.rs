@@ -143,7 +143,9 @@ fn stampede_microbench(dir: &std::path::Path) -> Result<(), Box<dyn Error>> {
             });
         }
     });
-    for e in failures.lock().drain(..) {
+    // Any worker's read error fails the run; report the first recorded.
+    let first_failure = failures.lock().first().cloned();
+    if let Some(e) = first_failure {
         return Err(e.into());
     }
 

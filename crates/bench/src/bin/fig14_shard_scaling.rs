@@ -119,7 +119,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
         // Country-filtered cold latency (pool sized to the shard count —
         // routing makes the pool irrelevant here, which is the point).
-        let cf_cold = avg_response(&cold, n, &windows, |r| one_cell_query(r))?;
+        let cf_cold = avg_response(&cold, n, &windows, one_cell_query)?;
         // Fan-out: sequential vs scatter-gather pool.
         let fan = |r: DateRange| AnalysisQuery::over(r).group(GroupDim::Country);
         let fan_seq = avg_response(&cold, 1, &windows, fan)?;
@@ -144,7 +144,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             IoCostModel::hdd(),
         )?;
         warm.warm_cache()?;
-        let cf_qps = wall_qps(&warm, n, &windows, budget, |r| one_cell_query(r))?;
+        let cf_qps = wall_qps(&warm, n, &windows, budget, one_cell_query)?;
         let fan_qps = wall_qps(&warm, n, &windows, budget, fan)?;
 
         println!(

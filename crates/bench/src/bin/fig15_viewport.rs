@@ -347,9 +347,9 @@ fn main() -> Result<(), Box<dyn Error>> {
 
 /// The aligned bbox spanning cells (r0,c0)..=(r1,c1) inclusive.
 fn cell_union(grid: &GridSpec, r0: u16, c0: u16, r1: u16, c1: u16) -> BBox {
-    // lint: allow(panic, "rows/cols are in-grid by construction")
+    #[expect(clippy::expect_used, reason = "rows/cols are in-grid by construction")]
     let a = grid.cell_bbox(CellId { row: r0, col: c0 }).expect("in grid");
-    // lint: allow(panic, "rows/cols are in-grid by construction")
+    #[expect(clippy::expect_used, reason = "rows/cols are in-grid by construction")]
     let b = grid.cell_bbox(CellId { row: r1, col: c1 }).expect("in grid");
     a.union(&b)
 }

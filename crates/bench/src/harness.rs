@@ -16,6 +16,7 @@
 //! (`cargo bench --bench microbench -- planner`); set `BENCH_MEASURE_MS`
 //! to shrink or grow the per-benchmark budget (default 200 ms — CI smoke
 //! runs use a small value).
+#![expect(clippy::disallowed_methods, reason = "the harness reads its flags and measurement budget from the environment")]
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};

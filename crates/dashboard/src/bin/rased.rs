@@ -14,6 +14,7 @@
 //!                [--spatial-cache-blocks N]
 //! rased demo     --dir DIR  (generate + ingest + serve in one step)
 //! ```
+#![expect(clippy::disallowed_methods, reason = "a CLI reads its arguments")]
 
 use rased_core::{CubeSchema, IngestController, IngestPhase, Rased, RasedConfig, ServerConfig};
 use rased_dashboard::{charts, parse_analysis_query, DashboardServer};
@@ -38,11 +39,11 @@ fn main() -> ExitCode {
 type AnyError = Box<dyn std::error::Error>;
 
 fn run(args: &[String]) -> Result<(), AnyError> {
-    let Some(command) = args.first() else {
+    let Some((command, rest)) = args.split_first() else {
         print_usage();
         return Ok(());
     };
-    let flags = parse_flags(&args[1..])?;
+    let flags = parse_flags(rest)?;
     match command.as_str() {
         "generate" => generate(&flags),
         "ingest" => ingest(&flags),
@@ -81,10 +82,8 @@ fn print_usage() {
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, AnyError> {
     let mut flags = HashMap::new();
     let mut i = 0;
-    while i < args.len() {
-        let key = args[i]
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected --flag, got `{}`", args[i]))?;
+    while let Some(arg) = args.get(i) {
+        let key = arg.strip_prefix("--").ok_or_else(|| format!("expected --flag, got `{arg}`"))?;
         match args.get(i + 1) {
             Some(v) if !v.starts_with("--") => {
                 flags.insert(key.to_string(), v.clone());

@@ -119,14 +119,14 @@ pub fn time_series(system: &Rased, result: &QueryResult, width: usize) -> String
         // Every row date was collected into `dates` above; a miss would mean
         // the vecs diverged, in which case dropping the row beats a panic.
         let Ok(idx) = dates.binary_search(&date) else { continue };
-        let pos = match series.iter().position(|(l, _)| *l == label) {
-            Some(pos) => pos,
+        let values = match series.iter().position(|(l, _)| *l == label) {
+            Some(pos) => series.get_mut(pos),
             None => {
                 series.push((label, vec![0.0; dates.len()]));
-                series.len() - 1
+                series.last_mut()
             }
         };
-        if let Some(slot) = series[pos].1.get_mut(idx) {
+        if let Some(slot) = values.and_then(|(_, v)| v.get_mut(idx)) {
             *slot = row.value;
         }
     }
@@ -152,10 +152,10 @@ pub fn time_series(system: &Rased, result: &QueryResult, width: usize) -> String
         for col in 0..width.min(values.len()).max(1) {
             let lo = col * values.len() / width.max(1);
             let hi = (((col + 1) * values.len()) / width.max(1)).max(lo + 1);
-            let avg: f64 = values[lo..hi.min(values.len())].iter().sum::<f64>()
-                / (hi - lo).max(1) as f64;
+            let bucket = values.get(lo..hi.min(values.len())).unwrap_or_default();
+            let avg: f64 = bucket.iter().sum::<f64>() / (hi - lo).max(1) as f64;
             let shade = ((avg / max) * (shades.len() - 1) as f64).round() as usize;
-            line.push(shades[shade.min(shades.len() - 1)]);
+            line.push(shades.get(shade).copied().unwrap_or('█'));
         }
         let mut label = label.clone();
         if label.len() > label_width {
@@ -199,17 +199,12 @@ fn render_choropleth_frame(system: &Rased, values: &[f64], caption: &str) -> Str
             .countries()
             .code(rased_core::model::CountryId(i as u16))
             .unwrap_or("??");
-        let shade = shades[((v / max) * (shades.len() - 1) as f64).round() as usize % shades.len()];
+        let shade = ((v / max) * (shades.len() - 1) as f64).round() as usize;
+        let shade = shades.get(shade).copied().unwrap_or('█');
         let _ = write!(out, "{code:<3}{shade}{shade}  ");
     }
     out.push('\n');
-    let _ = writeln!(
-        out,
-        "scale: {} = 0 .. {} = {:.3}",
-        shades[0],
-        shades[shades.len() - 1],
-        max
-    );
+    let _ = writeln!(out, "scale: · = 0 .. █ = {max:.3}");
     out
 }
 

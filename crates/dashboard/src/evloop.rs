@@ -46,6 +46,7 @@
 //! until the listener, a reading or writing socket, or a worker
 //! completion (a byte on the bridge's wake socket) is ready, or the
 //! nearest connection deadline passes; under load the loop never waits.
+#![expect(clippy::disallowed_types, reason = "the event loop owns the client sockets")]
 
 use crate::admission::Permit;
 use crate::http::{read_request, write_response, HttpError, Limits, Request};

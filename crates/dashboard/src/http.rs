@@ -174,16 +174,17 @@ fn read_line_limited<R: BufRead>(
             }
             return Err(HttpError::Incomplete("connection closed mid-line"));
         }
-        let (take, done) = match buf.iter().position(|&b| b == b'\n') {
-            Some(i) => (i + 1, true),
-            None => (buf.len(), false),
+        let (chunk, done) = match buf.iter().position(|&b| b == b'\n') {
+            Some(i) => (buf.get(..=i).unwrap_or(buf), true),
+            None => (buf, false),
         };
+        let take = chunk.len();
         // Enforce the cap on what we buffer, not on what the client sends:
         // stop reading as soon as the line provably exceeds it.
         if out.len() + take > cap + 2 {
             return Err(too_long());
         }
-        out.extend_from_slice(&buf[..take]);
+        out.extend_from_slice(chunk);
         r.consume(take);
         consumed += take;
         if done {

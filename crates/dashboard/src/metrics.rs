@@ -165,15 +165,18 @@ impl ServerMetrics {
     /// A request was answered with `status` after `latency`.
     pub fn record_request(&self, endpoint: Endpoint, status: u16, latency: Duration) {
         let class = (status / 100).clamp(1, 5) as usize - 1;
-        self.status_classes[class].fetch_add(1, Relaxed);
         let ei = Endpoint::ALL.iter().position(|e| *e == endpoint).unwrap_or(Endpoint::ALL.len() - 1);
-        self.endpoints[ei].fetch_add(1, Relaxed);
         let micros = latency.as_micros().min(u128::from(u64::MAX)) as u64;
         let bi = LATENCY_BUCKETS_MICROS
             .iter()
             .position(|&le| micros <= le)
             .unwrap_or(LATENCY_BUCKETS_MICROS.len());
-        self.latency_buckets[bi].fetch_add(1, Relaxed);
+        for counter in [self.status_classes.get(class), self.endpoints.get(ei), self.latency_buckets.get(bi)]
+            .into_iter()
+            .flatten()
+        {
+            counter.fetch_add(1, Relaxed);
+        }
         self.latency_total_micros.fetch_add(micros, Relaxed);
     }
 
@@ -205,7 +208,7 @@ impl ServerMetrics {
     /// Requests answered in the given status class (2 → 2xx).
     pub fn requests_in_class(&self, class: u16) -> u64 {
         let i = (class.clamp(1, 5) - 1) as usize;
-        self.status_classes[i].load(Relaxed)
+        self.status_classes.get(i).map_or(0, |c| c.load(Relaxed))
     }
 
     /// Timeouts observed.
@@ -312,8 +315,8 @@ impl ServerMetrics {
         j.end_object();
 
         j.key("endpoints").begin_object();
-        for (i, e) in Endpoint::ALL.iter().enumerate() {
-            j.kv_uint(e.label(), self.endpoints[i].load(Relaxed));
+        for (e, n) in Endpoint::ALL.iter().zip(&self.endpoints) {
+            j.kv_uint(e.label(), n.load(Relaxed));
         }
         j.end_object();
 

@@ -30,8 +30,8 @@
 //! tiles whose cover touches `b`; viewports over other regions, and every
 //! temporal tile, stay hot.
 //!
-//! What is cached is the *wire form*: pre-serialized status line + headers
-//! + body, built by the same [`crate::http::response_head`] the cold path
+//! What is cached is the *wire form*: pre-serialized status line, headers
+//! and body, built by the same [`crate::http::response_head`] the cold path
 //! uses, so a cached response is byte-identical to a fresh render by
 //! construction (the property suite in `tests/respcache_props.rs` proves
 //! it end to end). A hit is a memcpy out of the event loop; only misses
@@ -268,6 +268,7 @@ impl ResponseCache {
 
     /// Deterministic shard placement (same fold hash family as
     /// `FlightGroup`, so placement is reproducible across runs).
+    #[expect(clippy::indexing_slicing, reason = "i is reduced mod shards.len(), which new() keeps >= 1")]
     fn shard(&self, key: &RespKey) -> &Mutex<Shard> {
         struct Fold(u64);
         impl Hasher for Fold {
@@ -287,7 +288,6 @@ impl ResponseCache {
         x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         x ^= x >> 32;
         let i = (x as usize) % self.shards.len();
-        // lint: allow(slice_index, "i is reduced mod shards.len(), which new() keeps >= 1")
         &self.shards[i]
     }
 
@@ -507,7 +507,7 @@ impl ResponseCache {
         // `i`'s floor, `spatial_floors[b]` is band `b`'s.
         let dense = |j: &mut Json, name: &str, ids: &dyn Fn(&u16) -> Option<usize>| {
             j.key(name).begin_array();
-            let last = floors.keys().filter_map(|k| ids(k)).max();
+            let last = floors.keys().filter_map(ids).max();
             if let Some(last) = last {
                 for i in 0..=last {
                     let floor = floors

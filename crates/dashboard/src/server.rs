@@ -45,6 +45,7 @@
 //! the request it is on, with `Connection: close`), and
 //! [`DashboardServer::serve`] returns only after every worker has been
 //! joined.
+#![expect(clippy::disallowed_types, reason = "the serving tier binds the listener and hands sockets to the event loop")]
 
 use crate::admission::AdmissionControl;
 use crate::api::{parse_analysis_query, parse_query_string, result_to_json};

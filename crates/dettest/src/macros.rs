@@ -6,11 +6,12 @@
 //! det_proptest! {
 //!     #![det_config(cases = 64)]
 //!
-//!     #[test]
+//!     // In a test file each property also carries `#[test]`.
 //!     fn addition_commutes(a in 0i64..1000, b in 0i64..1000) {
 //!         assert_eq!(a + b, b + a);
 //!     }
 //! }
+//! addition_commutes();
 //! ```
 //!
 //! Bodies use plain `assert!` / `assert_eq!`; the runner catches the panic,

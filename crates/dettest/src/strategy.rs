@@ -155,8 +155,11 @@ impl<T: Clone + Debug + 'static> Strategy for Just<T> {
 /// See [`Strategy::prop_map`].
 pub struct Map<S: Strategy, U> {
     inner: S,
-    f: Rc<dyn Fn(&S::Value) -> U>,
+    f: MapFn<S::Value, U>,
 }
+
+/// The shared mapping function a [`Map`] applies to every shrink node.
+type MapFn<T, U> = Rc<dyn Fn(&T) -> U>;
 
 impl<S: Strategy, U: Clone + Debug + 'static> Strategy for Map<S, U> {
     type Value = U;
@@ -195,19 +198,19 @@ impl<T: Clone + Debug + 'static> Strategy for BoxedStrategy<T> {
 
 /// Uniform choice among alternatives. The chosen alternative's own shrink
 /// tree is used (no cross-alternative shrinking).
-pub struct OneOf<T>(Vec<BoxedStrategy<T>>);
+pub struct OneOf<T>(Weighted<T>);
 
-/// Pick one of `alts` uniformly per case.
+/// Pick one of `alts` uniformly per case: a [`weighted`] choice with every
+/// weight 1, which draws the same index a uniform pick would.
 pub fn one_of<T: Clone + Debug + 'static>(alts: Vec<BoxedStrategy<T>>) -> OneOf<T> {
     assert!(!alts.is_empty(), "one_of of nothing");
-    OneOf(alts)
+    OneOf(weighted(alts.into_iter().map(|s| (1, s)).collect()))
 }
 
 impl<T: Clone + Debug + 'static> Strategy for OneOf<T> {
     type Value = T;
     fn tree(&self, rng: &mut Rng) -> Shrink<T> {
-        let i = rng.below(self.0.len() as u64) as usize;
-        self.0[i].tree(rng)
+        self.0.tree(rng)
     }
 }
 
@@ -226,6 +229,7 @@ pub fn weighted<T: Clone + Debug + 'static>(alts: Vec<(u32, BoxedStrategy<T>)>) 
 
 impl<T: Clone + Debug + 'static> Strategy for Weighted<T> {
     type Value = T;
+    #[expect(clippy::unreachable, reason = "weighted() asserts a positive total, so the roll lands on an alternative")]
     fn tree(&self, rng: &mut Rng) -> Shrink<T> {
         let mut roll = rng.below(self.total);
         for (w, s) in &self.alts {
@@ -331,19 +335,16 @@ fn vec_tree<T: Clone + 'static>(elems: Vec<Shrink<T>>, min: usize) -> Shrink<Vec
         while k > 0 {
             let mut start = 0;
             while start + k <= n {
-                let mut rest = Vec::with_capacity(n - k);
-                rest.extend_from_slice(&elems[..start]);
-                rest.extend_from_slice(&elems[start + k..]);
+                let rest = elems.iter().take(start).chain(elems.iter().skip(start + k)).cloned().collect();
                 kids.push(vec_tree(rest, min));
                 start += k;
             }
             k /= 2;
         }
         // Shrink elements in place, left to right.
-        for i in 0..n {
-            for c in elems[i].children() {
-                let mut e2 = elems.clone();
-                e2[i] = c;
+        for (i, e) in elems.iter().enumerate() {
+            for c in e.children() {
+                let e2 = elems.iter().take(i).cloned().chain([c]).chain(elems.iter().skip(i + 1).cloned()).collect();
                 kids.push(vec_tree(e2, min));
             }
         }
@@ -360,7 +361,7 @@ pub fn string_from(alphabet: &str, len: impl LenRange) -> Map<VecOf<Range<usize>
     let chars: Vec<char> = alphabet.chars().collect();
     assert!(!chars.is_empty(), "empty alphabet");
     let n = chars.len();
-    vec_of(0..n, len).prop_map(move |ids| ids.into_iter().map(|i| chars[i]).collect())
+    vec_of(0..n, len).prop_map(move |ids| ids.into_iter().filter_map(|i| chars.get(i)).collect())
 }
 
 // --- tuples -----------------------------------------------------------------

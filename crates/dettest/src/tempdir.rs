@@ -6,6 +6,7 @@
 //! everywhere property tests live) so unit tests stop hand-rolling leaky
 //! `std::env::temp_dir()` paths: the directory is removed recursively on
 //! drop, including when the owning test fails.
+#![expect(clippy::disallowed_methods, reason = "scratch directories live under the system temp dir")]
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,7 +27,7 @@ impl TempDir {
         let n = NEXT_TMPDIR.fetch_add(1, Ordering::Relaxed);
         let path = std::env::temp_dir().join(format!("rased-{tag}-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&path);
-        // lint: allow(panic, "test infrastructure: a test cannot proceed without its directory")
+        #[expect(clippy::expect_used, reason = "test infrastructure: a test cannot proceed without its directory")]
         std::fs::create_dir_all(&path).expect("create temp dir");
         TempDir { path }
     }

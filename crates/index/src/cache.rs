@@ -94,6 +94,7 @@ impl CubeCache {
     /// Deterministic shard pick: granularity and start date, multiplicative
     /// mix. (Deliberately not `RandomState`: shard placement must be
     /// reproducible run to run.)
+    #[expect(clippy::indexing_slicing, reason = "i is reduced mod shards.len(), which new() keeps >= 1")]
     fn shard(&self, period: &Period) -> &CacheShard {
         let date = period.start();
         let raw = ((period.granularity() as u64) << 32)
@@ -102,7 +103,6 @@ impl CubeCache {
             ^ (date.day() as u64);
         let mixed = raw.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let i = ((mixed ^ (mixed >> 32)) as usize) % self.shards.len();
-        // lint: allow(slice_index, "i is reduced mod shards.len(), which new() keeps >= 1")
         &self.shards[i]
     }
 

@@ -87,7 +87,7 @@ impl<'a> LevelPlanner<'a> {
     }
 
     fn enabled(&self) -> &'static [Granularity] {
-        &Granularity::ALL[..self.levels as usize]
+        Granularity::ALL.get(..self.levels as usize).unwrap_or(&Granularity::ALL)
     }
 
     /// Plan a cover of `range` with the chosen algorithm.
@@ -127,38 +127,39 @@ impl<'a> LevelPlanner<'a> {
     fn plan_dp(&self, range: DateRange) -> QueryPlan {
         let n = range.len_days() as usize;
         let start = range.start();
-        // best[i]: (cost, chosen period+source) for suffix starting at day i.
+        // best[i]: (cost, chosen period+source) for suffix starting at day
+        // i; best[n] is the empty suffix.
         const INF: (u64, u64) = (u64::MAX, u64::MAX);
-        let mut best: Vec<(u64, u64)> = vec![INF; n + 1];
-        let mut choice: Vec<Option<PlannedCube>> = vec![None; n + 1];
-        best[n] = (0, 0);
+        let mut best: Vec<((u64, u64), Option<PlannedCube>)> = vec![(INF, None); n];
+        best.push(((0, 0), None));
 
         for i in (0..n).rev() {
             let day = start.add_days(i as i32);
+            let mut here = (INF, None);
             for &g in self.enabled() {
                 let p = Period::containing(g, day);
                 if p.start() != day {
                     continue; // not aligned at this position
                 }
-                let len = p.len_days() as usize;
-                if i + len > n {
-                    continue; // sticks out of the window
-                }
+                // No suffix state past best[n]: the period sticks out of
+                // the window.
+                let Some(&((sd, sc), _)) = best.get(i + p.len_days() as usize) else { continue };
                 let Some(source) = self.source_of(p) else { continue };
                 let (cd, cc) = Self::cost_of(source);
-                let (sd, sc) = best[i + len];
                 if sd == u64::MAX {
                     continue;
                 }
                 let cand = (cd + sd, cc + sc);
-                if cand < best[i] {
-                    best[i] = cand;
-                    choice[i] = Some(PlannedCube { period: p, source });
+                if cand < here.0 {
+                    here = (cand, Some(PlannedCube { period: p, source }));
                 }
             }
             // Day granularity is always enabled and always aligned, so
             // best[i] is always reachable.
-            debug_assert_ne!(best[i], INF, "day {day} unreachable");
+            debug_assert_ne!(here.0, INF, "day {day} unreachable");
+            if let Some(slot) = best.get_mut(i) {
+                *slot = here;
+            }
         }
 
         let mut cubes = Vec::new();
@@ -166,10 +167,10 @@ impl<'a> LevelPlanner<'a> {
         while i < n {
             // Day granularity is always enabled and day periods are aligned
             // at every position, so the DP fills every suffix state: the
-            // day-cube candidate sets choice[i] whenever best[i+1] is
+            // day-cube candidate sets best[i]'s choice whenever best[i+1] is
             // reachable, and best[n] is the base case.
-            // lint: allow(panic, "DP invariant: day level makes every suffix state reachable")
-            let c = choice[i].expect("reachable state");
+            #[expect(clippy::expect_used, reason = "DP invariant: day level makes every suffix state reachable")]
+            let c = best.get(i).and_then(|&(_, c)| c).expect("reachable state");
             cubes.push(c);
             i += c.period.len_days() as usize;
         }
@@ -206,7 +207,7 @@ impl<'a> LevelPlanner<'a> {
             // Pass 2 always finds at least the day period: day granularity
             // is always enabled, a day aligns at every date, and
             // source_of(day) always yields Build if nothing is stored.
-            // lint: allow(panic, "day granularity is always enabled and aligned, so pass 2 cannot miss")
+            #[expect(clippy::expect_used, reason = "day granularity is always enabled and aligned, so pass 2 cannot miss")]
             let c = chosen.expect("day level always usable");
             cubes.push(c);
             day = c.period.end().succ();

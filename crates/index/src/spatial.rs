@@ -72,6 +72,10 @@ pub struct SpatialPublishReport {
     pub shards_touched: usize,
 }
 
+/// Decoded blocks by (bank shard, key), each tagged with the page it was
+/// read from.
+type BlockCache = LruCache<(usize, CubeKey), (PageId, Arc<SparseBlock>)>;
+
 /// The spatial block bank: N longitude-band shards of per-cell
 /// pre-aggregated blocks over one [`GridSpec`].
 pub struct SpatialBank {
@@ -84,7 +88,7 @@ pub struct SpatialBank {
     marker: TemporalIndex,
     /// Page-tagged block cache, shared across bank shards. A leaf lock:
     /// probes and inserts are memcpy-bounded and never held across I/O.
-    blocks: Mutex<LruCache<(usize, CubeKey), (PageId, Arc<SparseBlock>)>>,
+    blocks: Mutex<BlockCache>,
     cache_cap: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -292,7 +296,7 @@ impl SpatialBank {
             let mut c = self.blocks.lock();
             // A newer tag (post-publish reader got here first) must not be
             // clobbered by this older snapshot's copy.
-            if !c.peek(&(shard, key)).is_some_and(|(tag, _)| *tag > pg) {
+            if c.peek(&(shard, key)).is_none_or(|(tag, _)| *tag <= pg) {
                 c.insert((shard, key), (pg, Arc::clone(&block)));
                 while c.len() > self.cache_cap {
                     if c.pop_lru().is_none() {
@@ -415,7 +419,7 @@ impl SpatialBank {
             }
         }
 
-        for (store, unit) in self.shards.iter().zip(units.into_iter()) {
+        for (store, unit) in self.shards.iter().zip(units) {
             if !unit.is_empty() {
                 store.put_blocks(unit)?;
                 report.shards_touched += 1;

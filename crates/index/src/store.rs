@@ -274,6 +274,10 @@ const TOMBSTONE: u64 = u64::MAX;
 /// and in [`TemporalIndex::durable_mark`]'s backing atomic.
 const NO_MARK: u64 = u64::MAX;
 
+/// The callback [`TemporalIndex::set_publish_hook`] registers: invoked with
+/// each newly published epoch.
+pub type PublishHook = Arc<dyn Fn(u64) + Send + Sync>;
+
 /// The hierarchical temporal index: one disk page per cube, an
 /// epoch-versioned period → page catalog, a cube cache, and the
 /// maintenance procedures.
@@ -301,7 +305,7 @@ pub struct TemporalIndex {
     /// the WAL and catalog locks have dropped. The serving tier registers
     /// its response-cache sweep here; the hook is cloned out of the mutex
     /// before it runs, so it may take arbitrary downstream locks.
-    publish_hook: Mutex<Option<Arc<dyn Fn(u64) + Send + Sync>>>,
+    publish_hook: Mutex<Option<PublishHook>>,
 }
 
 impl fmt::Debug for TemporalIndex {
@@ -486,7 +490,7 @@ impl TemporalIndex {
     /// caches can take their own locks freely. Derived-cache owners (the
     /// dashboard's response cache) use it to retire entries keyed by
     /// superseded epochs.
-    pub fn set_publish_hook(&self, hook: Arc<dyn Fn(u64) + Send + Sync>) {
+    pub fn set_publish_hook(&self, hook: PublishHook) {
         *self.publish_hook.lock() = Some(hook);
     }
 
@@ -1106,7 +1110,11 @@ fn save_catalog(
     Ok(())
 }
 
-fn load_catalog(path: &Path) -> Result<(HashMap<CubeKey, PageId>, u64, Option<u64>), IndexError> {
+/// A catalog file's contents: the key → page map, its epoch and the
+/// durable row mark.
+type LoadedCatalog = (HashMap<CubeKey, PageId>, u64, Option<u64>);
+
+fn load_catalog(path: &Path) -> Result<LoadedCatalog, IndexError> {
     let bytes = std::fs::read(path).map_err(StorageError::from)?;
     if bytes.len() < CATALOG_HEADER || !bytes.starts_with(CATALOG_MAGIC) {
         return Err(IndexError::BadCatalog("missing or corrupt header".into()));

@@ -89,11 +89,20 @@ pub struct CallSite {
 
 /// One function in the graph.
 #[derive(Debug)]
-pub struct FnNode {
-    /// Indexes into the crate/file lists handed to [`Graph::build`].
-    pub krate: usize,
-    pub file: usize,
+pub struct FnNode<'a> {
+    /// The owning crate's name (`rased-storage` form).
+    pub crate_name: &'a str,
+    /// The file the function lives in.
+    pub file: &'a SourceFile,
     pub item: FnItem,
+}
+
+impl FnNode<'_> {
+    /// `crate:Type::fn` / `crate:fn` — the id used in reports and in
+    /// `lint.toml` root lists (crate in its short form).
+    pub fn id(&self) -> String {
+        format!("{}:{}", crate::locks::short_crate(self.crate_name), self.item.display_name())
+    }
 }
 
 /// A resolved edge out of a function.
@@ -106,43 +115,16 @@ pub struct Edge {
 
 /// The workspace call graph.
 pub struct Graph<'a> {
-    pub crates: &'a [CrateSources],
-    pub fns: Vec<FnNode>,
+    pub fns: Vec<FnNode<'a>>,
     /// Outgoing edges per function, sorted and deduplicated.
     pub edges: Vec<Vec<Edge>>,
 }
 
 impl<'a> Graph<'a> {
-    /// The node for `id` — the one indexed lookup every other accessor
-    /// funnels through (ids come from this graph, so it is in range).
-    fn node(&self, id: usize) -> &FnNode {
-        &self.fns[id]
-    }
-
-    /// The file a function lives in.
-    pub fn file(&self, id: usize) -> &'a SourceFile {
-        let n = self.node(id);
-        &self.crates[n.krate].files[n.file]
-    }
-
-    /// The function's crate name (`rased-storage` form).
-    pub fn crate_name(&self, id: usize) -> &'a str {
-        self.crates.get(self.node(id).krate).map_or("", |c| c.name.as_str())
-    }
-
-    /// `crate:Type::fn` / `crate:fn` — the id used in reports and in
-    /// `lint.toml` root lists (crate in its short form).
+    /// The report id of function `id` ([`FnNode::id`]); empty for an id
+    /// this graph does not hold.
     pub fn fn_id(&self, id: usize) -> String {
-        format!(
-            "{}:{}",
-            crate::locks::short_crate(self.crate_name(id)),
-            self.node(id).item.display_name()
-        )
-    }
-
-    /// 1-based line of the function's `fn` keyword.
-    pub fn fn_line(&self, id: usize) -> u32 {
-        self.file(id).sline(self.node(id).item.sig_s)
+        self.fns.get(id).map_or_else(String::new, FnNode::id)
     }
 
     /// Functions matching a `crate:name` / `crate:Type::name` spec.
@@ -151,8 +133,8 @@ impl<'a> Graph<'a> {
         self.fns
             .iter()
             .enumerate()
-            .filter(|(id, n)| {
-                crate::locks::short_crate(self.crate_name(*id)) == krate
+            .filter(|(_, n)| {
+                crate::locks::short_crate(n.crate_name) == krate
                     && (n.item.name == name || n.item.display_name() == name)
             })
             .map(|(id, _)| id)
@@ -203,14 +185,14 @@ impl<'a> Graph<'a> {
     pub fn build(crates: &'a [CrateSources]) -> Graph<'a> {
         // Pass 1: extract per-file item tables and flatten functions in
         // deterministic (crate, file, token) order.
-        let mut fns: Vec<FnNode> = Vec::new();
+        let mut fns: Vec<FnNode<'a>> = Vec::new();
         let mut fields: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
         let mut modules: BTreeSet<String> = BTreeSet::new();
         let mut types: BTreeSet<String> = BTreeSet::new();
-        for (ci, c) in crates.iter().enumerate() {
+        for c in crates {
             modules.insert(crate::locks::short_crate(&c.name).replace('-', "_"));
             modules.insert(c.name.replace('-', "_"));
-            for (fi, file) in c.files.iter().enumerate() {
+            for file in &c.files {
                 if let Some(stem) = file.path.file_stem().and_then(|s| s.to_str()) {
                     if stem != "lib" && stem != "main" && stem != "mod" {
                         modules.insert(stem.to_string());
@@ -227,7 +209,7 @@ impl<'a> Graph<'a> {
                     fields.entry(name).or_default().insert(ty);
                 }
                 for item in table.fns {
-                    fns.push(FnNode { krate: ci, file: fi, item });
+                    fns.push(FnNode { crate_name: &c.name, file, item });
                 }
             }
         }
@@ -248,7 +230,6 @@ impl<'a> Graph<'a> {
         }
 
         let resolver = Resolver {
-            crates,
             fns: &fns,
             free_by_name,
             methods_by_name,
@@ -264,17 +245,13 @@ impl<'a> Graph<'a> {
             .enumerate()
             .map(|(caller, node)| {
                 let Some((open, close)) = node.item.body else { return Vec::new() };
-                let Some(file) = crates.get(node.krate).and_then(|c| c.files.get(node.file))
-                else {
-                    return Vec::new();
-                };
+                let file = node.file;
                 // Nested fn bodies are separate items: exclude their ranges
                 // so their calls are attributed to the nested fn only.
                 let nested: Vec<(usize, usize)> = fns
                     .iter()
                     .filter(|other| {
-                        other.krate == node.krate
-                            && other.file == node.file
+                        std::ptr::eq(other.file, file)
                             && other.item.body.is_some_and(|(o, c)| o > open && c < close)
                     })
                     .filter_map(|other| other.item.body)
@@ -294,13 +271,12 @@ impl<'a> Graph<'a> {
             })
             .collect();
 
-        Graph { crates, fns, edges }
+        Graph { fns, edges }
     }
 }
 
 struct Resolver<'a> {
-    crates: &'a [CrateSources],
-    fns: &'a [FnNode],
+    fns: &'a [FnNode<'a>],
     free_by_name: BTreeMap<&'a str, Vec<usize>>,
     methods_by_name: BTreeMap<&'a str, Vec<usize>>,
     methods_by_type: BTreeMap<(&'a str, &'a str), Vec<usize>>,
@@ -315,7 +291,7 @@ struct Resolver<'a> {
 impl<'a> Resolver<'a> {
     fn resolve(
         &self,
-        caller: &FnNode,
+        caller: &FnNode<'_>,
         locals: &BTreeMap<String, String>,
         callee: &Callee,
     ) -> Vec<usize> {
@@ -352,7 +328,7 @@ impl<'a> Resolver<'a> {
 
     fn resolve_method(
         &self,
-        caller: &FnNode,
+        caller: &FnNode<'_>,
         locals: &BTreeMap<String, String>,
         name: &str,
         receiver: Option<&str>,
@@ -393,13 +369,13 @@ impl<'a> Resolver<'a> {
         self.unique_method(name)
     }
 
-    fn resolve_free(&self, caller: &FnNode, name: &str, qualifier: Option<&str>) -> Vec<usize> {
+    fn resolve_free(&self, caller: &FnNode<'_>, name: &str, qualifier: Option<&str>) -> Vec<usize> {
         match qualifier {
             Some(q) if self.types.contains(q) => self.methods_of(q, name),
             Some(q) if q.chars().next().is_some_and(|c| c.is_ascii_uppercase()) => {
                 Vec::new() // non-workspace type (std): no edge
             }
-            Some(q) if matches!(q, "self" | "crate" | "super") => self.free_fns(caller, name),
+            Some("self" | "crate" | "super") => self.free_fns(caller, name),
             Some(q) if self.modules.contains(q) => {
                 let all = self.free_by_name.get(name).cloned().unwrap_or_default();
                 // Prefer fns actually living in that module (file stem or
@@ -409,13 +385,7 @@ impl<'a> Resolver<'a> {
                     .copied()
                     .filter(|&id| {
                         let Some(node) = self.fns.get(id) else { return false };
-                        let stem = self
-                            .crates
-                            .get(node.krate)
-                            .and_then(|c| c.files.get(node.file))
-                            .and_then(|f| f.path.file_stem())
-                            .and_then(|s| s.to_str())
-                            .unwrap_or("");
+                        let stem = node.file.path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
                         stem == q || node.item.module_path.iter().any(|m| m == q)
                     })
                     .collect();
@@ -427,12 +397,12 @@ impl<'a> Resolver<'a> {
     }
 
     /// Free fns named `name`, same-crate first.
-    fn free_fns(&self, caller: &FnNode, name: &str) -> Vec<usize> {
+    fn free_fns(&self, caller: &FnNode<'_>, name: &str) -> Vec<usize> {
         let all = self.free_by_name.get(name).cloned().unwrap_or_default();
         let same_crate: Vec<usize> = all
             .iter()
             .copied()
-            .filter(|&id| self.fns.get(id).is_some_and(|n| n.krate == caller.krate))
+            .filter(|&id| self.fns.get(id).is_some_and(|n| n.crate_name == caller.crate_name))
             .collect();
         if same_crate.is_empty() { all } else { same_crate }
     }
@@ -555,7 +525,7 @@ mod tests {
         assert_eq!(edge_names(&g, "top"), vec!["helper"]);
         let id = (0..g.fns.len()).find(|&i| g.fns[i].item.name == "top").expect("top");
         let target = g.edges[id][0].callee;
-        assert_eq!(g.crate_name(target), "rased-a", "same-crate helper wins");
+        assert_eq!(g.fns[target].crate_name, "rased-a", "same-crate helper wins");
     }
 
     #[test]

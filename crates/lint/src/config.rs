@@ -15,13 +15,8 @@ use std::collections::HashMap;
 use std::path::Path;
 
 /// The lint policy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Config {
-    /// Crates where unsuppressed `panic` findings fail outright (the
-    /// request path), independent of the baseline.
-    pub panic_deny_crates: Vec<String>,
-    /// Files (workspace-relative) exempt from the determinism pass.
-    pub determinism_allow: Vec<String>,
     /// Lock rank table: `crate:field` → rank; nested acquisitions must
     /// strictly increase in rank.
     pub lock_ranks: HashMap<String, i64>,
@@ -29,8 +24,6 @@ pub struct Config {
     /// propagation — the lock primitive's own internals, audited by the
     /// intra-function pass and the runtime detector instead.
     pub lock_exempt_files: Vec<String>,
-    /// Dependency names that must not appear in any manifest.
-    pub hermetic_banned: Vec<String>,
     /// Event-loop root functions (`crate:fn` / `crate:Type::fn`) whose
     /// reachable callees must not block.
     pub nonblocking_roots: Vec<String>,
@@ -42,31 +35,6 @@ pub struct Config {
     pub nonblocking_deny_calls: Vec<String>,
     /// Files (workspace-relative) exempt from the nonblocking pass.
     pub nonblocking_allow_files: Vec<String>,
-    /// Request-path root functions for panic reachability: panics in *any*
-    /// crate reachable from these are denied like request-path-crate
-    /// panics.
-    pub panic_reach_roots: Vec<String>,
-}
-
-impl Default for Config {
-    fn default() -> Config {
-        Config {
-            panic_deny_crates: Vec::new(),
-            determinism_allow: Vec::new(),
-            lock_ranks: HashMap::new(),
-            lock_exempt_files: Vec::new(),
-            hermetic_banned: vec![
-                "proptest".to_string(),
-                "parking_lot".to_string(),
-                "criterion".to_string(),
-            ],
-            nonblocking_roots: Vec::new(),
-            nonblocking_allow_locks: Vec::new(),
-            nonblocking_deny_calls: Vec::new(),
-            nonblocking_allow_files: Vec::new(),
-            panic_reach_roots: Vec::new(),
-        }
-    }
 }
 
 /// A malformed `lint.toml`.
@@ -123,18 +91,6 @@ impl Config {
                 return Err(ConfigError { line: lineno, message: format!("expected `key = value`, got {line:?}") });
             };
             match (section.as_str(), key.as_str()) {
-                ("panic", "deny_crates") => {
-                    config.panic_deny_crates = parse_string_array(&value, lineno)?;
-                }
-                ("panic", "reach_roots") => {
-                    config.panic_reach_roots = parse_string_array(&value, lineno)?;
-                }
-                ("determinism", "allow") => {
-                    config.determinism_allow = parse_string_array(&value, lineno)?;
-                }
-                ("hermetic", "banned") => {
-                    config.hermetic_banned = parse_string_array(&value, lineno)?;
-                }
                 ("locks", "exempt_files") => {
                     config.lock_exempt_files = parse_string_array(&value, lineno)?;
                 }
@@ -180,7 +136,7 @@ fn strip_comment(line: &str) -> &str {
     for (i, c) in line.char_indices() {
         match c {
             '"' => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
+            '#' if !in_str => return line.get(..i).unwrap_or(line),
             _ => {}
         }
     }
@@ -194,8 +150,8 @@ fn split_kv(line: &str) -> Option<(String, String)> {
         match c {
             '"' => in_str = !in_str,
             '=' if !in_str => {
-                let key = line[..i].trim().trim_matches('"').to_string();
-                let value = line[i + 1..].trim().to_string();
+                let key = line.get(..i)?.trim().trim_matches('"').to_string();
+                let value = line.get(i + 1..)?.trim().to_string();
                 return Some((key, value));
             }
             _ => {}
@@ -226,44 +182,12 @@ mod tests {
     fn parses_all_sections() {
         let text = r#"
 # policy
-[panic]
-deny_crates = ["rased-dashboard", "rased-storage"]   # request path
-
-[determinism]
-allow = ["crates/dashboard/src/server.rs"]
+[locks]
+exempt_files = ["crates/storage/src/sync.rs"]   # the primitive itself
 
 [locks.rank]
-"dashboard:inner" = 10
+"dashboard:jobs" = 10
 "storage:inner" = 40
-
-[hermetic]
-banned = ["proptest", "parking_lot"]
-"#;
-        let c = Config::parse(text).expect("parses");
-        assert_eq!(c.panic_deny_crates, vec!["rased-dashboard", "rased-storage"]);
-        assert_eq!(c.determinism_allow, vec!["crates/dashboard/src/server.rs"]);
-        assert_eq!(c.lock_rank("dashboard:inner"), Some(10));
-        assert_eq!(c.lock_rank("storage:inner"), Some(40));
-        assert_eq!(c.lock_rank("nope"), None);
-        assert_eq!(c.hermetic_banned, vec!["proptest", "parking_lot"]);
-    }
-
-    #[test]
-    fn multi_line_arrays_fold() {
-        let text = "[determinism]\nallow = [\n    \"a.rs\",  # serving tier\n    \"b.rs\",\n]\n";
-        let c = Config::parse(text).expect("parses");
-        assert_eq!(c.determinism_allow, vec!["a.rs", "b.rs"]);
-        assert!(Config::parse("[determinism]\nallow = [\n\"a.rs\",\n").is_err());
-    }
-
-    #[test]
-    fn interprocedural_sections_parse() {
-        let text = r#"
-[panic]
-reach_roots = ["dashboard:event_loop", "dashboard:Server::handle_connection"]
-
-[locks]
-exempt_files = ["crates/storage/src/sync.rs"]
 
 [nonblocking]
 roots = ["dashboard:event_loop"]
@@ -272,7 +196,9 @@ deny_calls = ["dashboard:Server::route"]
 allow_files = ["crates/storage/src/sync.rs"]
 "#;
         let c = Config::parse(text).expect("parses");
-        assert_eq!(c.panic_reach_roots.len(), 2);
+        assert_eq!(c.lock_rank("dashboard:jobs"), Some(10));
+        assert_eq!(c.lock_rank("storage:inner"), Some(40));
+        assert_eq!(c.lock_rank("nope"), None);
         assert_eq!(c.lock_exempt_files, vec!["crates/storage/src/sync.rs"]);
         assert_eq!(c.nonblocking_roots, vec!["dashboard:event_loop"]);
         assert_eq!(c.nonblocking_allow_locks, vec!["dashboard:jobs", "dashboard:done"]);
@@ -281,15 +207,26 @@ allow_files = ["crates/storage/src/sync.rs"]
     }
 
     #[test]
-    fn unknown_keys_are_errors() {
-        assert!(Config::parse("[panic]\nmystery = [\"x\"]\n").is_err());
+    fn multi_line_arrays_fold() {
+        let text = "[nonblocking]\nroots = [\n    \"a:f\",  # serving tier\n    \"b:g\",\n]\n";
+        let c = Config::parse(text).expect("parses");
+        assert_eq!(c.nonblocking_roots, vec!["a:f", "b:g"]);
+        assert!(Config::parse("[nonblocking]\nroots = [\n\"a:f\",\n").is_err());
+    }
+
+    #[test]
+    fn unknown_and_retired_keys_are_errors() {
+        assert!(Config::parse("[locks]\nmystery = [\"x\"]\n").is_err());
         assert!(Config::parse("[locks.rank]\n\"a:b\" = ten\n").is_err());
+        // The sections clippy and the lockfile test replaced stay gone.
+        assert!(Config::parse("[panic]\ndeny_crates = [\"x\"]\n").is_err());
+        assert!(Config::parse("[determinism]\nallow = [\"x\"]\n").is_err());
+        assert!(Config::parse("[hermetic]\nbanned = [\"x\"]\n").is_err());
     }
 
     #[test]
     fn empty_text_gives_defaults() {
         let c = Config::parse("").expect("parses");
-        assert!(c.panic_deny_crates.is_empty());
-        assert!(c.hermetic_banned.contains(&"proptest".to_string()));
+        assert!(c.lock_ranks.is_empty() && c.nonblocking_roots.is_empty());
     }
 }

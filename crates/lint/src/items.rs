@@ -183,10 +183,8 @@ fn impl_header(file: &SourceFile, s: usize, end: usize) -> Option<(String, usize
                 let ty = segments.last()?.clone();
                 return Some((ty, open));
             }
-            _ if angle == 0 => {
-                if file.skind(j) == Some(crate::lexer::TokenKind::Ident) {
-                    segments.push(t.into_owned());
-                }
+            _ if angle == 0 && file.skind(j) == Some(crate::lexer::TokenKind::Ident) => {
+                segments.push(t.into_owned());
             }
             _ => {}
         }
@@ -396,11 +394,9 @@ fn struct_fields(file: &SourceFile, start: usize, end: usize, out: &mut FileItem
             ">" => angle = (angle - 1).max(0),
             "," if depth == 0 && angle == 0 => expect_field = true,
             "pub" => {}
-            "#" => {
-                // Field attribute: skip its `[...]` group.
-                if j + 1 < end && text(j + 1) == "[" {
-                    j = file.matching_close(&file.shipped, j + 1).min(end);
-                }
+            // Field attribute: skip its `[...]` group.
+            "#" if j + 1 < end && text(j + 1) == "[" => {
+                j = file.matching_close(&file.shipped, j + 1).min(end);
             }
             _ if expect_field && depth == 0 && angle == 0 && is_ident(file, j) => {
                 if j + 1 < end && text(j + 1) == ":" {

@@ -149,32 +149,37 @@ fn is_ident_continue(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
+/// Advance `*i` past every byte satisfying `pred`.
+fn skip(src: &[u8], i: &mut usize, pred: impl Fn(u8) -> bool) {
+    while src.get(*i).is_some_and(|&b| pred(b)) {
+        *i += 1;
+    }
+}
+
 /// Consume one token starting at `*i`, advancing `*i` past it.
 fn next_kind(src: &[u8], i: &mut usize) -> TokenKind {
-    let b = src[*i];
+    let Some(&b) = src.get(*i) else { return TokenKind::Unknown };
+    let next = src.get(*i + 1).copied();
 
     if b.is_ascii_whitespace() {
-        while *i < src.len() && src[*i].is_ascii_whitespace() {
-            *i += 1;
-        }
+        skip(src, i, |c| c.is_ascii_whitespace());
         return TokenKind::Whitespace;
     }
 
-    if b == b'/' && src.get(*i + 1) == Some(&b'/') {
-        while *i < src.len() && src[*i] != b'\n' {
-            *i += 1;
-        }
+    if b == b'/' && next == Some(b'/') {
+        skip(src, i, |c| c != b'\n');
         return TokenKind::LineComment;
     }
 
-    if b == b'/' && src.get(*i + 1) == Some(&b'*') {
+    if b == b'/' && next == Some(b'*') {
         *i += 2;
         let mut depth = 1usize;
-        while *i < src.len() {
-            if src[*i] == b'/' && src.get(*i + 1) == Some(&b'*') {
+        while let Some(&c) = src.get(*i) {
+            let after = src.get(*i + 1).copied();
+            if c == b'/' && after == Some(b'*') {
                 depth += 1;
                 *i += 2;
-            } else if src[*i] == b'*' && src.get(*i + 1) == Some(&b'/') {
+            } else if c == b'*' && after == Some(b'/') {
                 depth -= 1;
                 *i += 2;
                 if depth == 0 {
@@ -195,19 +200,10 @@ fn next_kind(src: &[u8], i: &mut usize) -> TokenKind {
             return kind;
         }
         // Raw identifier `r#ident`.
-        if b == b'r'
-            && src.get(*i + 1) == Some(&b'#')
-            && src.get(*i + 2).copied().is_some_and(is_ident_start)
-        {
+        if b == b'r' && next == Some(b'#') && src.get(*i + 2).copied().is_some_and(is_ident_start) {
             *i += 2;
-            while *i < src.len() && is_ident_continue(src[*i]) {
-                *i += 1;
-            }
-            return TokenKind::Ident;
         }
-        while *i < src.len() && is_ident_continue(src[*i]) {
-            *i += 1;
-        }
+        skip(src, i, is_ident_continue);
         return TokenKind::Ident;
     }
 
@@ -223,21 +219,20 @@ fn next_kind(src: &[u8], i: &mut usize) -> TokenKind {
         return lex_number(src, i);
     }
 
-    if b.is_ascii_punctuation() {
-        *i += 1;
-        return TokenKind::Punct;
-    }
-
     *i += 1;
-    TokenKind::Unknown
+    if b.is_ascii_punctuation() {
+        TokenKind::Punct
+    } else {
+        TokenKind::Unknown
+    }
 }
 
 /// `r"…"`, `r#"…"#`, `b"…"`, `br#"…"#`, `b'x'`, `c"…"`, `cr#"…"#`.
 /// Returns `None` when the ident at `*i` isn't such a prefix (leaving `*i`
 /// untouched).
 fn try_prefixed_literal(src: &[u8], i: &mut usize) -> Option<TokenKind> {
-    let b = src[*i];
-    let rest = &src[*i..];
+    let rest = src.get(*i..)?;
+    let b = *rest.first()?;
     let (prefix_len, raw) = match b {
         b'r' => (1, true),
         b'b' | b'c' => match rest.get(1) {
@@ -263,9 +258,9 @@ fn try_prefixed_literal(src: &[u8], i: &mut usize) -> Option<TokenKind> {
         }
         *i += prefix_len + hashes + 1;
         // Scan for `"` followed by `hashes` many `#`s.
-        while *i < src.len() {
-            if src[*i] == b'"' && src[*i + 1..].iter().take(hashes).filter(|&&c| c == b'#').count() == hashes
-            {
+        while let Some(&c) = src.get(*i) {
+            let fence = src.get(*i + 1..*i + 1 + hashes);
+            if c == b'"' && fence.is_some_and(|h| h.iter().all(|&c| c == b'#')) {
                 *i += 1 + hashes;
                 return Some(TokenKind::StrLit);
             }
@@ -281,8 +276,8 @@ fn try_prefixed_literal(src: &[u8], i: &mut usize) -> Option<TokenKind> {
 /// A `"…"` body with escapes, starting at the opening quote.
 fn lex_plain_string(src: &[u8], i: &mut usize) -> TokenKind {
     *i += 1; // opening quote
-    while *i < src.len() {
-        match src[*i] {
+    while let Some(&c) = src.get(*i) {
+        match c {
             b'\\' => *i = (*i + 2).min(src.len()),
             b'"' => {
                 *i += 1;
@@ -300,9 +295,7 @@ fn lex_char_or_lifetime(src: &[u8], i: &mut usize) -> TokenKind {
     // (that last case is a char literal like 'a').
     if src.get(*i + 1).copied().is_some_and(is_ident_start) {
         let mut j = *i + 1;
-        while j < src.len() && is_ident_continue(src[j]) {
-            j += 1;
-        }
+        skip(src, &mut j, is_ident_continue);
         if src.get(j) != Some(&b'\'') {
             *i = j;
             return TokenKind::Lifetime;
@@ -315,8 +308,8 @@ fn lex_char_or_lifetime(src: &[u8], i: &mut usize) -> TokenKind {
 /// quote. Gives up (typed error) at a newline or end of input.
 fn lex_char_or_lifetime_strictly_char(src: &[u8], i: &mut usize) -> TokenKind {
     *i += 1; // opening quote
-    while *i < src.len() {
-        match src[*i] {
+    while let Some(&c) = src.get(*i) {
+        match c {
             b'\\' => *i = (*i + 2).min(src.len()),
             b'\'' => {
                 *i += 1;
@@ -334,25 +327,20 @@ fn lex_char_or_lifetime_strictly_char(src: &[u8], i: &mut usize) -> TokenKind {
 /// An integer or float literal, including `0x…`/`0o…`/`0b…` bases, `_`
 /// separators, exponents, and directly attached suffixes (`1u64`).
 fn lex_number(src: &[u8], i: &mut usize) -> TokenKind {
-    let is_base_prefixed = src[*i] == b'0'
+    let digit = |b: u8| b.is_ascii_digit() || b == b'_';
+    let is_base_prefixed = src.get(*i) == Some(&b'0')
         && matches!(src.get(*i + 1), Some(b'x' | b'o' | b'b' | b'X' | b'O' | b'B'));
     if is_base_prefixed {
         *i += 2;
-        while *i < src.len() && (src[*i].is_ascii_alphanumeric() || src[*i] == b'_') {
-            *i += 1;
-        }
+        skip(src, i, is_ident_continue);
         return TokenKind::Number;
     }
-    while *i < src.len() && (src[*i].is_ascii_digit() || src[*i] == b'_') {
-        *i += 1;
-    }
+    skip(src, i, digit);
     // Fraction: only when a digit follows the dot (`0.5` yes; `0.lock()`
     // and `0..n` no).
     if src.get(*i) == Some(&b'.') && src.get(*i + 1).copied().is_some_and(|b| b.is_ascii_digit()) {
         *i += 1;
-        while *i < src.len() && (src[*i].is_ascii_digit() || src[*i] == b'_') {
-            *i += 1;
-        }
+        skip(src, i, digit);
     }
     // Exponent.
     if matches!(src.get(*i), Some(b'e' | b'E')) {
@@ -362,15 +350,11 @@ fn lex_number(src: &[u8], i: &mut usize) -> TokenKind {
         }
         if src.get(j).copied().is_some_and(|b| b.is_ascii_digit()) {
             *i = j;
-            while *i < src.len() && (src[*i].is_ascii_digit() || src[*i] == b'_') {
-                *i += 1;
-            }
+            skip(src, i, digit);
         }
     }
     // Suffix (`u8`, `f64`, `usize`) directly attached.
-    while *i < src.len() && is_ident_continue(src[*i]) {
-        *i += 1;
-    }
+    skip(src, i, is_ident_continue);
     TokenKind::Number
 }
 

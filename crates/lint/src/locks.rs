@@ -92,9 +92,10 @@ pub struct BodyFacts {
     pub held_at: BTreeMap<usize, Vec<String>>,
 }
 
-/// Run the intra-function pass over one file.
-pub fn scan(crate_name: &str, config: &Config, file: &SourceFile, out: &mut Vec<Finding>) {
-    analyze(crate_name, config, file, 0, file.shipped.len(), Some(out));
+/// Run the intra-function pass over one file, returning its facts (the
+/// caller checks every ranked lock is acquired somewhere).
+pub fn scan(crate_name: &str, config: &Config, file: &SourceFile, out: &mut Vec<Finding>) -> BodyFacts {
+    analyze(crate_name, config, file, 0, file.shipped.len(), Some(out))
 }
 
 /// Walk `shipped[start..end]` with the guard state machine: extract
@@ -268,14 +269,15 @@ pub fn analyze(
 pub fn propagate(config: &Config, graph: &Graph<'_>, out: &mut Vec<Finding>) {
     let n = graph.fns.len();
     // Per-function body facts; exempt files (and bodyless fns) are opaque.
-    let facts: Vec<Option<BodyFacts>> = (0..n)
-        .map(|f| {
-            let file = graph.file(f);
-            if config.lock_exempt_files.iter().any(|p| file.path == std::path::Path::new(p)) {
+    let facts: Vec<Option<BodyFacts>> = graph
+        .fns
+        .iter()
+        .map(|node| {
+            if config.lock_exempt_files.iter().any(|p| node.file.path == std::path::Path::new(p)) {
                 return None;
             }
-            let (open, close) = graph.fns.get(f)?.item.body?;
-            Some(analyze(graph.crate_name(f), config, file, open + 1, close, None))
+            let (open, close) = node.item.body?;
+            Some(analyze(node.crate_name, config, node.file, open + 1, close, None))
         })
         .collect();
 
@@ -301,8 +303,8 @@ pub fn propagate(config: &Config, graph: &Graph<'_>, out: &mut Vec<Finding>) {
             let Some(dst) = entry.get_mut(e.callee) else { continue };
             let mut changed = false;
             for lock in crossing {
-                if !dst.contains_key(&lock) {
-                    dst.insert(lock, (f, e.site_s));
+                if let std::collections::btree_map::Entry::Vacant(v) = dst.entry(lock) {
+                    v.insert((f, e.site_s));
                     changed = true;
                 }
             }
@@ -316,25 +318,25 @@ pub fn propagate(config: &Config, graph: &Graph<'_>, out: &mut Vec<Finding>) {
     }
 
     // Flag rank inversions between entry-held locks and local acquisitions.
-    for (f, (fa, held_set)) in facts.iter().zip(&entry).enumerate() {
+    for ((node, fa), held_set) in graph.fns.iter().zip(&facts).zip(&entry) {
         let Some(fa) = fa else { continue };
         if held_set.is_empty() {
             continue;
         }
-        let file = graph.file(f);
+        let file = node.file;
         for acq in &fa.acquisitions {
             let Some(new_rank) = config.lock_rank(&acq.lock) else { continue };
             for (held_lock, &(caller, site)) in held_set {
                 let Some(held_rank) = config.lock_rank(held_lock) else { continue };
+                let Some(caller) = graph.fns.get(caller) else { continue };
                 if new_rank > held_rank {
                     continue;
                 }
                 let line = file.sline(acq.s);
-                let caller_file = graph.file(caller);
-                let caller_line = caller_file.sline(site);
+                let caller_line = caller.file.sline(site);
                 out.push(Finding {
                     category: Category::Lock,
-                    crate_name: graph.crate_name(f).to_string(),
+                    crate_name: node.crate_name.to_string(),
                     path: file.path.clone(),
                     line,
                     message: format!(
@@ -342,9 +344,9 @@ pub fn propagate(config: &Config, graph: &Graph<'_>, out: &mut Vec<Finding>) {
                          (rank {held_rank}) may be held by caller `{}` ({}:{caller_line}): \
                          ranks must strictly increase across calls",
                         acq.lock,
-                        graph.fn_id(f),
-                        graph.fn_id(caller),
-                        caller_file.path.display(),
+                        node.id(),
+                        caller.id(),
+                        caller.file.path.display(),
                     ),
                     suppressed: file.suppressed(line, Category::Lock.name()),
                 });

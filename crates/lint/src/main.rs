@@ -1,54 +1,35 @@
-//! `rased-lint` — CLI for the in-repo static-analysis engine.
+//! `rased-lint` — CLI for the workspace's lock and nonblocking audit.
 //!
 //! ```text
-//! rased-lint --workspace [--root DIR] [--write-baseline] [--verbose]
-//!            [--format=text|json]
+//! rased-lint --workspace [--root DIR] [--verbose]
 //! ```
 //!
-//! Exit status is the CI contract: 0 when every pass and the ratchet
-//! hold, 1 otherwise. `ci.sh` runs this before the test suites.
-//! `--format=json` swaps the human summary for one machine-readable JSON
-//! document on stdout (findings, per-crate counts, failures, notices) —
-//! `ci.sh` saves it as the `lint-findings.json` artifact.
+//! Exit status is the CI contract: 0 when both passes hold, 1 otherwise.
+//! `ci.sh` runs this before clippy and the test suites.
+#![expect(clippy::disallowed_methods, reason = "a CLI reads its arguments and cargo's manifest dir")]
 
-use rased_lint::baseline;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-enum Format {
-    Text,
-    Json,
-}
-
 struct Options {
     root: PathBuf,
-    write_baseline: bool,
     verbose: bool,
-    format: Format,
 }
 
 fn parse_args() -> Result<Options, String> {
     let mut root = None;
-    let mut write_baseline = false;
     let mut verbose = false;
     let mut workspace = false;
-    let mut format = Format::Text;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workspace" => workspace = true,
-            "--write-baseline" => write_baseline = true,
             "--verbose" | "-v" => verbose = true,
-            "--format=text" => format = Format::Text,
-            "--format=json" => format = Format::Json,
             "--root" => {
                 let v = args.next().ok_or("--root needs a directory argument")?;
                 root = Some(PathBuf::from(v));
             }
-            "--help" | "-h" => {
-                return Err("usage: rased-lint --workspace [--root DIR] [--write-baseline] [--verbose] [--format=text|json]"
-                    .to_string())
-            }
+            "--help" | "-h" => return Err("usage: rased-lint --workspace [--root DIR] [--verbose]".to_string()),
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }
     }
@@ -67,7 +48,7 @@ fn parse_args() -> Result<Options, String> {
             Err(_) => PathBuf::from("."),
         },
     };
-    Ok(Options { root, write_baseline, verbose, format })
+    Ok(Options { root, verbose })
 }
 
 fn main() -> ExitCode {
@@ -87,48 +68,16 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Format::Json = options.format {
-        // One machine-readable document on stdout; the exit code still
-        // carries pass/fail, and failures stay visible on stderr below.
-        println!("{}", report.to_json());
-        if !report.ok() {
-            eprintln!("rased-lint FAILED:");
-            for f in &report.failures {
-                eprintln!("  {f}");
-            }
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
-    }
-
     if options.verbose {
         for f in &report.findings {
             println!("{f}");
         }
     }
-
     let suppressed = report.findings.iter().filter(|f| f.suppressed).count();
-    println!("rased-lint: panic-point baseline {} across {} crates ({} suppressed by pragma)",
-        report.panic_total(),
-        report.panic_counts.len(),
-        suppressed,
+    println!(
+        "rased-lint: {} lock/nonblocking findings, {suppressed} suppressed by pragma",
+        report.findings.len()
     );
-    for (name, count) in &report.panic_counts {
-        let slices = report.slice_index_counts.get(name).copied().unwrap_or(0);
-        println!("  {name}: {count} panic, {slices} slice_index");
-    }
-    for n in &report.notices {
-        println!("note: {n}");
-    }
-
-    if options.write_baseline {
-        let b = report.as_baseline();
-        if let Err(e) = b.save(&options.root) {
-            eprintln!("rased-lint: writing {}: {e}", baseline::BASELINE_FILE);
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {} (panic total {})", baseline::BASELINE_FILE, b.panic_total());
-    }
 
     if !report.ok() {
         eprintln!("\nrased-lint FAILED:");

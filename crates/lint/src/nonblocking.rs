@@ -42,18 +42,19 @@ pub fn scan(config: &Config, graph: &Graph<'_>, out: &mut Vec<Finding>) {
         config.nonblocking_deny_calls.iter().flat_map(|spec| graph.find_roots(spec)).collect();
     let reach = graph.reachable(&roots);
 
-    for (&f, _) in &reach {
-        let file = graph.file(f);
+    for &f in reach.keys() {
+        let Some(node) = graph.fns.get(f) else { continue };
+        let file = node.file;
         if config.nonblocking_allow_files.iter().any(|p| file.path == std::path::Path::new(p)) {
             continue;
         }
-        let Some((open, close)) = graph.fns.get(f).and_then(|n| n.item.body) else { continue };
+        let Some((open, close)) = node.item.body else { continue };
         let chain = graph.chain(&reach, f);
         let push = |out: &mut Vec<Finding>, s: usize, message: String| {
             let line = file.sline(s);
             out.push(Finding {
                 category: Category::Nonblocking,
-                crate_name: graph.crate_name(f).to_string(),
+                crate_name: node.crate_name.to_string(),
                 path: file.path.clone(),
                 line,
                 message: format!("{message} in nonblocking context [{chain}]"),
@@ -84,8 +85,7 @@ pub fn scan(config: &Config, graph: &Graph<'_>, out: &mut Vec<Finding>) {
         }
 
         // Ranked-mutex acquisitions outside the allowlist.
-        let facts =
-            locks::analyze(graph.crate_name(f), config, file, open + 1, close, None);
+        let facts = locks::analyze(node.crate_name, config, file, open + 1, close, None);
         for acq in &facts.acquisitions {
             if !config.nonblocking_allow_locks.contains(&acq.lock) {
                 push(out, acq.s, format!("lock acquisition (`{}`) outside [nonblocking] allow_locks", acq.lock));

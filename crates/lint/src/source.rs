@@ -6,6 +6,7 @@
 //! the lint audits what ships, not what asserts.
 
 use crate::lexer::{lex, Token, TokenKind};
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 
 /// A crate discovered in the workspace.
@@ -69,9 +70,9 @@ impl SourceFile {
         }
     }
 
-    /// The text of token `idx`.
-    pub fn text(&self, idx: usize) -> std::borrow::Cow<'_, str> {
-        self.tokens[idx].text(&self.src)
+    /// The text of token `idx`; empty past the end.
+    pub fn text(&self, idx: usize) -> Cow<'_, str> {
+        self.tokens.get(idx).map_or(Cow::Borrowed(""), |t| t.text(&self.src))
     }
 
     /// The token behind shipped index `s`, if in range.
@@ -82,11 +83,13 @@ impl SourceFile {
     /// The text of shipped token `s`; empty past the end. The bounds-safe
     /// walker the token-stream passes use — a clamped read beats an
     /// out-of-bounds panic inside the lint itself.
-    pub fn stext(&self, s: usize) -> std::borrow::Cow<'_, str> {
-        match self.stoken(s) {
-            Some(t) => t.text(&self.src),
-            None => std::borrow::Cow::Borrowed(""),
-        }
+    pub fn stext(&self, s: usize) -> Cow<'_, str> {
+        self.sig_text(&self.shipped, s)
+    }
+
+    /// The text of `sig[s]`, an index list into `tokens`; empty past the end.
+    fn sig_text(&self, sig: &[usize], s: usize) -> Cow<'_, str> {
+        sig.get(s).map_or(Cow::Borrowed(""), |&i| self.text(i))
     }
 
     /// The kind of shipped token `s`; `None` past the end.
@@ -131,12 +134,12 @@ impl SourceFile {
     /// not `#[cfg(not(test))]`). Attribute + item tokens are dropped.
     fn strip_test_items(&self) -> Vec<usize> {
         let sig: Vec<usize> =
-            (0..self.tokens.len()).filter(|&i| self.tokens[i].is_significant()).collect();
-        let text = |si: usize| self.tokens[sig[si]].text(&self.src);
+            self.tokens.iter().enumerate().filter(|(_, t)| t.is_significant()).map(|(i, _)| i).collect();
+        let text = |si: usize| self.sig_text(&sig, si);
         let mut kept = Vec::with_capacity(sig.len());
         let mut s = 0usize;
-        while s < sig.len() {
-            if text(s) == "#" && s + 1 < sig.len() && text(s + 1) == "[" {
+        while let Some(&token) = sig.get(s) {
+            if text(s) == "#" && text(s + 1) == "[" {
                 let close = self.matching_close(&sig, s + 1);
                 let is_test = self.attr_marks_test(&sig, s + 2, close);
                 if is_test {
@@ -150,7 +153,7 @@ impl SourceFile {
                     continue;
                 }
             }
-            kept.push(sig[s]);
+            kept.push(token);
             s += 1;
         }
         kept
@@ -159,8 +162,8 @@ impl SourceFile {
     /// For `sig[open]` an opening bracket, the index (into `sig`) of its
     /// matching close; saturates at the end of input.
     pub(crate) fn matching_close(&self, sig: &[usize], open: usize) -> usize {
-        let open_text = self.tokens[sig[open]].text(&self.src).into_owned();
-        let close_text = match open_text.as_str() {
+        let open_text = self.sig_text(sig, open);
+        let close_text = match open_text.as_ref() {
             "(" => ")",
             "[" => "]",
             "{" => "}",
@@ -169,7 +172,7 @@ impl SourceFile {
         let mut depth = 0usize;
         let mut s = open;
         while s < sig.len() {
-            let t = self.tokens[sig[s]].text(&self.src);
+            let t = self.sig_text(sig, s);
             if t == open_text {
                 depth += 1;
             } else if t == close_text {
@@ -187,10 +190,9 @@ impl SourceFile {
     /// on any `test` identifier not directly inside `not(`.
     fn attr_marks_test(&self, sig: &[usize], from: usize, to: usize) -> bool {
         for s in from..to.min(sig.len()) {
-            if self.tokens[sig[s]].text(&self.src) == "test" {
-                let negated = s >= 2
-                    && self.tokens[sig[s - 1]].text(&self.src) == "("
-                    && self.tokens[sig[s - 2]].text(&self.src) == "not";
+            if self.sig_text(sig, s) == "test" {
+                let negated =
+                    s >= 2 && self.sig_text(sig, s - 1) == "(" && self.sig_text(sig, s - 2) == "not";
                 if !negated {
                     return true;
                 }
@@ -203,8 +205,7 @@ impl SourceFile {
     /// through the first `{…}` group entered at depth 0.
     fn skip_item(&self, sig: &[usize], mut s: usize) -> usize {
         while s < sig.len() {
-            let t = self.tokens[sig[s]].text(&self.src);
-            match t.as_ref() {
+            match self.sig_text(sig, s).as_ref() {
                 ";" => return s + 1,
                 "{" => return self.matching_close(sig, s) + 1,
                 "(" | "[" => s = self.matching_close(sig, s) + 1,

@@ -1,22 +1,19 @@
-//! End-to-end tests for the three interprocedural passes (PR 8):
-//! synthesized mini-workspaces run through `rased_lint::run_workspace`,
-//! pinning exact finding counts for lock-rank propagation, the
-//! blocking-in-nonblocking-context scan, and panic reachability — each
-//! with a case the intra-function analysis provably cannot see (the
-//! defect spans a call edge; every function is clean in isolation) and a
-//! pragma-suppressed twin. Fixture sources live in `tests/fixtures/`.
+//! End-to-end tests for the two interprocedural passes: synthesized
+//! mini-workspaces run through `rased_lint::run_workspace`, pinning exact
+//! finding counts for lock-rank propagation and the
+//! blocking-in-nonblocking-context scan — each with a case the
+//! intra-function analysis provably cannot see (the defect spans a call
+//! edge; every function is clean in isolation) and a pragma-suppressed
+//! twin. Fixture sources live in `tests/fixtures/`.
 
 use rased_lint::{run_workspace, Category, Report};
 use dettest::TempDir;
 
 const LOCKS_FIXTURE: &str = include_str!("fixtures/interproc_locks_fixture.rs");
 const NONBLOCKING_FIXTURE: &str = include_str!("fixtures/interproc_nonblocking_fixture.rs");
-const REACH_APP_FIXTURE: &str = include_str!("fixtures/reach_app_fixture.rs");
-const REACH_UTIL_FIXTURE: &str = include_str!("fixtures/reach_util_fixture.rs");
 
 const ROOT_MANIFEST: &str = "[workspace]\nmembers = [\"crates/*\"]\n";
 const APP_MANIFEST: &str = "[package]\nname = \"app\"\nversion = \"0.1.0\"\n";
-const UTIL_MANIFEST: &str = "[package]\nname = \"util\"\nversion = \"0.1.0\"\n";
 
 /// Build a fresh scratch workspace from `(relative path, contents)` pairs.
 fn workspace(name: &str, files: &[(&str, &str)]) -> TempDir {
@@ -98,45 +95,12 @@ fn nonblocking_scan_follows_calls_out_of_the_event_loop() {
 }
 
 #[test]
-fn panic_reachability_crosses_crate_boundaries() {
-    let config = "[panic]\nreach_roots = [\"app:handle\"]\n";
-    let root = workspace(
-        "reach",
-        &[
-            ("Cargo.toml", ROOT_MANIFEST),
-            ("lint.toml", config),
-            ("crates/app/Cargo.toml", APP_MANIFEST),
-            ("crates/app/src/lib.rs", REACH_APP_FIXTURE),
-            ("crates/util/Cargo.toml", UTIL_MANIFEST),
-            ("crates/util/src/lib.rs", REACH_UTIL_FIXTURE),
-        ],
-    );
-    let report = run_workspace(root.path()).expect("run");
-
-    // `util` is not a deny crate, so its unwraps only ratchet — but
-    // `app:handle` reaches both over the `util::` qualified call, and the
-    // reachability pass denies the un-pragma'd one. The `panic` pragma on
-    // `guarded` suppresses its PanicReach finding too.
-    let (total, suppressed) = category_findings(&report, Category::PanicReach);
-    assert_eq!((total, suppressed), (2, 1), "findings: {:?}", report.findings);
-
-    // The ratchet still counts util's unsuppressed unwrap as usual.
-    assert_eq!(report.panic_counts.get("util"), Some(&1));
-    assert_eq!(report.panic_counts.get("app"), Some(&0));
-
-    assert_eq!(report.failures.len(), 1, "failures: {:?}", report.failures);
-    let failure = report.failures.first().expect("one failure");
-    assert!(failure.contains(".unwrap() call reachable from the request path"), "{failure}");
-    assert!(failure.contains("app:handle → util:parse"), "{failure}");
-}
-
-#[test]
 fn clean_interprocedural_workspace_passes() {
-    // Same configs, no offending edges: all three passes stay silent.
-    let config = "[panic]\nreach_roots = [\"app:handle\"]\n\
-                  [nonblocking]\nroots = [\"app:event_loop\"]\n\
+    // Same configs, no offending edges: both passes stay silent. `handle`
+    // takes the ranked locks in order and off the event loop's path.
+    let config = "[nonblocking]\nroots = [\"app:event_loop\"]\n\
                   [locks.rank]\n\"app:lo\" = 10\n\"app:hi\" = 20\n";
-    let src = "pub fn handle(x: u32) -> u32 { double(x) }\n\
+    let src = "pub fn handle(&self, x: u32) -> u32 { let a = self.lo.lock(); let b = self.hi.lock(); double(x) }\n\
                fn double(x: u32) -> u32 { x * 2 }\n\
                pub fn event_loop(x: u32) -> u32 { double(x) }\n";
     let root = workspace(
@@ -150,7 +114,7 @@ fn clean_interprocedural_workspace_passes() {
     );
     let report = run_workspace(root.path()).expect("run");
     assert!(report.ok(), "failures: {:?}", report.failures);
-    for category in [Category::Lock, Category::Nonblocking, Category::PanicReach] {
+    for category in [Category::Lock, Category::Nonblocking] {
         assert_eq!(category_findings(&report, category), (0, 0));
     }
 }

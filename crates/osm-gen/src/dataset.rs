@@ -47,14 +47,13 @@ pub struct DatasetConfig {
 
 impl DatasetConfig {
     /// A small, fast dataset for tests and examples: 12 countries, 3 months.
+    #[expect(clippy::expect_used, reason = "compile-time constant dates")]
     pub fn small(seed: u64) -> DatasetConfig {
         DatasetConfig {
             world: WorldConfig { n_countries: 12, activity_skew: 1.0, seed },
             sim: SimConfig { seed: seed ^ 0x5EED, daily_edits_mean: 80.0, n_road_types: 12, ..SimConfig::default() },
             range: DateRange::new(
-                // lint: allow(panic, "compile-time constant dates")
                 Date::new(2021, 1, 1).expect("valid"),
-                // lint: allow(panic, "compile-time constant dates")
                 Date::new(2021, 3, 31).expect("valid"),
             ),
             seed_nodes_per_country: 30,
@@ -203,7 +202,7 @@ impl Dataset {
         let mut months = Vec::new();
         let mut p = Period::containing(Granularity::Month, self.config.range.start());
         loop {
-            // lint: allow(panic, "containing(Month) and succ() of a Month only produce Period::Month")
+            #[expect(clippy::unreachable, reason = "containing(Month) and succ() of a Month only produce Period::Month")]
             let Period::Month(y, m) = p else { unreachable!() };
             months.push((y, m));
             if p.end() >= self.config.range.end() {

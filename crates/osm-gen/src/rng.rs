@@ -73,6 +73,9 @@ impl Rng {
     }
 
     /// Pick a uniformly random element of a non-empty slice.
+    ///
+    /// Panics on an empty slice.
+    #[expect(clippy::indexing_slicing, reason = "asserted non-empty, and below(len) < len")]
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "pick from empty slice");
         &items[self.below(items.len() as u64) as usize]
@@ -138,18 +141,15 @@ impl Zipf {
     /// Sample a rank in `0..n` (0 = most popular).
     pub fn sample(&self, rng: &mut Rng) -> usize {
         let u = rng.f64();
-        match self.cdf.binary_search_by(|p| p.partial_cmp(&u).expect("no NaN")) {
+        match self.cdf.binary_search_by(|p| p.total_cmp(&u)) {
             Ok(i) | Err(i) => i.min(self.cdf.len() - 1),
         }
     }
 
-    /// The probability mass of rank `k`.
+    /// The probability mass of rank `k` (0 past the last rank).
     pub fn mass(&self, k: usize) -> f64 {
-        if k == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[k] - self.cdf[k - 1]
-        }
+        let below = k.checked_sub(1).and_then(|j| self.cdf.get(j)).copied().unwrap_or(0.0);
+        self.cdf.get(k).map_or(0.0, |cdf| cdf - below)
     }
 }
 

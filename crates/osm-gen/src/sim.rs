@@ -83,7 +83,7 @@ pub struct EditSimulator<'a> {
     history: HashMap<(ElementType, ElementId), ElementHistory>,
     /// Live element ids per (country, type) for picking edit targets.
     live: HashMap<(CountryId, ElementType), Vec<ElementId>>,
-    next_id: [i64; 3],
+    next_id: HashMap<ElementType, i64>,
     next_changeset: u64,
 }
 
@@ -99,7 +99,7 @@ impl<'a> EditSimulator<'a> {
             road_table,
             history: HashMap::new(),
             live: HashMap::new(),
-            next_id: [1, 1, 1],
+            next_id: HashMap::new(),
             next_changeset: 1,
         }
     }
@@ -134,8 +134,9 @@ impl<'a> EditSimulator<'a> {
     }
 
     fn alloc_id(&mut self, etype: ElementType) -> ElementId {
-        let id = ElementId(self.next_id[etype.index()]);
-        self.next_id[etype.index()] += 1;
+        let next = self.next_id.entry(etype).or_insert(1);
+        let id = ElementId(*next);
+        *next += 1;
         id
     }
 
@@ -145,8 +146,7 @@ impl<'a> EditSimulator<'a> {
 
     fn road_tag(&mut self) -> Tags {
         let rt = self.random_road_type();
-        let value = self.road_table.value(rt).expect("sampled in range").to_string();
-        Tags::from_pairs([("highway", value)])
+        Tags::from_pairs(self.road_table.value(rt).map(|value| ("highway", value)))
     }
 
     fn record(&mut self, e: &Element) {
@@ -209,7 +209,7 @@ impl<'a> EditSimulator<'a> {
             return None;
         }
         let i = self.rng.below(pool.len() as u64) as usize;
-        Some(pool[i])
+        pool.get(i).copied()
     }
 
     // -- element constructors/mutators ------------------------------------
@@ -267,8 +267,7 @@ impl<'a> EditSimulator<'a> {
         rel
     }
 
-    fn next_version_of(&mut self, etype: ElementType, id: ElementId, date: Date, cs: ChangesetId, user: UserId) -> Element {
-        let mut e = self.current(etype, id).expect("picked live element").clone();
+    fn next_version_of(mut e: Element, date: Date, cs: ChangesetId, user: UserId) -> Element {
         let info = e.info_mut();
         info.version = info.version.next();
         info.date = date;
@@ -277,8 +276,8 @@ impl<'a> EditSimulator<'a> {
         e
     }
 
-    fn modify_geometry(&mut self, country: CountryId, etype: ElementType, id: ElementId, date: Date, cs: ChangesetId, user: UserId) -> Element {
-        let mut e = self.next_version_of(etype, id, date, cs, user);
+    fn modify_geometry(&mut self, country: CountryId, current: Element, date: Date, cs: ChangesetId, user: UserId) -> Element {
+        let mut e = Self::next_version_of(current, date, cs, user);
         match &mut e {
             Element::Node(n) => {
                 n.lat7 += self.rng.range_i32(-5_000, 5_000);
@@ -312,16 +311,16 @@ impl<'a> EditSimulator<'a> {
         e
     }
 
-    fn modify_metadata(&mut self, etype: ElementType, id: ElementId, date: Date, cs: ChangesetId, user: UserId) -> Element {
-        let mut e = self.next_version_of(etype, id, date, cs, user);
-        let v = e.info().version.raw();
-        e.tags_mut().set("name", format!("Street {id} rev {v}", id = id.raw()));
+    fn modify_metadata(&mut self, current: Element, date: Date, cs: ChangesetId, user: UserId) -> Element {
+        let mut e = Self::next_version_of(current, date, cs, user);
+        let (id, v) = (e.id().raw(), e.info().version.raw());
+        e.tags_mut().set("name", format!("Street {id} rev {v}"));
         self.record(&e);
         e
     }
 
-    fn delete(&mut self, etype: ElementType, id: ElementId, date: Date, cs: ChangesetId, user: UserId) -> Element {
-        let mut e = self.next_version_of(etype, id, date, cs, user);
+    fn delete(&mut self, current: Element, date: Date, cs: ChangesetId, user: UserId) -> Element {
+        let mut e = Self::next_version_of(current, date, cs, user);
         e.info_mut().visible = false;
         self.record(&e);
         e
@@ -373,23 +372,24 @@ impl<'a> EditSimulator<'a> {
             } else {
                 // Pick a live element of a random type; fall back to create.
                 let etype = *self.rng.pick(&ElementType::ALL);
-                match self.pick_live(country, etype) {
+                let live = self.pick_live(country, etype).and_then(|id| self.current(etype, id)).cloned();
+                match live {
                     None => {
                         let e = self.create_node(country, date, cs, user);
                         (e, DiffAction::Create, UpdateType::Create)
                     }
-                    Some(id) => {
+                    Some(current) => {
                         if roll < p_create + p_delete {
-                            (self.delete(etype, id, date, cs, user), DiffAction::Delete, UpdateType::Delete)
+                            (self.delete(current, date, cs, user), DiffAction::Delete, UpdateType::Delete)
                         } else if roll < p_create + p_delete + p_geometry {
                             (
-                                self.modify_geometry(country, etype, id, date, cs, user),
+                                self.modify_geometry(country, current, date, cs, user),
                                 DiffAction::Modify,
                                 UpdateType::Geometry,
                             )
                         } else {
                             (
-                                self.modify_metadata(etype, id, date, cs, user),
+                                self.modify_metadata(current, date, cs, user),
                                 DiffAction::Modify,
                                 UpdateType::Metadata,
                             )

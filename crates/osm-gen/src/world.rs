@@ -112,7 +112,10 @@ impl WorldAtlas {
     }
 
     /// A uniformly random point inside a country's territory.
+    ///
+    /// Panics on an id this atlas did not issue.
     pub fn random_point_in(&self, id: CountryId, rng: &mut Rng) -> Point {
+        #[expect(clippy::expect_used, reason = "country ids come from this atlas; another is a caller bug")]
         let zone = self.zone(id).expect("valid country id");
         let b = zone.polygon.bbox();
         // Rectangular territories: any bbox point is inside. (Kept general:

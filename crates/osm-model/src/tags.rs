@@ -51,7 +51,8 @@ impl Tags {
         self.pairs
             .binary_search_by(|(k, _)| k.as_str().cmp(key))
             .ok()
-            .map(|i| self.pairs[i].1.as_str())
+            .and_then(|i| self.pairs.get(i))
+            .map(|(_, v)| v.as_str())
     }
 
     /// True when the key is present.
@@ -65,7 +66,7 @@ impl Tags {
         let key = key.into();
         let value = value.into();
         match self.pairs.binary_search_by(|(k, _)| k.as_str().cmp(&key)) {
-            Ok(i) => Some(std::mem::replace(&mut self.pairs[i].1, value)),
+            Ok(i) => self.pairs.get_mut(i).map(|(_, v)| std::mem::replace(v, value)),
             Err(i) => {
                 self.pairs.insert(i, (key, value));
                 None

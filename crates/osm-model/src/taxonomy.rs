@@ -439,21 +439,13 @@ impl CountryTable {
     pub fn with_cardinality(n: usize) -> CountryTable {
         assert!(n >= 1, "country table must have at least one entry");
         assert!(n <= u16::MAX as usize, "country cardinality exceeds u16 id space");
-        let mut codes = Vec::with_capacity(n);
-        let mut names = Vec::with_capacity(n);
-        for i in 0..n {
-            let (code, name) = if i < COUNTRIES.len() {
-                let (c, nm) = COUNTRIES[i];
-                (c.to_string(), nm.to_string())
-            } else if i < COUNTRY_COUNT_FULL {
-                let (c, nm) = ZONES[i - COUNTRIES.len()];
-                (c.to_string(), nm.to_string())
-            } else {
-                (format!("ZZ{i}"), format!("Region {i}"))
-            };
-            codes.push(code);
-            names.push(name);
-        }
+        let (codes, names): (Vec<String>, Vec<String>) = COUNTRIES
+            .iter()
+            .chain(ZONES)
+            .map(|(c, nm)| (c.to_string(), nm.to_string()))
+            .chain((COUNTRY_COUNT_FULL..).map(|i| (format!("ZZ{i}"), format!("Region {i}"))))
+            .take(n)
+            .unzip();
         let by_code = codes
             .iter()
             .enumerate()

@@ -89,13 +89,10 @@ impl ZoneMap {
                 }
             }
         }
-        let mut parents = vec![Vec::new(); table.len()];
-        for id in table.ids() {
-            let code = table.code(id).expect("id in table");
-            if let Some(&zone) = by_code.get(code) {
-                parents[id.index()].push(zone);
-            }
-        }
+        let parents = table
+            .ids()
+            .map(|id| table.code(id).and_then(|code| by_code.get(code)).copied().into_iter().collect())
+            .collect();
         ZoneMap { parents }
     }
 

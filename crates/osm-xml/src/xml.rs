@@ -86,11 +86,7 @@ impl<R: BufRead> XmlReader<R> {
             self.offset += 1;
             return Ok(Some(b));
         }
-        let buf = self.input.fill_buf()?;
-        if buf.is_empty() {
-            return Ok(None);
-        }
-        let b = buf[0];
+        let Some(&b) = self.input.fill_buf()?.first() else { return Ok(None) };
         self.input.consume(1);
         self.offset += 1;
         Ok(Some(b))
@@ -98,11 +94,8 @@ impl<R: BufRead> XmlReader<R> {
 
     fn peek_byte(&mut self) -> Result<Option<u8>, XmlError> {
         if self.peeked.is_none() {
-            let buf = self.input.fill_buf()?;
-            if buf.is_empty() {
-                return Ok(None);
-            }
-            self.peeked = Some(buf[0]);
+            let Some(&b) = self.input.fill_buf()?.first() else { return Ok(None) };
+            self.peeked = Some(b);
             self.input.consume(1);
         }
         Ok(self.peeked)
@@ -125,8 +118,8 @@ impl<R: BufRead> XmlReader<R> {
                         };
                     }
                     Some(b'<') => break,
-                    Some(_) => {
-                        let b = self.read_byte()?.expect("peeked");
+                    Some(b) => {
+                        self.read_byte()?; // consume the peeked byte
                         text.push(b);
                     }
                 }
@@ -257,13 +250,13 @@ impl<R: BufRead> XmlReader<R> {
         let mut matched = 0usize;
         loop {
             let b = self.read_byte()?.ok_or_else(|| self.eof_err())?;
-            if b == pat[matched] {
+            if pat.get(matched) == Some(&b) {
                 matched += 1;
                 if matched == pat.len() {
                     return Ok(());
                 }
             } else {
-                matched = if b == pat[0] { 1 } else { 0 };
+                matched = usize::from(pat.first() == Some(&b));
             }
         }
     }
@@ -276,29 +269,27 @@ fn decode_entities(s: &str) -> Result<String, String> {
     }
     let mut out = String::with_capacity(s.len());
     let mut rest = s;
-    while let Some(pos) = rest.find('&') {
-        out.push_str(&rest[..pos]);
-        rest = &rest[pos + 1..];
-        let semi = rest.find(';').ok_or_else(|| "unterminated entity".to_string())?;
-        let ent = &rest[..semi];
-        rest = &rest[semi + 1..];
+    while let Some((text, after)) = rest.split_once('&') {
+        out.push_str(text);
+        let (ent, tail) = after.split_once(';').ok_or_else(|| "unterminated entity".to_string())?;
+        rest = tail;
         match ent {
             "amp" => out.push('&'),
             "lt" => out.push('<'),
             "gt" => out.push('>'),
             "quot" => out.push('"'),
             "apos" => out.push('\''),
-            _ if ent.starts_with("#x") || ent.starts_with("#X") => {
-                let code = u32::from_str_radix(&ent[2..], 16)
-                    .map_err(|_| format!("bad character reference &{ent};"))?;
+            _ => {
+                let Some(reference) = ent.strip_prefix('#') else {
+                    return Err(format!("unknown entity &{ent};"));
+                };
+                let code = match reference.strip_prefix(['x', 'X']) {
+                    Some(hex) => u32::from_str_radix(hex, 16),
+                    None => reference.parse(),
+                }
+                .map_err(|_| format!("bad character reference &{ent};"))?;
                 out.push(char::from_u32(code).ok_or_else(|| format!("invalid codepoint &{ent};"))?);
             }
-            _ if ent.starts_with('#') => {
-                let code: u32 =
-                    ent[1..].parse().map_err(|_| format!("bad character reference &{ent};"))?;
-                out.push(char::from_u32(code).ok_or_else(|| format!("invalid codepoint &{ent};"))?);
-            }
-            _ => return Err(format!("unknown entity &{ent};")),
         }
     }
     out.push_str(rest);
@@ -388,7 +379,7 @@ impl<W: Write> XmlWriter<W> {
 
     /// Close the innermost open element, collapsing `<x></x>` to `<x/>`.
     pub fn end(&mut self) -> io::Result<()> {
-        let name = self.stack.pop().expect("end() with no open element");
+        let name = self.stack.pop().ok_or_else(|| io::Error::other("end() with no open element"))?;
         if self.tag_open {
             self.out.write_all(b"/>")?;
             if self.pretty {

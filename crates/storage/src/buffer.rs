@@ -103,9 +103,9 @@ impl BufferPool {
         self.shards.len()
     }
 
+    #[expect(clippy::indexing_slicing, reason = "i is reduced mod shards.len(), which with_shards keeps >= 1")]
     fn shard(&self, key: u64) -> &Shard {
         let i = (mix(key) as usize) % self.shards.len();
-        // lint: allow(slice_index, "i is reduced mod shards.len(), which with_shards keeps >= 1")
         &self.shards[i]
     }
 

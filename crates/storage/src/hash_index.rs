@@ -53,15 +53,19 @@ impl Bucket {
 
     fn encode(&self) -> Vec<u8> {
         debug_assert!(self.entries.len() <= BUCKET_CAPACITY);
-        let mut page = vec![0u8; BUCKET_BYTES];
-        page[0..2].copy_from_slice(&self.local_depth.to_le_bytes());
-        page[2..4].copy_from_slice(&(self.entries.len() as u16).to_le_bytes());
-        page[8..16].copy_from_slice(&self.overflow.to_le_bytes());
-        for (i, (k, v)) in self.entries.iter().enumerate() {
-            let o = BUCKET_HEADER + i * ENTRY_BYTES;
-            page[o..o + 8].copy_from_slice(&k.to_le_bytes());
-            page[o + 8..o + 16].copy_from_slice(&v.to_le_bytes());
+        let mut page = Vec::with_capacity(BUCKET_BYTES);
+        page.extend_from_slice(&self.local_depth.to_le_bytes());
+        page.extend_from_slice(&(self.entries.len() as u16).to_le_bytes());
+        page.resize(8, 0);
+        page.extend_from_slice(&self.overflow.to_le_bytes());
+        debug_assert_eq!(page.len(), BUCKET_HEADER);
+        for (k, v) in &self.entries {
+            page.extend_from_slice(&k.to_le_bytes());
+            page.extend_from_slice(&v.to_le_bytes());
         }
+        // An overfull bucket stays oversized, so `write_page` rejects it
+        // with a typed error instead of truncating it.
+        page.resize(page.len().max(BUCKET_BYTES), 0);
         page
     }
 }
@@ -106,17 +110,18 @@ impl DiskHashIndex {
         let file = PageFile::open(path, model)?;
         let dir_path = path.with_extension("dir");
         let bytes = std::fs::read(&dir_path)?;
-        if bytes.len() < 17 || &bytes[..8] != DIR_MAGIC {
+        let (Some(&global_depth), Some(body)) = (bytes.get(8), bytes.get(17..)) else {
+            return Err(StorageError::BadHeader("hash directory sidecar corrupt".into()));
+        };
+        if !bytes.starts_with(DIR_MAGIC) {
             return Err(StorageError::BadHeader("hash directory sidecar corrupt".into()));
         }
-        let global_depth = bytes[8];
         if global_depth > 32 {
             return Err(StorageError::BadHeader("hash directory depth out of range".into()));
         }
         let len = crate::bytes::read_u64_le(&bytes, 9)
             .ok_or_else(|| StorageError::BadHeader("hash directory sidecar corrupt".into()))?;
         let want = 1usize << global_depth;
-        let body = &bytes[17..];
         if body.len() < want * 8 {
             return Err(StorageError::BadHeader("hash directory truncated".into()));
         }
@@ -163,12 +168,16 @@ impl DiskHashIndex {
     }
 
     #[inline]
-    fn slot_of(&self, key: u64) -> usize {
-        if self.global_depth == 0 {
-            0
-        } else {
-            (hash(key) >> (64 - self.global_depth as u32)) as usize
-        }
+    /// The bucket page `key` hashes to.
+    fn bucket_of(&self, key: u64) -> Result<PageId, StorageError> {
+        let slot = match self.global_depth {
+            0 => 0,
+            depth => (hash(key) >> (64 - depth as u32)) as usize,
+        };
+        self.directory
+            .get(slot)
+            .copied()
+            .ok_or_else(|| StorageError::BadHeader("hash directory smaller than its depth".into()))
     }
 
     fn load(&self, page: PageId) -> Result<Bucket, StorageError> {
@@ -182,7 +191,7 @@ impl DiskHashIndex {
     /// All values stored under `key` (bucket + overflow chain scan).
     pub fn get(&self, key: u64) -> Result<Vec<u64>, StorageError> {
         let mut out = Vec::new();
-        let mut page = self.directory[self.slot_of(key)];
+        let mut page = self.bucket_of(key)?;
         loop {
             let bucket = self.load(page)?;
             out.extend(bucket.entries.iter().filter(|(k, _)| *k == key).map(|(_, v)| *v));
@@ -197,7 +206,7 @@ impl DiskHashIndex {
     /// index is a multimap.
     pub fn insert(&mut self, key: u64, value: u64) -> Result<(), StorageError> {
         loop {
-            let page = self.directory[self.slot_of(key)];
+            let page = self.bucket_of(key)?;
             let mut bucket = self.load(page)?;
             if bucket.entries.len() < BUCKET_CAPACITY {
                 bucket.entries.push((key, value));
@@ -304,12 +313,10 @@ impl DiskHashIndex {
         let one_page = self.file.allocate()?;
         // Update every directory slot that pointed at the old page: slots
         // whose (new_depth)-th bit is 1 move to the new page.
-        for slot in 0..self.directory.len() {
-            if self.directory[slot] == page {
-                let slot_bit = (slot >> (self.global_depth as usize - new_depth as usize)) & 1;
-                if slot_bit == 1 {
-                    self.directory[slot] = one_page;
-                }
+        let shift = self.global_depth as usize - new_depth as usize;
+        for (slot, entry) in self.directory.iter_mut().enumerate() {
+            if *entry == page && (slot >> shift) & 1 == 1 {
+                *entry = one_page;
             }
         }
         // Splits can overfill a side past page capacity when entries skew;

@@ -132,6 +132,7 @@ mod order {
 
     /// Record that this thread is acquiring `new` while holding whatever it
     /// holds; panic if that closes a cycle in the order graph.
+    #[expect(clippy::panic, reason = "the lock-order detector's whole job is to panic with a cycle report")]
     pub(super) fn acquiring(new: LockName) {
         HELD.with(|held| {
             let held = held.borrow();
@@ -149,7 +150,6 @@ mod order {
                     let chain: Vec<String> =
                         trace.iter().map(|n| format!("`{n}`")).collect();
                     drop(edges);
-                    // lint: allow(panic, "the lock-order detector's whole job is to panic with a cycle report")
                     panic!(
                         "lock-order cycle: acquiring `{new}` while holding `{h}`, but the \
                          established order is {} → `{h}` — an AB/BA deadlock waiting for the \
@@ -248,7 +248,7 @@ impl<T> std::ops::Deref for MutexGuard<'_, T> {
     fn deref(&self) -> &T {
         match &self.inner {
             Some(g) => g,
-            // lint: allow(panic, "unreachable: the inner guard is only vacated inside Condvar::wait, which restores it before returning")
+            #[expect(clippy::unreachable, reason = "the inner guard is only vacated inside Condvar::wait, which restores it before returning")]
             None => unreachable!("mutex guard vacated outside Condvar::wait"),
         }
     }
@@ -258,7 +258,7 @@ impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         match &mut self.inner {
             Some(g) => g,
-            // lint: allow(panic, "unreachable: the inner guard is only vacated inside Condvar::wait, which restores it before returning")
+            #[expect(clippy::unreachable, reason = "the inner guard is only vacated inside Condvar::wait, which restores it before returning")]
             None => unreachable!("mutex guard vacated outside Condvar::wait"),
         }
     }
@@ -391,8 +391,8 @@ impl Condvar {
         // Move the std guard out without running our Drop (the lock is
         // conceptually still this thread's — it reacquires before
         // returning), then re-wrap the guard std hands back.
+        #[expect(clippy::unreachable, reason = "guards in user hands always carry their inner guard")]
         let Some(inner) = guard.inner.take() else {
-            // lint: allow(panic, "unreachable: guards in user hands always carry their inner guard")
             unreachable!("mutex guard vacated outside Condvar::wait")
         };
         std::mem::forget(guard);
@@ -407,8 +407,8 @@ impl Condvar {
         timeout: Duration,
     ) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
         let name = guard.name;
+        #[expect(clippy::unreachable, reason = "guards in user hands always carry their inner guard")]
         let Some(inner) = guard.inner.take() else {
-            // lint: allow(panic, "unreachable: guards in user hands always carry their inner guard")
             unreachable!("mutex guard vacated outside Condvar::wait_timeout")
         };
         std::mem::forget(guard);

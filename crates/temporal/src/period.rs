@@ -117,9 +117,9 @@ impl Period {
         match self {
             Period::Day(d) => d,
             Period::Week(d) => d,
-            // lint: allow(panic, "Period::Month is only built by containing()/succ(), which keep m in 1..=12")
+            #[expect(clippy::expect_used, reason = "Period::Month is only built by containing()/succ(), which keep m in 1..=12")]
             Period::Month(y, m) => Date::new(y, m, 1).expect("valid month period"),
-            // lint: allow(panic, "Jan 1 is valid for every year")
+            #[expect(clippy::expect_used, reason = "Jan 1 is valid for every year")]
             Period::Year(y) => Date::new(y, 1, 1).expect("valid year period"),
         }
     }
@@ -129,9 +129,9 @@ impl Period {
         match self {
             Period::Day(d) => d,
             Period::Week(d) => d.add_days(6),
-            // lint: allow(panic, "days_in_month(y, m) is a valid day of month m by definition")
+            #[expect(clippy::expect_used, reason = "days_in_month(y, m) is a valid day of month m by definition")]
             Period::Month(y, m) => Date::new(y, m, days_in_month(y, m)).expect("valid month period"),
-            // lint: allow(panic, "Dec 31 is valid for every year")
+            #[expect(clippy::expect_used, reason = "Dec 31 is valid for every year")]
             Period::Year(y) => Date::new(y, 12, 31).expect("valid year period"),
         }
     }

@@ -72,14 +72,11 @@ impl HeapFile {
         if pages > 0 {
             let last = PageId(pages - 1);
             let data = file.read_page_vec(last)?;
-            let mut used = 0usize;
-            for slot in 0..ROWS_PER_PAGE {
-                let start = slot * UPDATE_RECORD_BYTES;
-                if data[start..start + UPDATE_RECORD_BYTES].iter().all(|&b| b == 0) {
-                    break;
-                }
-                used += 1;
-            }
+            let used = data
+                .chunks_exact(UPDATE_RECORD_BYTES)
+                .take(ROWS_PER_PAGE)
+                .take_while(|record| record.iter().any(|&b| b != 0))
+                .count();
             row_count = (pages - 1) * ROWS_PER_PAGE as u64 + used as u64;
             if used < ROWS_PER_PAGE {
                 // Partial tail: keep editing it in memory.
@@ -126,8 +123,12 @@ impl HeapFile {
     /// Append one record, returning its row id.
     pub fn append(&mut self, record: &UpdateRecord) -> Result<RowId, StorageError> {
         let rid = RowId(self.row_count);
-        let start = self.tail_rows * UPDATE_RECORD_BYTES;
-        self.tail[start..start + UPDATE_RECORD_BYTES].copy_from_slice(&record.encode());
+        // The tail is flushed the moment it fills, so a free slot exists
+        // unless the tail buffer is not page-sized.
+        let Some(slot) = self.tail.chunks_exact_mut(UPDATE_RECORD_BYTES).nth(self.tail_rows) else {
+            return Err(StorageError::WrongBufferSize { expected: HEAP_PAGE_BYTES, got: self.tail.len() });
+        };
+        slot.copy_from_slice(&record.encode());
         self.tail_rows += 1;
         self.row_count += 1;
         if self.tail_rows == ROWS_PER_PAGE {

@@ -1,5 +1,6 @@
 //! Shared setup for the examples: build a small demo deployment (synthetic
 //! dataset + ingested RASED system) under a temp directory.
+#![expect(clippy::disallowed_methods, reason = "the demo builds its store under the system temp dir")]
 
 use rased_core::{CubeSchema, Rased, RasedConfig};
 use rased_osm_gen::{Dataset, DatasetConfig};
