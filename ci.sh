@@ -50,6 +50,10 @@ timeout 1500 cargo test --workspace -q --offline --locked
 # The same cache-equivalence suite replaying a pinned seed — proves
 # DETTEST_SEED replay stays wired end-to-end, not just documented.
 DETTEST_SEED=20260808 timeout 120 cargo test -q --offline --locked --test respcache_props
+# The cube codec property (either encoding round-trips, the borrowed view
+# folds what the owned cube folds, corrupt bytes give typed errors) at a
+# pinned seed, plus the 2 880-cell density-boundary case.
+DETTEST_SEED=20261015 timeout 120 cargo test -q --offline --locked --test proptests cube_
 
 # Bench smoke runs. Each harness exits non-zero when its gate fails, so
 # these lines are regression gates, not build checks. All three gate on

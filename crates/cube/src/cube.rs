@@ -2,12 +2,14 @@
 
 use crate::schema::CubeSchema;
 use crate::selection::DimSelection;
+use crate::sparse;
+use crate::view::CubeView;
 use rased_osm_model::UpdateRecord;
 use std::fmt;
 
 /// Serialized cube header: magic (8) + n_countries (4) + n_road_types (4).
 pub const CUBE_HEADER_BYTES: usize = 16;
-const MAGIC: &[u8; 8] = b"RSCUBE1\0";
+pub(crate) const MAGIC: &[u8; 8] = b"RSCUBE1\0";
 
 /// Cube-level error.
 #[derive(Debug, PartialEq, Eq)]
@@ -162,26 +164,11 @@ impl DataCube {
 
     /// Visit every selected, *non-zero* cell as
     /// `(element, country, road, update, count)`.
-    pub fn for_each_selected<F>(&self, sel: &DimSelection, mut visit: F)
+    pub fn for_each_selected<F>(&self, sel: &DimSelection, visit: F)
     where
         F: FnMut(usize, usize, usize, usize, u64),
     {
-        let s = &self.schema;
-        debug_assert_eq!(sel.schema(), self.schema, "selection resolved against another schema");
-        // Iterate the selection in layout order for cache-friendly access.
-        for &et in sel.element_types() {
-            for &c in sel.countries() {
-                for &r in sel.road_types() {
-                    let base = s.cell_index(et, c, r, 0);
-                    for &u in sel.update_types() {
-                        let Some(&v) = self.cells.get(base + u) else { continue };
-                        if v != 0 {
-                            visit(et, c, r, u, v);
-                        }
-                    }
-                }
-            }
-        }
+        fold_dense(self.schema, sel, |i| self.cells.get(i).copied(), visit);
     }
 
     /// Zero every cell with UpdateType = `Unclassified` — used by the
@@ -200,8 +187,19 @@ impl DataCube {
         }
     }
 
-    /// Serialize into exactly [`CubeSchema::cube_bytes`] bytes.
+    /// Serialize in the smaller of the two encodings: sparse
+    /// ([`SparseBlock`](crate::SparseBlock)'s, 12 bytes per non-zero cell)
+    /// when that is shorter than dense ([`CubeSchema::cube_bytes`]), dense
+    /// otherwise. On a 4 320-cell schema that is sparse below 2 880
+    /// non-zero cells. Sparse entries address cells by `u32`, so a schema
+    /// with more cells always stores dense.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let nnz = self.cells.iter().filter(|&&v| v != 0).count();
+        let addressable = u32::try_from(self.schema.cell_count()).is_ok();
+        if addressable && sparse::encoded_len(nnz) < self.schema.cube_bytes() {
+            let entries = self.cells.iter().enumerate().filter(|(_, &v)| v != 0);
+            return sparse::encode(self.schema, nnz, entries.map(|(i, &v)| (i as u32, v)));
+        }
         let mut out = Vec::with_capacity(self.schema.cube_bytes());
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&(self.schema.n_countries() as u32).to_le_bytes());
@@ -212,39 +210,45 @@ impl DataCube {
         out
     }
 
-    /// Deserialize; `expected` guards against reading a cube written under
-    /// a different schema. Trailing page padding beyond the cube is ignored.
+    /// Deserialize either encoding; `expected` guards against reading a
+    /// cube written under a different schema. Trailing page padding
+    /// beyond the cube is ignored. Validation is [`CubeView::parse`]'s.
     pub fn from_bytes(expected: CubeSchema, bytes: &[u8]) -> Result<DataCube, CubeError> {
-        if bytes.len() < CUBE_HEADER_BYTES {
-            return Err(CubeError::Corrupt("short header".into()));
-        }
-        if bytes.get(..8) != Some(MAGIC.as_slice()) {
-            return Err(CubeError::Corrupt("bad magic".into()));
-        }
-        let corrupt = || CubeError::Corrupt("short header".into());
-        let nc = read_le_u32(bytes, 8).ok_or_else(corrupt)? as usize;
-        let nr = read_le_u32(bytes, 12).ok_or_else(corrupt)? as usize;
-        if nc != expected.n_countries() || nr != expected.n_road_types() {
-            return Err(CubeError::SchemaMismatch);
-        }
-        let need = expected.cell_count() * 8;
-        let body = bytes
-            .get(CUBE_HEADER_BYTES..CUBE_HEADER_BYTES + need)
-            .ok_or_else(|| CubeError::Corrupt("truncated cell data".into()))?;
-        let cells = body
-            .chunks_exact(8)
-            // chunks_exact guarantees 8-byte windows; a mismatch (impossible)
-            // decodes as 0 rather than panicking on the read path.
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap_or_default()))
-            .collect();
-        Ok(DataCube { schema: expected, cells })
+        Ok(CubeView::parse(expected, bytes)?.to_cube())
+    }
+
+    /// A cube over already-decoded cells (`schema.cell_count()` of them).
+    pub(crate) fn from_cells(schema: CubeSchema, cells: Vec<u64>) -> DataCube {
+        debug_assert_eq!(cells.len(), schema.cell_count());
+        DataCube { schema, cells }
     }
 }
 
-/// Bounds-checked little-endian u32 read — `None` instead of a panic on a
-/// short buffer, keeping `from_bytes` total on the warm-cache read path.
-fn read_le_u32(bytes: &[u8], off: usize) -> Option<u32> {
-    bytes.get(off..off.checked_add(4)?).and_then(|b| b.try_into().ok()).map(u32::from_le_bytes)
+/// The one dense fold: iterate the selection in layout order (cache
+/// friendly) and visit every selected, non-zero cell; `cell(i)` reads
+/// flat cell `i`.
+pub(crate) fn fold_dense<F>(
+    schema: CubeSchema,
+    sel: &DimSelection,
+    cell: impl Fn(usize) -> Option<u64>,
+    mut visit: F,
+) where
+    F: FnMut(usize, usize, usize, usize, u64),
+{
+    debug_assert_eq!(sel.schema(), schema, "selection resolved against another schema");
+    for &et in sel.element_types() {
+        for &c in sel.countries() {
+            for &r in sel.road_types() {
+                let base = schema.cell_index(et, c, r, 0);
+                for &u in sel.update_types() {
+                    let Some(v) = cell(base + u) else { continue };
+                    if v != 0 {
+                        visit(et, c, r, u, v);
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -331,7 +335,9 @@ mod tests {
         )
         .unwrap();
         let bytes = cube.to_bytes();
-        assert_eq!(bytes.len(), s.cube_bytes());
+        // Two non-zero cells: sparse, exactly because it is smaller.
+        assert_eq!(bytes.len(), crate::BLOCK_HEADER_BYTES + 2 * 12);
+        assert!(bytes.len() < s.cube_bytes());
         let back = DataCube::from_bytes(s, &bytes).unwrap();
         assert_eq!(back, cube);
 
@@ -342,9 +348,33 @@ mod tests {
     }
 
     #[test]
+    fn encoding_is_sparse_exactly_when_smaller() {
+        // tiny: 180 cells, dense 1 456 B; sparse 20 + 12·n B is smaller
+        // up to n = 119.
+        let s = CubeSchema::tiny();
+        for (nnz, sparse) in [(0, true), (119, true), (120, false), (180, false)] {
+            let mut cube = DataCube::zeroed(s);
+            for i in 0..nnz {
+                let (et, c, r, u) = s.coords_of(i);
+                cube.set(et, c, r, u, i as u64 + 1);
+            }
+            let bytes = cube.to_bytes();
+            let want = if sparse { crate::BLOCK_HEADER_BYTES + nnz * 12 } else { s.cube_bytes() };
+            assert_eq!(bytes.len(), want, "nnz={nnz}");
+            assert_eq!(DataCube::from_bytes(s, &bytes).unwrap(), cube, "nnz={nnz}");
+        }
+    }
+
+    #[test]
     fn deserialization_rejects_corruption() {
         let s = CubeSchema::tiny();
-        let bytes = DataCube::zeroed(s).to_bytes();
+        let mut full = DataCube::zeroed(s);
+        for i in 0..s.cell_count() {
+            let (et, c, r, u) = s.coords_of(i);
+            full.set(et, c, r, u, 1);
+        }
+        let bytes = full.to_bytes();
+        assert_eq!(bytes.len(), s.cube_bytes(), "a full cube stays dense");
         // Wrong magic.
         let mut bad = bytes.clone();
         bad[0] = b'X';

@@ -16,8 +16,10 @@ mod schema;
 mod cube;
 mod selection;
 mod sparse;
+mod view;
 
 pub use cube::{CubeError, DataCube, CUBE_HEADER_BYTES};
 pub use schema::CubeSchema;
 pub use selection::DimSelection;
 pub use sparse::{SparseBlock, BLOCK_HEADER_BYTES};
+pub use view::CubeView;

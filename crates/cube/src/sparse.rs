@@ -12,18 +12,61 @@
 //! would double-count under a bbox filter), merged by element-wise add for
 //! temporal roll-up, and queried through the same [`DimSelection`]
 //! membership the dense path resolves.
+//!
+//! The encoding is also the one a [`DataCube`](crate::DataCube) is stored
+//! in whenever it is the smaller of the two (see `DataCube::to_bytes`).
 
 use crate::cube::CubeError;
 use crate::schema::CubeSchema;
 use crate::selection::DimSelection;
+use crate::view;
 use rased_osm_model::UpdateRecord;
 
 /// Serialized header: magic (8) + n_countries (4) + n_road_types (4) +
 /// entry count (4).
 pub const BLOCK_HEADER_BYTES: usize = 20;
-const MAGIC: &[u8; 8] = b"RSBLK1\0\0";
+pub(crate) const MAGIC: &[u8; 8] = b"RSBLK1\0\0";
 /// Bytes per serialized entry: cell index (u32) + count (u64).
-const ENTRY_BYTES: usize = 12;
+pub(crate) const ENTRY_BYTES: usize = 12;
+
+/// Encoded size of `count` entries.
+pub(crate) fn encoded_len(count: usize) -> usize {
+    BLOCK_HEADER_BYTES + count * ENTRY_BYTES
+}
+
+/// Encode `count` sorted, non-zero `(cell_index, count)` entries.
+pub(crate) fn encode(schema: CubeSchema, count: usize, entries: impl Iterator<Item = (u32, u64)>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(encoded_len(count));
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&(schema.n_countries() as u32).to_le_bytes());
+    out.extend_from_slice(&(schema.n_road_types() as u32).to_le_bytes());
+    out.extend_from_slice(&(count as u32).to_le_bytes());
+    for (i, v) in entries {
+        out.extend_from_slice(&i.to_le_bytes());
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    out
+}
+
+/// The one sparse fold: visit every entry the selection contains as
+/// `(element, country, road, update, count)`. Cost is proportional to the
+/// entries, not to the cube.
+pub(crate) fn fold<F>(
+    schema: CubeSchema,
+    entries: impl Iterator<Item = (u32, u64)>,
+    sel: &DimSelection,
+    mut visit: F,
+) where
+    F: FnMut(usize, usize, usize, usize, u64),
+{
+    debug_assert_eq!(sel.schema(), schema, "selection resolved against another schema");
+    for (i, v) in entries {
+        let (et, c, r, u) = schema.coords_of(i as usize);
+        if sel.contains(et, c, r, u) {
+            visit(et, c, r, u, v);
+        }
+    }
+}
 
 /// A sparse 4-D count cube: only non-zero cells, sorted by flat index.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,80 +175,29 @@ impl SparseBlock {
     /// Visit every selected, non-zero cell as
     /// `(element, country, road, update, count)` — the sparse counterpart
     /// of `DataCube::for_each_selected`.
-    pub fn for_each_selected<F>(&self, sel: &DimSelection, mut visit: F)
+    pub fn for_each_selected<F>(&self, sel: &DimSelection, visit: F)
     where
         F: FnMut(usize, usize, usize, usize, u64),
     {
-        debug_assert_eq!(sel.schema(), self.schema, "selection resolved against another schema");
-        for &(i, v) in &self.entries {
-            let (et, c, r, u) = self.schema.coords_of(i as usize);
-            if sel.contains(et, c, r, u) {
-                visit(et, c, r, u, v);
-            }
-        }
+        fold(self.schema, self.entries.iter().copied(), sel, visit);
     }
 
     /// Serialize: header + `len()` 12-byte entries.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(BLOCK_HEADER_BYTES + self.entries.len() * ENTRY_BYTES);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&(self.schema.n_countries() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.schema.n_road_types() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        for &(i, v) in &self.entries {
-            out.extend_from_slice(&i.to_le_bytes());
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
+        encode(self.schema, self.entries.len(), self.entries.iter().copied())
     }
 
     /// Deserialize; `expected` guards against reading a block written under
-    /// a different schema. Trailing page padding is ignored.
+    /// a different schema. Trailing page padding is ignored. Validation is
+    /// [`CubeView::parse`](crate::CubeView::parse)'s; a dense cube's bytes
+    /// are not a block.
     pub fn from_bytes(expected: CubeSchema, bytes: &[u8]) -> Result<SparseBlock, CubeError> {
         if bytes.get(..8) != Some(MAGIC.as_slice()) {
             return Err(CubeError::Corrupt("bad block magic".into()));
         }
-        let corrupt = |m: &str| CubeError::Corrupt(m.into());
-        let nc = read_le_u32(bytes, 8).ok_or_else(|| corrupt("short header"))? as usize;
-        let nr = read_le_u32(bytes, 12).ok_or_else(|| corrupt("short header"))? as usize;
-        let count = read_le_u32(bytes, 16).ok_or_else(|| corrupt("short header"))? as usize;
-        if nc != expected.n_countries() || nr != expected.n_road_types() {
-            return Err(CubeError::SchemaMismatch);
-        }
-        let need = count.checked_mul(ENTRY_BYTES).ok_or_else(|| corrupt("entry count overflow"))?;
-        let body = bytes
-            .get(BLOCK_HEADER_BYTES..BLOCK_HEADER_BYTES.saturating_add(need))
-            .ok_or_else(|| corrupt("truncated block entries"))?;
-        let cell_count = expected.cell_count();
-        let mut entries = Vec::with_capacity(count);
-        let mut prev: Option<u32> = None;
-        for chunk in body.chunks_exact(ENTRY_BYTES) {
-            let i = chunk
-                .get(..4)
-                .and_then(|b| b.try_into().ok())
-                .map(u32::from_le_bytes)
-                .ok_or_else(|| corrupt("short entry"))?;
-            let v = chunk
-                .get(4..12)
-                .and_then(|b| b.try_into().ok())
-                .map(u64::from_le_bytes)
-                .ok_or_else(|| corrupt("short entry"))?;
-            if i as usize >= cell_count {
-                return Err(corrupt("entry index out of schema"));
-            }
-            if prev.is_some_and(|p| p >= i) {
-                return Err(corrupt("entries not strictly sorted"));
-            }
-            prev = Some(i);
-            entries.push((i, v));
-        }
+        let entries = view::entries(view::sparse_body(expected, bytes)?).collect();
         Ok(SparseBlock { schema: expected, entries })
     }
-}
-
-/// Bounds-checked little-endian u32 read, total on the read path.
-fn read_le_u32(bytes: &[u8], off: usize) -> Option<u32> {
-    bytes.get(off..off.checked_add(4)?).and_then(|b| b.try_into().ok()).map(u32::from_le_bytes)
 }
 
 #[cfg(test)]

@@ -109,6 +109,13 @@ impl RespKey {
         &self.stamp
     }
 
+    /// Heap bytes the key owns (its buffers' capacities).
+    fn heap_bytes(&self) -> usize {
+        self.path.capacity()
+            + self.params.capacity()
+            + self.stamp.capacity() * std::mem::size_of::<(u16, u64)>()
+    }
+
     /// Display form for metrics: `path?params @ epoch` for the scalar
     /// form, `path?params @ s:e+s:e` for a multi-shard stamp. Spatial
     /// bands display as `g<band>` rather than their raw namespaced id.
@@ -182,9 +189,11 @@ impl CachedResponse {
         out.extend_from_slice(&self.body);
     }
 
-    /// Bytes this response pins in the cache.
+    /// Bytes this response pins in the cache: its buffers' capacities,
+    /// not their lengths — a body rendered into a doubling `String` can
+    /// hold nearly twice what it says.
     fn cost(&self) -> usize {
-        self.head_keep.len() + self.head_close.len() + self.body.len()
+        self.head_keep.capacity() + self.head_close.capacity() + self.body.capacity()
     }
 }
 
@@ -365,7 +374,10 @@ impl ResponseCache {
         if self.is_dead(&key.stamp) {
             return;
         }
-        let cost = resp.cost();
+        // The stored copy is what stays pinned (a clone holds exactly its
+        // bytes, whatever spare capacity the caller's key carried).
+        let stored = key.clone();
+        let cost = resp.cost() + stored.heap_bytes();
         if cost > self.shard_bytes {
             return;
         }
@@ -380,7 +392,7 @@ impl ResponseCache {
         {
             let shard = self.shard(key);
             let mut guard = shard.lock();
-            if let Some(old) = guard.lru.insert(key.clone(), entry) {
+            if let Some(old) = guard.lru.insert(stored, entry) {
                 guard.bytes = guard.bytes.saturating_sub(old.cost);
             }
             guard.bytes += cost;
@@ -725,6 +737,31 @@ mod tests {
         }
         assert!(cache.len() <= SHARDS, "entry budget exceeded: {}", cache.len());
         assert!(cache.bytes() <= SHARDS * 400, "byte budget exceeded: {}", cache.bytes());
+    }
+
+    /// The budget bounds what the entries pin — buffer capacities plus
+    /// key bytes — not the lengths their bodies report.
+    #[test]
+    fn byte_budget_bounds_buffer_capacities() {
+        let budget = SHARDS * 4096;
+        let cache = ResponseCache::new(budget, 1 << 20);
+        for i in 0..256 {
+            let mut body = Vec::with_capacity(1500);
+            body.extend_from_slice(format!("{{\"i\":{i}}}").as_bytes());
+            let key = scalar("/api/analysis", &format!("q={i}"), 1);
+            cache.insert(&key, &CachedResponse::new(200, "application/json", body));
+        }
+        let mut pinned = 0;
+        for shard in &cache.shards {
+            shard.lock().lru.for_each(|k, e| {
+                let r = &e.resp;
+                pinned += r.head_keep.capacity() + r.head_close.capacity() + r.body.capacity();
+                pinned += k.heap_bytes();
+            });
+        }
+        assert!(cache.len() > SHARDS, "the budget still holds entries: {}", cache.len());
+        assert!(pinned <= budget, "entries pin {pinned} B past the {budget} B budget");
+        assert_eq!(pinned, cache.bytes());
     }
 
     #[test]

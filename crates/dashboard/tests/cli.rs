@@ -109,6 +109,27 @@ fn cli_reports_errors_cleanly() {
         assert!(stderr.contains(want) && !stderr.contains("panicked"), "{flag} {value}: {stderr}");
     }
 
+    // A store written by an older format version does not open: `serve`
+    // names the versions instead of misreading it. The first run creates
+    // the store, then fails to bind the bogus address.
+    let store = dir.file("old-store");
+    let serve = || {
+        rased().args(["serve", "--system"]).arg(&store).args(["--addr", "not-an-address"]).output().unwrap()
+    };
+    assert!(String::from_utf8_lossy(&serve().stderr).contains("invalid socket address"));
+    let catalog = store.join("index").join("catalog.bin");
+    let mut bytes = std::fs::read(&catalog).unwrap();
+    bytes.splice(..8, *b"RASEDCT3");
+    std::fs::write(&catalog, bytes).unwrap();
+    let out = serve();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    assert!(
+        stderr.contains("store format version 3 is not readable by this build (version 4)")
+            && !stderr.contains("panicked"),
+        "{stderr}"
+    );
+
     // Help prints usage and succeeds.
     let out = rased().arg("help").output().unwrap();
     assert!(out.status.success());

@@ -9,7 +9,7 @@
 //!   cubes as freshly appended pages — published pages are never rewritten.
 //!   Until the unit commits, those pages are unreachable orphans.
 //! * Commit is one atomic step: sync the page file, append a checksummed
-//!   record of the unit's `Period → PageId` bindings to the WAL
+//!   record of the unit's `Period → (PageId, length)` bindings to the WAL
 //!   (`wal.log`), then swap in a new [`CatalogVersion`] with a bumped
 //!   epoch. Readers that pinned the previous version keep resolving the
 //!   old pages; a crash between stage and commit loses nothing but orphan
@@ -35,7 +35,7 @@
 use crate::cache::{CacheConfig, CubeCache};
 use crate::planner::LevelPlanner;
 use crate::wal;
-use rased_cube::{CubeError, CubeSchema, DataCube};
+use rased_cube::{CubeError, CubeSchema, CubeView, DataCube, DimSelection};
 use rased_storage::sync::{Mutex, RwLock};
 use rased_storage::{FlightGroup, IoCostModel, IoSnapshot, PageFile, PageId, StorageError};
 use rased_temporal::{Date, Granularity, Period};
@@ -59,6 +59,9 @@ pub enum IndexError {
     /// A raw block exceeds the store's page size (the caller should have
     /// skipped materializing it and left the region to scan fallback).
     BlockTooLarge { have: usize, page: usize },
+    /// The store was written in another on-disk format version; it does
+    /// not open (rebuild it from its data).
+    StoreVersion { found: u32, expected: u32 },
 }
 
 impl fmt::Display for IndexError {
@@ -74,6 +77,11 @@ impl fmt::Display for IndexError {
             IndexError::BlockTooLarge { have, page } => {
                 write!(f, "block of {have} bytes exceeds the {page}-byte page")
             }
+            IndexError::StoreVersion { found, expected } => write!(
+                f,
+                "store format version {found} is not readable by this build (version {expected}); \
+                 rebuild the store from its data"
+            ),
         }
     }
 }
@@ -98,6 +106,12 @@ impl From<CubeError> for IndexError {
 pub enum FetchOutcome {
     Cache,
     Disk,
+}
+
+/// What a cube probe found: the cached cube, or the stored bytes.
+enum Probed {
+    Cached(Arc<DataCube>),
+    Read(Arc<[u8]>),
 }
 
 /// What one daily-ingest maintenance run did (mirrors the I/O accounting of
@@ -171,6 +185,14 @@ impl fmt::Display for CubeKey {
     }
 }
 
+/// Where a key's encoding lives: its page, and the length of the encoding
+/// at the page's start (the rest of the page is padding).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Loc {
+    page: PageId,
+    len: u32,
+}
+
 /// One immutable published version of the cube-key → page catalog.
 ///
 /// Readers clone the `Arc` once ([`TemporalIndex::snapshot`]) and resolve
@@ -180,7 +202,7 @@ impl fmt::Display for CubeKey {
 #[derive(Debug)]
 pub struct CatalogVersion {
     epoch: u64,
-    map: HashMap<CubeKey, PageId>,
+    map: HashMap<CubeKey, Loc>,
 }
 
 impl CatalogVersion {
@@ -200,6 +222,10 @@ impl CatalogVersion {
 
     /// The page bound to an arbitrary lattice key in this version.
     pub fn page_of(&self, key: CubeKey) -> Option<PageId> {
+        self.loc(key).map(|l| l.page)
+    }
+
+    fn loc(&self, key: CubeKey) -> Option<Loc> {
         self.map.get(&key).copied()
     }
 
@@ -236,7 +262,7 @@ impl CatalogVersion {
     /// Every whole-world (period, page) binding (unordered) — the cube
     /// cache's warm-set domain.
     pub fn entries(&self) -> Vec<(Period, PageId)> {
-        self.map.iter().filter(|(k, _)| k.is_world()).map(|(k, g)| (k.period, *g)).collect()
+        self.map.iter().filter(|(k, _)| k.is_world()).map(|(k, l)| (k.period, l.page)).collect()
     }
 }
 
@@ -249,14 +275,14 @@ const UNIT_BLOCK: u8 = 3;
 
 /// An uncommitted write unit: pages already appended (copy-on-write), the
 /// catalog bindings they will install, none of it visible to readers.
-/// A `None` page is a tombstone — commit removes the key's binding.
+/// A `None` location is a tombstone — commit removes the key's binding.
 /// `mark` is the warehouse durable row count to publish with the unit.
 struct WriteUnit {
     kind: u8,
     a: i32,
     b: u32,
-    delta: Vec<(CubeKey, Option<PageId>)>,
-    staged: HashMap<CubeKey, Option<PageId>>,
+    delta: Vec<(CubeKey, Option<Loc>)>,
+    staged: HashMap<CubeKey, Option<Loc>>,
     mark: Option<u64>,
 }
 
@@ -291,10 +317,10 @@ pub struct TemporalIndex {
     wal: Mutex<wal::Wal>,
     cache: CubeCache,
     /// Coalesces concurrent cold fetches of the same page: one physical
-    /// read + deserialize, the rest share the `Arc`. Keyed by page (not
-    /// period) — two epochs of the same period are different pages and
-    /// must never coalesce.
-    flights: FlightGroup<u64, Arc<DataCube>>,
+    /// read of the encoding's bytes, which every waiter then folds or
+    /// decodes. Keyed by page (not period) — two epochs of the same period
+    /// are different pages and must never coalesce.
+    flights: FlightGroup<u64, Arc<[u8]>>,
     catalog_path: PathBuf,
     published_units: AtomicU64,
     invalidations: AtomicU64,
@@ -404,13 +430,15 @@ impl TemporalIndex {
             // allocation watermark — marks the end of trustworthy history.
             // Tombstone entries carry no page and are exempt.
             let Ok((entries, unit_mark)) = decode_unit(&rec.payload) else { break };
-            if entries.iter().any(|(_, page)| page.is_some_and(|pg| pg.0 >= page_count)) {
+            if entries.iter().any(|(_, loc)| {
+                loc.is_some_and(|l| l.page.0 >= page_count || l.len as usize > file.page_size())
+            }) {
                 break;
             }
-            for (p, page) in entries {
-                match page {
-                    Some(pg) => {
-                        map.insert(p, pg);
+            for (p, loc) in entries {
+                match loc {
+                    Some(l) => {
+                        map.insert(p, l);
                     }
                     None => {
                         map.remove(&p);
@@ -566,12 +594,15 @@ impl TemporalIndex {
     /// [`IndexError::BlockTooLarge`] *before* touching the file.
     fn stage_raw(&self, unit: &mut WriteUnit, key: CubeKey, bytes: Vec<u8>) -> Result<(), IndexError> {
         let page_size = self.file.page_size();
+        let too_large = || IndexError::BlockTooLarge { have: bytes.len(), page: page_size };
+        let len = u32::try_from(bytes.len()).map_err(|_| too_large())?;
         if bytes.len() > page_size {
-            return Err(IndexError::BlockTooLarge { have: bytes.len(), page: page_size });
+            return Err(too_large());
         }
         let page = self.file.append_page(&pad_to_page(bytes, page_size))?;
-        unit.delta.push((key, Some(page)));
-        unit.staged.insert(key, Some(page));
+        let loc = Some(Loc { page, len });
+        unit.delta.push((key, loc));
+        unit.staged.insert(key, loc);
         Ok(())
     }
 
@@ -609,18 +640,18 @@ impl TemporalIndex {
             }
             let mut cat = self.catalog.write();
             let mut map = cat.map.clone();
-            for &(k, page) in &unit.delta {
-                match page {
-                    Some(page) => {
-                        if let Some(old) = map.insert(k, page) {
-                            if old != page {
-                                stale.push((k, Some(page), old));
+            for &(k, loc) in &unit.delta {
+                match loc {
+                    Some(loc) => {
+                        if let Some(old) = map.insert(k, loc) {
+                            if old.page != loc.page {
+                                stale.push((k, Some(loc.page), old.page));
                             }
                         }
                     }
                     None => {
                         if let Some(old) = map.remove(&k) {
-                            stale.push((k, None, old));
+                            stale.push((k, None, old.page));
                         }
                     }
                 }
@@ -683,20 +714,19 @@ impl TemporalIndex {
         self.commit_unit(unit)
     }
 
-    /// Raw page bytes bound to `key` in `snap`, or `None` when the key is
-    /// not materialized in that version. The page is returned whole —
-    /// decoders (e.g. `SparseBlock::from_bytes`) tolerate the zero padding
-    /// after the payload. Bypasses the cube cache; block callers run their
-    /// own page-tagged cache.
+    /// The encoded bytes bound to `key` in `snap` — exactly as many as
+    /// were stored, read in one go, not the padded page — or `None` when
+    /// the key is not materialized in that version. Bypasses the cube
+    /// cache; block callers run their own page-tagged cache.
     pub fn fetch_block_at(
         &self,
         snap: &CatalogVersion,
         key: CubeKey,
     ) -> Result<Option<(PageId, Vec<u8>)>, IndexError> {
-        let Some(page) = snap.page_of(key) else {
+        let Some(loc) = snap.loc(key) else {
             return Ok(None);
         };
-        Ok(Some((page, self.file.read_page_vec(page)?)))
+        Ok(Some((loc.page, self.read_exact(loc)?)))
     }
 
     /// Every catalogued lattice key (unordered, regional keys included).
@@ -719,33 +749,75 @@ impl TemporalIndex {
         snap: &CatalogVersion,
         period: Period,
     ) -> Result<Option<(Arc<DataCube>, FetchOutcome)>, IndexError> {
-        let Some(page) = snap.page(period) else {
+        Ok(match self.probe(snap, period)? {
+            None => None,
+            Some(Probed::Cached(cube)) => Some((cube, FetchOutcome::Cache)),
+            Some(Probed::Read(bytes)) => {
+                Some((Arc::new(DataCube::from_bytes(self.schema, &bytes)?), FetchOutcome::Disk))
+            }
+        })
+    }
+
+    /// Fold the cells of `period`'s cube (as bound by `snap`) that `sel`
+    /// selects into `visit`, and say where the cube came from; `None` when
+    /// it is not materialized in that version. A cache hit folds the
+    /// cached cube; a miss folds the stored bytes in place, never building
+    /// a cube.
+    pub fn fold_at(
+        &self,
+        snap: &CatalogVersion,
+        period: Period,
+        sel: &DimSelection,
+        visit: impl FnMut(usize, usize, usize, usize, u64),
+    ) -> Result<Option<FetchOutcome>, IndexError> {
+        Ok(match self.probe(snap, period)? {
+            None => None,
+            Some(Probed::Cached(cube)) => {
+                cube.for_each_selected(sel, visit);
+                Some(FetchOutcome::Cache)
+            }
+            Some(Probed::Read(bytes)) => {
+                CubeView::parse(self.schema, &bytes)?.for_each_selected(sel, visit);
+                Some(FetchOutcome::Disk)
+            }
+        })
+    }
+
+    /// The cached cube for `period` at `snap`'s version, or else its
+    /// stored bytes. Concurrent misses of one *page* coalesce into one
+    /// physical read whose bytes every caller shares; each still counts as
+    /// `Disk`, since each did miss the cache. Pages are immutable once
+    /// published, so a retry after a publish-driven cancellation always
+    /// reads correct bytes.
+    fn probe(&self, snap: &CatalogVersion, period: Period) -> Result<Option<Probed>, IndexError> {
+        let Some(loc) = snap.loc(CubeKey::world(period)) else {
             return Ok(None);
         };
-        if let Some(cube) = self.cache.get(period, page) {
-            return Ok(Some((cube, FetchOutcome::Cache)));
+        if let Some(cube) = self.cache.get(period, loc.page) {
+            return Ok(Some(Probed::Cached(cube)));
         }
-        // Cold fetch: coalesce concurrent misses of the same *page* into
-        // one physical read + deserialize. Followers share the leader's
-        // `Arc` but still count as `Disk` — each caller did miss the cache.
-        // Pages are immutable once published, so a retry after a publish-
-        // driven cancellation always reads correct bytes.
-        let cube = self.flights.run(page.0, || self.read_cube(page))?;
-        Ok(Some((cube, FetchOutcome::Disk)))
+        let bytes = self.flights.run(loc.page.0, || self.read_exact(loc).map(Arc::from))?;
+        Ok(Some(Probed::Read(bytes)))
     }
 
     /// Fetch bypassing and not touching the cache (used by maintenance and
     /// cache warming itself).
     pub fn fetch_uncached(&self, period: Period) -> Result<Option<Arc<DataCube>>, IndexError> {
-        let Some(page) = self.snapshot().page(period) else {
+        let Some(loc) = self.snapshot().loc(CubeKey::world(period)) else {
             return Ok(None);
         };
-        self.read_cube(page).map(Some)
+        self.read_cube(loc).map(Some)
     }
 
-    fn read_cube(&self, page: PageId) -> Result<Arc<DataCube>, IndexError> {
-        let bytes = self.file.read_page_vec(page)?;
-        Ok(Arc::new(DataCube::from_bytes(self.schema, &bytes)?))
+    /// The encoding stored at `loc`: one read of exactly its length.
+    fn read_exact(&self, loc: Loc) -> Result<Vec<u8>, IndexError> {
+        let mut buf = vec![0u8; loc.len as usize];
+        self.file.read_page_prefix(loc.page, &mut buf)?;
+        Ok(buf)
+    }
+
+    fn read_cube(&self, loc: Loc) -> Result<Arc<DataCube>, IndexError> {
+        Ok(Arc::new(DataCube::from_bytes(self.schema, &self.read_exact(loc)?)?))
     }
 
     /// Resolve `period` for roll-up building: the unit's own staged pages
@@ -758,12 +830,13 @@ impl TemporalIndex {
     ) -> Result<Option<Arc<DataCube>>, IndexError> {
         // A staged binding — page *or* tombstone — shadows the committed
         // catalog; only an untouched period falls through to it.
-        let page = match unit.staged.get(&CubeKey::world(period)) {
+        let key = CubeKey::world(period);
+        let loc = match unit.staged.get(&key) {
             Some(&staged) => staged,
-            None => self.catalog.read().page(period),
+            None => self.catalog.read().loc(key),
         };
-        match page {
-            Some(page) => self.read_cube(page).map(Some),
+        match loc {
+            Some(loc) => self.read_cube(loc).map(Some),
             None => Ok(None),
         }
     }
@@ -952,7 +1025,11 @@ impl TemporalIndex {
     /// Re-warm the cache per the recency policy from the current catalog.
     pub fn warm_cache(&self) -> Result<(), IndexError> {
         let snap = self.snapshot();
-        self.cache.warm(&snap.entries(), |_, page| self.read_cube(page))
+        // `entries` come from `snap`, so every period has its length there.
+        self.cache.warm(&snap.entries(), |period, page| {
+            let len = snap.loc(CubeKey::world(period)).map_or(0, |l| l.len);
+            self.read_cube(Loc { page, len })
+        })
     }
 
     /// Checkpoint the catalog sidecar (write-temp + atomic rename) and
@@ -989,13 +1066,13 @@ fn pad_to_page(mut bytes: Vec<u8>, page_size: usize) -> Vec<u8> {
 
 // --- WAL unit payloads -----------------------------------------------------
 // Payload: kind u8 | a i32 | b u32 | entry count u32, then per entry the
-// same 21-byte layout as the catalog sidecar:
-//   granularity u8 | a i32 | b u32 | region u32 | page u64
+// same 25-byte layout as the catalog sidecar:
+//   granularity u8 | a i32 | b u32 | region u32 | page u64 | len u32
 // A page of `TOMBSTONE` (u64::MAX) removes the binding instead of
 // installing one. An optional 8-byte trailer after the entries is the
 // unit's durable warehouse watermark; units without one omit it.
 
-const ENTRY_BYTES: usize = 21;
+const ENTRY_BYTES: usize = 25;
 
 fn encode_unit(unit: &WriteUnit) -> Vec<u8> {
     let mut out = Vec::with_capacity(13 + unit.delta.len() * ENTRY_BYTES + 8);
@@ -1003,8 +1080,8 @@ fn encode_unit(unit: &WriteUnit) -> Vec<u8> {
     out.extend_from_slice(&unit.a.to_le_bytes());
     out.extend_from_slice(&unit.b.to_le_bytes());
     out.extend_from_slice(&(unit.delta.len() as u32).to_le_bytes());
-    for &(k, page) in &unit.delta {
-        encode_entry(&mut out, k, page.map_or(TOMBSTONE, |pg| pg.0));
+    for &(k, loc) in &unit.delta {
+        encode_entry(&mut out, k, loc);
     }
     if let Some(mark) = unit.mark {
         out.extend_from_slice(&mark.to_le_bytes());
@@ -1012,17 +1089,14 @@ fn encode_unit(unit: &WriteUnit) -> Vec<u8> {
     out
 }
 
-type DecodedUnit = (Vec<(CubeKey, Option<PageId>)>, Option<u64>);
+type DecodedUnit = (Vec<(CubeKey, Option<Loc>)>, Option<u64>);
 
 fn decode_unit(payload: &[u8]) -> Result<DecodedUnit, IndexError> {
     let bad = |m: &str| IndexError::BadCatalog(format!("wal record: {m}"));
     let n = rased_storage::bytes::read_u32_le(payload, 9).ok_or_else(|| bad("short header"))? as usize;
     let mut entries = Vec::with_capacity(n.min(4096));
     for i in 0..n {
-        let (key, page) = decode_entry(payload, 13 + i * ENTRY_BYTES)
-            .ok_or_else(|| bad("truncated entries"))??;
-        let page = if page == TOMBSTONE { None } else { Some(PageId(page)) };
-        entries.push((key, page));
+        entries.push(decode_entry(payload, 13 + i * ENTRY_BYTES).ok_or_else(|| bad("truncated entries"))??);
     }
     // The watermark trailer is present exactly when 8 more bytes follow
     // the entries (the CRC framing already vouches for the byte count).
@@ -1030,38 +1104,52 @@ fn decode_unit(payload: &[u8]) -> Result<DecodedUnit, IndexError> {
     Ok((entries, mark))
 }
 
-fn encode_entry(out: &mut Vec<u8>, key: CubeKey, page: u64) {
+fn encode_entry(out: &mut Vec<u8>, key: CubeKey, loc: Option<Loc>) {
     let (g, a, b) = encode_period(key.period);
     out.push(g);
     out.extend_from_slice(&a.to_le_bytes());
     out.extend_from_slice(&b.to_le_bytes());
     out.extend_from_slice(&key.region.to_le_bytes());
-    out.extend_from_slice(&page.to_le_bytes());
+    out.extend_from_slice(&loc.map_or(TOMBSTONE, |l| l.page.0).to_le_bytes());
+    out.extend_from_slice(&loc.map_or(0, |l| l.len).to_le_bytes());
 }
 
-/// Decode one 21-byte entry at `off`. Outer `None` = short buffer; inner
-/// `Err` = well-framed but invalid (bad granularity tag).
-fn decode_entry(bytes: &[u8], off: usize) -> Option<Result<(CubeKey, u64), IndexError>> {
+/// Decode one 25-byte entry at `off` (`None` location = tombstone). Outer
+/// `None` = short buffer; inner `Err` = well-framed but invalid (bad
+/// granularity tag).
+fn decode_entry(bytes: &[u8], off: usize) -> Option<Result<(CubeKey, Option<Loc>), IndexError>> {
     let g = *bytes.get(off)?;
     let a = rased_storage::bytes::read_u32_le(bytes, off + 1)? as i32;
     let b = rased_storage::bytes::read_u32_le(bytes, off + 5)?;
     let region = rased_storage::bytes::read_u32_le(bytes, off + 9)?;
     let page = rased_storage::bytes::read_u64_le(bytes, off + 13)?;
-    Some(decode_period(g, a, b).map(|p| (CubeKey { period: p, region }, page)))
+    let len = rased_storage::bytes::read_u32_le(bytes, off + 21)?;
+    let loc = (page != TOMBSTONE).then_some(Loc { page: PageId(page), len });
+    Some(decode_period(g, a, b).map(|p| (CubeKey { period: p, region }, loc)))
 }
 
 // --- catalog sidecar -------------------------------------------------------
-// Format v3: magic (8) + epoch (u64) + durable mark (u64, u64::MAX = none)
+// Format v4: magic (8) + epoch (u64) + durable mark (u64, u64::MAX = none)
 // + entry count (u64), then per entry:
-//   granularity u8 | a i32 | b u32 | region u32 | page u64
+//   granularity u8 | a i32 | b u32 | region u32 | page u64 | len u32
 // where (a, b) encode the period: Day/Week → (start-days, 0);
-// Month → (year, month); Year → (year, 0), and `region` is the spatial
-// half of the key (0 = world). v3 widens entries from 17 to 21 bytes for
-// the region; the magic was bumped from RASEDCT2 — no deployed v2
-// catalogs exist to migrate.
+// Month → (year, month); Year → (year, 0), `region` is the spatial half
+// of the key (0 = world) and `len` the stored encoding's length on its
+// page. The magic's last byte is the format version; an older store
+// fails to open with `IndexError::StoreVersion` rather than misreading.
 
-const CATALOG_MAGIC: &[u8; 8] = b"RASEDCT3";
+const CATALOG_MAGIC: &[u8; 8] = b"RASEDCT4";
+const CATALOG_VERSION: u32 = 4;
 const CATALOG_HEADER: usize = 32;
+
+/// The format version a catalog file declares: the digit after its
+/// `RASEDCT` magic, when it has one.
+fn catalog_version(bytes: &[u8]) -> Option<u32> {
+    match bytes.get(..8)? {
+        [b'R', b'A', b'S', b'E', b'D', b'C', b'T', d] if d.is_ascii_digit() => Some(u32::from(d - b'0')),
+        _ => None,
+    }
+}
 
 fn encode_period(p: Period) -> (u8, i32, u32) {
     match p {
@@ -1084,7 +1172,7 @@ fn decode_period(g: u8, a: i32, b: u32) -> Result<Period, IndexError> {
 
 fn save_catalog(
     path: &Path,
-    catalog: &HashMap<CubeKey, PageId>,
+    catalog: &HashMap<CubeKey, Loc>,
     epoch: u64,
     mark: Option<u64>,
 ) -> Result<(), IndexError> {
@@ -1093,8 +1181,8 @@ fn save_catalog(
     out.extend_from_slice(&epoch.to_le_bytes());
     out.extend_from_slice(&mark.unwrap_or(NO_MARK).to_le_bytes());
     out.extend_from_slice(&(catalog.len() as u64).to_le_bytes());
-    for (k, page) in catalog {
-        encode_entry(&mut out, *k, page.0);
+    for (k, loc) in catalog {
+        encode_entry(&mut out, *k, Some(*loc));
     }
     // Write-temp + rename: the checkpoint is replaced atomically, so a
     // crash mid-save can never leave a half-written catalog.bin.
@@ -1110,12 +1198,15 @@ fn save_catalog(
     Ok(())
 }
 
-/// A catalog file's contents: the key → page map, its epoch and the
+/// A catalog file's contents: the key → location map, its epoch and the
 /// durable row mark.
-type LoadedCatalog = (HashMap<CubeKey, PageId>, u64, Option<u64>);
+type LoadedCatalog = (HashMap<CubeKey, Loc>, u64, Option<u64>);
 
 fn load_catalog(path: &Path) -> Result<LoadedCatalog, IndexError> {
     let bytes = std::fs::read(path).map_err(StorageError::from)?;
+    if let Some(found) = catalog_version(&bytes).filter(|&v| v != CATALOG_VERSION) {
+        return Err(IndexError::StoreVersion { found, expected: CATALOG_VERSION });
+    }
     if bytes.len() < CATALOG_HEADER || !bytes.starts_with(CATALOG_MAGIC) {
         return Err(IndexError::BadCatalog("missing or corrupt header".into()));
     }
@@ -1132,8 +1223,10 @@ fn load_catalog(path: &Path) -> Result<LoadedCatalog, IndexError> {
     }
     let mut catalog = HashMap::with_capacity(count);
     for i in 0..count {
-        let (key, page) = decode_entry(body, i * ENTRY_BYTES).ok_or_else(truncated)??;
-        catalog.insert(key, PageId(page));
+        // A checkpoint holds live bindings only; a tombstone would be a no-op.
+        if let (key, Some(loc)) = decode_entry(body, i * ENTRY_BYTES).ok_or_else(truncated)?? {
+            catalog.insert(key, loc);
+        }
     }
     Ok((catalog, epoch, mark))
 }
@@ -1675,6 +1768,103 @@ mod tests {
         let new = idx.fetch(p).unwrap().unwrap().0;
         assert_eq!(new.total(), 8);
         assert!(idx.epoch() > snap.epoch());
+    }
+
+    #[test]
+    fn open_rejects_an_older_store_version() {
+        let dir = TempDir::new("index-v3");
+        let schema = CubeSchema::tiny();
+        TemporalIndex::create(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free())
+            .unwrap();
+        // A hand-written v3 checkpoint: epoch 7, no mark, one 21-byte entry
+        // (granularity, a, b, region, page) with no length field.
+        let mut v3 = b"RASEDCT3".to_vec();
+        for field in [7u64, u64::MAX, 1] {
+            v3.extend_from_slice(&field.to_le_bytes());
+        }
+        v3.push(0);
+        v3.extend_from_slice(&d("2021-01-01").days().to_le_bytes());
+        v3.extend_from_slice(&[0; 8]);
+        v3.extend_from_slice(&0u64.to_le_bytes());
+        std::fs::write(dir.file("catalog.bin"), v3).unwrap();
+        match TemporalIndex::open(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free()) {
+            Err(IndexError::StoreVersion { found: 3, expected: 4 }) => {}
+            other => panic!("expected a store-version error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_miss_reads_exactly_the_stored_bytes() {
+        let dir = TempDir::new("index-exact");
+        let model = IoCostModel { seek_micros: 10, bytes_per_sec: 1_000_000 };
+        let schema = CubeSchema::tiny();
+        let idx = TemporalIndex::create(dir.path(), schema, 4, CacheConfig::disabled(), model).unwrap();
+        let p = Period::Day(d("2021-01-01"));
+        let cube = day_cube(schema, "2021-01-01", 6);
+        idx.put(p, &cube).unwrap();
+        let stored = cube.to_bytes().len() as u64;
+        assert!(stored < idx.file().page_size() as u64, "four non-zero cells store sparse");
+        let before = idx.file().stats().snapshot();
+        let sel = DimSelection::all(schema);
+        let mut total = 0;
+        let outcome = idx.fold_at(&idx.snapshot(), p, &sel, |_, _, _, _, v| total += v).unwrap();
+        assert_eq!((outcome, total), (Some(FetchOutcome::Disk), 6));
+        assert_eq!(*idx.fetch(p).unwrap().unwrap().0, cube);
+        let io = idx.file().stats().snapshot().since(&before);
+        assert_eq!((io.reads, io.bytes_read), (2, 2 * stored));
+        assert_eq!(io.modeled, model.cost(stored) * 2, "one seek plus the stored bytes, per read");
+    }
+
+    /// N threads miss one cold page together: one physical read, and every
+    /// thread folds the leader's bytes into the oracle's answer. The test
+    /// thread leads the flight and reads only once all N have joined it.
+    #[test]
+    fn a_cold_stampede_reads_once_and_every_fold_is_exact() {
+        const N: usize = 6;
+        let (_dir, idx) = index("stampede", 4);
+        let schema = idx.schema();
+        let p = Period::Day(d("2021-01-01"));
+        let cube = day_cube(schema, "2021-01-01", 9);
+        idx.put(p, &cube).unwrap();
+        let snap = idx.snapshot();
+        let sel = DimSelection::all(schema).with_countries(&[CountryId(1), CountryId(2)]);
+        let mut want = Vec::new();
+        cube.for_each_selected(&sel, |et, c, r, u, v| want.push((et, c, r, u, v)));
+        let loc = snap.loc(CubeKey::world(p)).unwrap();
+        let before = idx.file().stats().snapshot();
+        let barrier = std::sync::Barrier::new(N + 1);
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(|| {
+                idx.flights.run(loc.page.0, || {
+                    // Registered before anyone passes the barrier; held
+                    // open until every follower has joined (bounded, so a
+                    // miss path that never joins fails instead of hanging).
+                    barrier.wait();
+                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                    while idx.flights.followers(&loc.page.0) < N && std::time::Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                    idx.read_exact(loc).map(Arc::from)
+                })
+            });
+            let followers: Vec<_> = (0..N)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let mut got = Vec::new();
+                        let outcome = idx
+                            .fold_at(&snap, p, &sel, |et, c, r, u, v| got.push((et, c, r, u, v)))
+                            .unwrap();
+                        (outcome, got)
+                    })
+                })
+                .collect();
+            leader.join().unwrap().unwrap();
+            for f in followers {
+                assert_eq!(f.join().unwrap(), (Some(FetchOutcome::Disk), want.clone()));
+            }
+        });
+        assert_eq!(idx.file().stats().snapshot().since(&before).reads, 1, "one read for the stampede");
     }
 
     #[test]

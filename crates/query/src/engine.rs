@@ -133,14 +133,14 @@ impl<'s> Pinned<'s> {
             stats.io += pin.store.file().stats().snapshot().since(&pin.io_before);
         }
     }
+}
 
-    /// The modeled cost of one page read of this store — the unit
-    /// `io_critical` is denominated in. Partitions of one facade share a
-    /// cost model + page size, so any pinned store is representative.
-    fn page_cost(&self) -> Duration {
-        let file = self.store.file();
-        file.cost_model().cost(file.page_size() as u64)
-    }
+/// The modeled cost of one of a query's physical reads, averaged over the
+/// pinned stores' I/O — the unit `io_critical` is denominated in. A read
+/// transfers exactly the stored encoding, so this is one seek plus the
+/// mean encoding's transfer, not a whole page's.
+fn mean_read_cost(io: &IoSnapshot) -> Duration {
+    u32::try_from(io.reads).ok().and_then(|n| io.modeled.checked_div(n)).unwrap_or_default()
 }
 
 /// What one gather did: fetch outcomes, and the most disk fetches any one
@@ -249,6 +249,7 @@ impl<'a> QueryEngine<'a> {
         stats: &mut QueryStats,
     ) -> Result<(), QueryError> {
         let pinned: Vec<Pinned<'a>> = self.route(q).into_iter().map(Pinned::new).collect();
+        let mut critical = 0;
         // A filter that selects no cell (e.g. only out-of-schema ids) can
         // never match; skip planning and cube fetches entirely.
         if !selection.is_empty() {
@@ -269,19 +270,18 @@ impl<'a> QueryEngine<'a> {
                 }
             }
             let got = self.gather(&items, agg, |&(pin, date_key, period), agg| {
-                let (cube, outcome) =
-                    pin.store.fetch_at(&pin.snap, period)?.ok_or(QueryError::PlanRace(period))?;
-                cube.for_each_selected(selection, |et, c, r, u, v| {
-                    agg.push_cell(date_key, et, c, r, u, v)
-                });
-                Ok(outcome)
+                pin.store
+                    .fold_at(&pin.snap, period, selection, |et, c, r, u, v| {
+                        agg.push_cell(date_key, et, c, r, u, v)
+                    })?
+                    .ok_or(QueryError::PlanRace(period))
             })?;
             stats.cubes_from_cache = got.from_cache;
             stats.cubes_from_disk = got.from_disk;
-            stats.io_critical =
-                pinned.first().map_or(Duration::ZERO, |p| p.page_cost() * got.critical as u32);
+            critical = got.critical;
         }
         Pinned::settle(pinned.iter(), stats);
+        stats.io_critical = mean_read_cost(&stats.io) * critical as u32;
         Ok(())
     }
 
@@ -490,10 +490,10 @@ impl<'a> QueryEngine<'a> {
         })?;
         stats.blocks_from_cache = got.from_cache;
         stats.blocks_from_disk = got.from_disk;
-        stats.io_critical = pinned
-            .values()
-            .next()
-            .map_or(Duration::ZERO, |p| p.page_cost() * got.critical as u32);
+        // Scans read only the warehouse (charged by the caller), so the
+        // bank pins can settle before them.
+        Pinned::settle(pinned.values(), stats);
+        stats.io_critical = mean_read_cost(&stats.io) * got.critical as u32;
 
         for (cell, from, to) in scan_runs {
             scan_cell(sp, grid, cell, DateRange::new(from, to), agg, stats)?;
@@ -504,7 +504,6 @@ impl<'a> QueryEngine<'a> {
         for &cell in &cover.boundary {
             scan_cell(sp, grid, cell, q.range, agg, stats)?;
         }
-        Pinned::settle(pinned.values(), stats);
         Ok(())
     }
 }

@@ -81,6 +81,13 @@ impl<K: Clone + Eq + Hash, V: Clone> FlightGroup<K, V> {
         n
     }
 
+    /// Callers that have joined `key`'s in-flight computation as followers
+    /// and will take its result (diagnostic; 0 when nothing is in flight).
+    pub fn followers(&self, key: &K) -> usize {
+        // The map and the leader hold one reference each.
+        self.shard(key).lock().get(key).map_or(0, |f| Arc::strong_count(f).saturating_sub(2))
+    }
+
     #[expect(clippy::indexing_slicing, reason = "i is reduced mod shards.len(), which new() keeps >= 1")]
     fn shard(&self, key: &K) -> &Mutex<HashMap<K, Arc<Flight<V>>>> {
         let i = (mix(fxhash(key)) as usize) % self.shards.len();

@@ -184,9 +184,19 @@ impl PageFile {
         if buf.len() != self.page_size {
             return Err(StorageError::WrongBufferSize { expected: self.page_size, got: buf.len() });
         }
+        self.read_page_prefix(page, buf)
+    }
+
+    /// Read the first `buf.len()` bytes of a page (at most one page) — for
+    /// a record shorter than its page. One physical read, charged as one
+    /// operation of `buf.len()` bytes: one modeled seek plus that transfer.
+    pub fn read_page_prefix(&self, page: PageId, buf: &mut [u8]) -> Result<(), StorageError> {
+        if buf.len() > self.page_size {
+            return Err(StorageError::WrongBufferSize { expected: self.page_size, got: buf.len() });
+        }
         self.check_bounds(page)?;
         self.file.read_exact_at(buf, self.offset_of(page))?;
-        self.stats.record_read(self.page_size as u64, &self.model);
+        self.stats.record_read(buf.len() as u64, &self.model);
         Ok(())
     }
 
@@ -335,6 +345,32 @@ mod tests {
         assert_eq!(d.reads, 1);
         assert_eq!(d.bytes_read, 16);
         assert_eq!(d.modeled, std::time::Duration::from_micros(300));
+    }
+
+    #[test]
+    fn prefix_read_is_one_read_of_its_own_length() {
+        let dir = TempDir::new("pagefile");
+        let path = dir.file("p.pg");
+        let model = IoCostModel { seek_micros: 100, bytes_per_sec: 1_000_000 };
+        let pf = PageFile::create(&path, 64, model).unwrap();
+        let data: Vec<u8> = (0..64).collect();
+        let p = pf.append_page(&data).unwrap();
+        let base = pf.stats().snapshot();
+        let mut head = [0u8; 10];
+        pf.read_page_prefix(p, &mut head).unwrap();
+        assert_eq!(head.as_slice(), data.get(..10).unwrap());
+        let d = pf.stats().snapshot().since(&base);
+        assert_eq!((d.reads, d.bytes_read), (1, 10));
+        // One seek plus ten bytes at 1 MB/s.
+        assert_eq!(d.modeled, std::time::Duration::from_micros(110));
+        assert!(matches!(
+            pf.read_page_prefix(p, &mut [0u8; 65]),
+            Err(StorageError::WrongBufferSize { .. })
+        ));
+        assert!(matches!(
+            pf.read_page_prefix(PageId(1), &mut head),
+            Err(StorageError::PageOutOfBounds { .. })
+        ));
     }
 
     #[test]

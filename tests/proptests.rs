@@ -5,7 +5,8 @@
 use dettest::{
     bools, det_proptest, just, one_of, option_of, string_from, vec_of, Rng, Strategy,
 };
-use rased_core::{AnalysisQuery, CubeSchema, DataCube, GroupDim};
+use rased_core::{AnalysisQuery, CubeSchema, DataCube, DimSelection, GroupDim};
+use rased_cube::{CubeError, CubeView, SparseBlock, BLOCK_HEADER_BYTES};
 use rased_osm_model::{
     ChangesetId, CountryId, Element, ElementId, ElementType, Node, RoadTypeId, Tags, UpdateRecord,
     UpdateType, UserId, Version, VersionInfo, Way,
@@ -85,6 +86,52 @@ fn any_record() -> impl Strategy<Value = UpdateRecord> {
     )
 }
 
+/// Optional per-dimension filters for a [`DimSelection`] over a 6 × 5
+/// schema: (element types, countries, road types, update types).
+type SelSpec = (Option<Vec<usize>>, Option<Vec<u16>>, Option<Vec<u16>>, Option<Vec<usize>>);
+
+fn any_selection() -> impl Strategy<Value = SelSpec> {
+    (
+        option_of(vec_of(0usize..3, 1..3)),
+        option_of(vec_of(0u16..6, 1..4)),
+        option_of(vec_of(0u16..5, 1..4)),
+        option_of(vec_of(0usize..5, 1..4)),
+    )
+}
+
+fn selection(schema: CubeSchema, (ets, cs, rs, us): &SelSpec) -> DimSelection {
+    let mut sel = DimSelection::all(schema);
+    if let Some(ets) = ets {
+        let ets: Vec<ElementType> = ets.iter().filter_map(|&i| ElementType::from_index(i)).collect();
+        sel = sel.with_element_types(&ets);
+    }
+    if let Some(cs) = cs {
+        sel = sel.with_countries(&cs.iter().map(|&c| CountryId(c)).collect::<Vec<_>>());
+    }
+    if let Some(rs) = rs {
+        sel = sel.with_road_types(&rs.iter().map(|&r| RoadTypeId(r)).collect::<Vec<_>>());
+    }
+    if let Some(us) = us {
+        let us: Vec<UpdateType> = us.iter().filter_map(|&u| UpdateType::from_index(u)).collect();
+        sel = sel.with_update_types(&us);
+    }
+    sel
+}
+
+type Cell = (usize, usize, usize, usize, u64);
+
+fn cube_cells(cube: &DataCube, sel: &DimSelection) -> Vec<Cell> {
+    let mut out = Vec::new();
+    cube.for_each_selected(sel, |et, c, r, u, v| out.push((et, c, r, u, v)));
+    out
+}
+
+fn view_cells(view: &CubeView<'_>, sel: &DimSelection) -> Vec<Cell> {
+    let mut out = Vec::new();
+    view.for_each_selected(sel, |et, c, r, u, v| out.push((et, c, r, u, v)));
+    out
+}
+
 // --- properties ---------------------------------------------------------------
 
 det_proptest! {
@@ -136,19 +183,85 @@ det_proptest! {
         assert_eq!(whole, parts);
     }
 
+    /// The cube codec: any cube round-trips through whichever encoding
+    /// `to_bytes` picks (the smaller), the borrowed view folds exactly the
+    /// cells the owned cube folds, and corrupted bytes decode to a cube or
+    /// a typed error, never a panic. 0..1200 records over 450 cells spans
+    /// both encodings (sparse below 300 non-zero cells).
     #[test]
-    fn cube_serialization_roundtrip(records in vec_of(any_record(), 0..100)) {
+    fn cube_serialization_roundtrip(
+        records in vec_of(any_record(), 0..1200),
+        sel in any_selection(),
+        noise in vec_of((0usize..4096, 0u8..=255), 0..6),
+        cut in option_of(0usize..4096),
+    ) {
         let schema = CubeSchema::new(6, 5);
         let cube = DataCube::from_records(schema, &records).expect("build");
-        let back = DataCube::from_bytes(schema, &cube.to_bytes()).expect("decode");
-        assert_eq!(&back, &cube);
         assert_eq!(cube.total(), records.len() as u64);
+        let bytes = cube.to_bytes();
+        let nnz = cube.cells().iter().filter(|&&v| v != 0).count();
+        let sparse_len = BLOCK_HEADER_BYTES + 12 * nnz;
+        assert_eq!(bytes.len(), sparse_len.min(schema.cube_bytes()), "the smaller encoding");
+        assert_eq!(&DataCube::from_bytes(schema, &bytes).expect("decode"), &cube);
+
+        let view = CubeView::parse(schema, &bytes).expect("view");
+        assert_eq!(view.is_sparse(), sparse_len < schema.cube_bytes());
+        let sel = selection(schema, &sel);
+        assert_eq!(view_cells(&view, &sel), cube_cells(&cube, &sel));
+
+        let mut bad = bytes.clone();
+        for (at, b) in noise {
+            let len = bad.len();
+            if let Some(x) = bad.get_mut(at % len) {
+                *x = b;
+            }
+        }
+        if let Some(cut) = cut {
+            bad.truncate(cut);
+        }
+        let owned = DataCube::from_bytes(schema, &bad);
+        match (CubeView::parse(schema, &bad), &owned) {
+            (Ok(view), Ok(owned)) => assert_eq!(view_cells(&view, &sel), cube_cells(owned, &sel)),
+            (Err(CubeError::Corrupt(_) | CubeError::SchemaMismatch), Err(e)) => {
+                assert!(matches!(e, CubeError::Corrupt(_) | CubeError::SchemaMismatch), "{e:?}");
+            }
+            (view, owned) => panic!("view {view:?} and owned decoder {owned:?} disagree"),
+        }
+        if let Ok(block) = SparseBlock::from_bytes(schema, &bad) {
+            let owned = owned.expect("a valid block is a valid cube");
+            let mut cells = Vec::new();
+            block.for_each_selected(&sel, |et, c, r, u, v| cells.push((et, c, r, u, v)));
+            assert_eq!(cells, cube_cells(&owned, &sel));
+        }
     }
 
     #[test]
     fn record_binary_roundtrip(r in any_record()) {
         let bytes = r.encode();
         assert_eq!(UpdateRecord::decode(&bytes), Some(r));
+    }
+}
+
+/// The size rule at its boundary on a 4 320-cell schema (3 × 24 × 12 × 5):
+/// dense is 16 + 8 · 4 320 = 34 576 B, sparse 20 + 12 · n, so 2 879
+/// non-zero cells store sparse and 2 880 dense.
+#[test]
+fn cube_encoding_switches_at_the_density_boundary() {
+    let schema = CubeSchema::new(24, 12);
+    assert_eq!((schema.cell_count(), schema.cube_bytes()), (4320, 34_576));
+    let all = DimSelection::all(schema);
+    for (nnz, len, sparse) in [(2879, 34_568, true), (2880, 34_576, false)] {
+        let mut cube = DataCube::zeroed(schema);
+        for i in 0..nnz {
+            let (et, c, r, u) = schema.coords_of(i * 3 / 2);
+            cube.set(et, c, r, u, i as u64 + 1);
+        }
+        let bytes = cube.to_bytes();
+        assert_eq!(bytes.len(), len, "nnz {nnz}");
+        let view = CubeView::parse(schema, &bytes).expect("view");
+        assert_eq!(view.is_sparse(), sparse, "nnz {nnz}");
+        assert_eq!(view_cells(&view, &all), cube_cells(&cube, &all));
+        assert_eq!(DataCube::from_bytes(schema, &bytes).expect("decode"), cube);
     }
 }
 
