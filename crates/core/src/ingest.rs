@@ -369,6 +369,57 @@ mod tests {
         assert!(rased.sample_for_query(&empty_q, &bbox, 10).unwrap().is_empty());
     }
 
+    /// The fsyncs of one published day on a 2-shard index and a 4-band
+    /// bank, with records in both cube shards and every band: each store
+    /// that commits a unit syncs its record file, then its WAL entry —
+    /// two cube shards, four bands, then the day-marker registry, 7 × 2 —
+    /// after the warehouse heap's one flush. A checkpoint then syncs each
+    /// of those seven stores' record file, catalog and WAL reset (7 × 3),
+    /// plus the heap once more.
+    #[test]
+    fn one_published_day_costs_a_pinned_number_of_syncs() {
+        use rased_osm_model::{ChangesetId, CountryId, ElementType, RoadTypeId};
+        let dir = TempDir::new("core-syncs");
+        let mut config = RasedConfig::new(dir.file("system")).with_schema(CubeSchema::new(4, 3));
+        config.shard.shards = 2;
+        config.spatial.shards = 4;
+        let rased = Rased::create(config).unwrap();
+        let day = Date::new(2021, 6, 2).unwrap();
+        // Countries 0..4 reach both cube shards; longitudes span all bands.
+        let records: Vec<UpdateRecord> = (0..8)
+            .map(|i| UpdateRecord {
+                element_type: ElementType::Way,
+                update_type: UpdateType::Create,
+                country: CountryId(i % 4),
+                road_type: RoadTypeId(0),
+                date: day,
+                lat7: 0,
+                lon7: (i32::from(i) - 4) * 440_000_000,
+                changeset: ChangesetId(u64::from(i)),
+            })
+            .collect();
+        let syncs = |r: &Rased| -> u64 {
+            let bank = r.spatial_bank();
+            r.index()
+                .stores()
+                .iter()
+                .chain(bank.stores())
+                .chain([bank.marker_store()])
+                .map(|s| s.file().stats().snapshot().syncs)
+                .sum::<u64>()
+                + r.warehouse().io_snapshot().syncs
+        };
+        let before = syncs(&rased);
+        rased.apply_day(day, &records).unwrap();
+        let bank = rased.spatial_bank();
+        assert!(rased.index().epochs().iter().all(|&e| e == 1), "both cube shards commit");
+        assert!(bank.epochs().iter().all(|&e| e == 1), "every band commits");
+        let published = syncs(&rased);
+        assert_eq!(published - before, 1 + 7 * 2, "warehouse flush, then 7 stores × (records + WAL)");
+        rased.sync().unwrap();
+        assert_eq!(syncs(&rased) - published, 7 * 3 + 1, "7 stores × (records + catalog + WAL), heap");
+    }
+
     #[test]
     fn reopen_preserves_query_results() {
         let dir = TempDir::new("core-reopen");

@@ -1,9 +1,10 @@
 //! Crash-safety fuzz for the streaming write path: kill the process at
-//! *every* byte of the write-ahead log and prove [`Rased::open`] recovers
-//! exactly the state of a system that never crashed — a committed prefix
-//! of the publish history, never a half-applied unit. A unit that rolls a
-//! week up publishes the day *and* the weekly cube together, so a torn
-//! tail must take both down or neither.
+//! *every* byte of the write-ahead log — or lose any suffix of the cube
+//! record file the log still points into — and prove [`Rased::open`]
+//! recovers exactly the state of a system that never crashed — a
+//! committed prefix of the publish history, never a half-applied unit. A
+//! unit that rolls a week up publishes the day *and* the weekly cube
+//! together, so a torn tail must take both down or neither.
 
 use dettest::{det_proptest, Rng, TempDir};
 use rased_core::model::{
@@ -73,11 +74,21 @@ fn assert_matches_oracle(sys: &Rased, oracle: &Rased) {
     }
 }
 
+/// Which file a simulated crash cuts short, and where.
+enum Cut {
+    /// The WAL, at every byte.
+    EveryWalByte,
+    /// The WAL, at this many random bytes.
+    RandomWalBytes(usize),
+    /// The record file, at every byte of the last this-many units' records.
+    RecordTail(usize),
+}
+
 /// Build a system, publish `n_days` units WAL-only (no checkpoint — the
 /// state an unclean shutdown leaves behind), then reopen after truncating
-/// the WAL at each point in `cuts` and compare against the oracle that
-/// stopped cleanly after the surviving prefix.
-fn check_crash_recovery(seed: u64, n_days: u64, cuts: Option<usize>) {
+/// the WAL or the record file at each point `cut` names and compare
+/// against the oracle that stopped cleanly after the surviving prefix.
+fn check_crash_recovery(seed: u64, n_days: u64, cut: Cut) {
     let mut rng = Rng::new(seed);
     let schema = CubeSchema::tiny();
     // Start on a Sunday so the span crosses a week boundary: at least one
@@ -92,14 +103,18 @@ fn check_crash_recovery(seed: u64, n_days: u64, cuts: Option<usize>) {
         .collect();
 
     let full = TempDir::new("crash-full");
+    // The record file's length after each unit: unit i's records end at
+    // `ends[i]`, and the units' records lie back to back in publish order.
+    let mut ends = Vec::new();
     {
         let sys = fresh_system(full.path(), schema);
         for (day, cube) in &days {
             sys.index().ingest_day(*day, cube).expect("ingest");
+            ends.push(sys.index().storage_bytes());
         }
         // No sync(): every published unit lives only in the WAL.
     }
-    let wal = std::fs::read(full.path().join("index").join("wal.log")).expect("read wal");
+    let wal_len = std::fs::metadata(full.path().join("index").join("wal.log")).expect("wal").len();
 
     let oracle_dirs: Vec<TempDir> =
         (0..=days.len()).map(|k| TempDir::new(&format!("crash-oracle-{k}"))).collect();
@@ -107,16 +122,20 @@ fn check_crash_recovery(seed: u64, n_days: u64, cuts: Option<usize>) {
         .map(|k| oracle(oracle_dirs[k].path(), schema, &days, k))
         .collect();
 
-    let points: Vec<usize> = match cuts {
-        None => (0..=wal.len()).collect(),
-        Some(n) => (0..n).map(|_| rng.below(wal.len() as u64 + 1) as usize).collect(),
+    let (file, points): (&str, Vec<u64>) = match cut {
+        Cut::EveryWalByte => ("wal.log", (0..=wal_len).collect()),
+        Cut::RandomWalBytes(n) => ("wal.log", (0..n).map(|_| rng.below(wal_len + 1)).collect()),
+        Cut::RecordTail(units) => {
+            let first = ends.len().checked_sub(units + 1).map_or(0, |i| ends[i]);
+            ("cubes.rec", (first..=ends[ends.len() - 1]).collect())
+        }
     };
     for t in points {
         let scratch = TempDir::new("crash-cut");
         copy_dir(full.path(), scratch.path());
-        let wal_path = scratch.path().join("index").join("wal.log");
-        let f = std::fs::OpenOptions::new().write(true).open(&wal_path).unwrap();
-        f.set_len(t as u64).unwrap();
+        let cut_path = scratch.path().join("index").join(file);
+        let f = std::fs::OpenOptions::new().write(true).open(&cut_path).unwrap();
+        f.set_len(t).unwrap();
         f.sync_all().unwrap();
         drop(f);
 
@@ -140,20 +159,43 @@ fn check_crash_recovery(seed: u64, n_days: u64, cuts: Option<usize>) {
             );
         }
         assert_eq!(sys.index().epoch(), k as u64, "epoch must equal replayed units");
+        if file == "cubes.rec" {
+            // Exactly the units whose records survived whole.
+            let whole = ends.iter().take_while(|&&end| end <= t).count();
+            assert_eq!(k, whole, "cut at record byte {t}: a unit with whole records was lost");
+        }
         assert_matches_oracle(&sys, &oracles[k]);
         drop(sys);
 
-        // Recovery truncated the torn tail: a second open is a fixpoint.
+        // Recovery truncated the torn tail: a second open is a fixpoint,
+        // on disk as well as in memory.
+        let lens = |dir: &Path| {
+            ["wal.log", "cubes.rec"].map(|f| std::fs::metadata(dir.join("index").join(f)).expect("stat").len())
+        };
+        let repaired = lens(scratch.path());
         let again = Rased::open(RasedConfig::load(scratch.path()).expect("load")).expect("reopen");
         assert_eq!(again.index().epoch(), k as u64, "second open must see repaired state");
         assert_eq!(again.index().cube_count(), oracles[k].index().cube_count());
+        assert_matches_oracle(&again, &oracles[k]);
+        drop(again);
+        assert_eq!(lens(scratch.path()), repaired, "second open must change no file");
     }
 }
 
 /// The acceptance pin: every byte boundary, fixed seed.
 #[test]
 fn truncation_at_every_byte_boundary_recovers_a_committed_prefix() {
-    check_crash_recovery(0xC4A5_85AF_E57E_ED01, 10, None);
+    check_crash_recovery(0xC4A5_85AF_E57E_ED01, 10, Cut::EveryWalByte);
+}
+
+/// The record file loses a suffix the WAL still points into (a device that
+/// drops acknowledged writes, or a copy of the store taken mid-write):
+/// cutting it at every byte of the last three units' records — the
+/// third-to-last closes a week, so it holds two records — recovers exactly
+/// the units whose records survived whole.
+#[test]
+fn record_file_truncation_at_every_byte_recovers_a_committed_prefix() {
+    check_crash_recovery(0x5EC0_4D5F_17E0_0B17, 9, Cut::RecordTail(3));
 }
 
 /// Index–warehouse coupling under crashes: drive the `apply_day` protocol
@@ -264,6 +306,6 @@ det_proptest! {
         seed in 0u64..u64::MAX,
         n_days in 4u64..13,
     ) {
-        check_crash_recovery(seed, n_days, Some(24));
+        check_crash_recovery(seed, n_days, Cut::RandomWalBytes(24));
     }
 }

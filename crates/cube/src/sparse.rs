@@ -16,7 +16,7 @@
 //! The encoding is also the one a [`DataCube`](crate::DataCube) is stored
 //! in whenever it is the smaller of the two (see `DataCube::to_bytes`).
 
-use crate::cube::CubeError;
+use crate::cube::{CubeError, DataCube};
 use crate::schema::CubeSchema;
 use crate::selection::DimSelection;
 use crate::view;
@@ -182,20 +182,28 @@ impl SparseBlock {
         fold(self.schema, self.entries.iter().copied(), sel, visit);
     }
 
-    /// Serialize: header + `len()` 12-byte entries.
+    /// Serialize in the smaller of the two encodings, by the rule
+    /// `DataCube::to_bytes` applies: header + `len()` 12-byte entries, or
+    /// the dense cube once the entries would not be smaller. So no stored
+    /// cube or block is ever longer than `schema.cube_bytes()`.
     pub fn to_bytes(&self) -> Vec<u8> {
-        encode(self.schema, self.entries.len(), self.entries.iter().copied())
+        if encoded_len(self.entries.len()) < self.schema.cube_bytes() {
+            return encode(self.schema, self.entries.len(), self.entries.iter().copied());
+        }
+        let mut cells = vec![0u64; self.schema.cell_count()];
+        for &(i, v) in &self.entries {
+            if let Some(cell) = cells.get_mut(i as usize) {
+                *cell = v;
+            }
+        }
+        DataCube::from_cells(self.schema, cells).to_bytes()
     }
 
-    /// Deserialize; `expected` guards against reading a block written under
-    /// a different schema. Trailing page padding is ignored. Validation is
-    /// [`CubeView::parse`](crate::CubeView::parse)'s; a dense cube's bytes
-    /// are not a block.
+    /// Deserialize either encoding; `expected` guards against reading a
+    /// block written under a different schema. Trailing bytes are ignored.
+    /// Validation is [`CubeView::parse`](crate::CubeView::parse)'s.
     pub fn from_bytes(expected: CubeSchema, bytes: &[u8]) -> Result<SparseBlock, CubeError> {
-        if bytes.get(..8) != Some(MAGIC.as_slice()) {
-            return Err(CubeError::Corrupt("bad block magic".into()));
-        }
-        let entries = view::entries(view::sparse_body(expected, bytes)?).collect();
+        let entries = view::CubeView::parse(expected, bytes)?.nonzero();
         Ok(SparseBlock { schema: expected, entries })
     }
 }
@@ -203,7 +211,6 @@ impl SparseBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cube::DataCube;
     use rased_osm_model::{ChangesetId, CountryId, ElementType, RoadTypeId, UpdateType};
 
     fn rec(et: ElementType, c: u16, r: u16, u: UpdateType) -> UpdateRecord {
@@ -292,6 +299,27 @@ mod tests {
         // Empty block round-trips too.
         let empty = SparseBlock::empty(s);
         assert_eq!(SparseBlock::from_bytes(s, &empty.to_bytes()).unwrap(), empty);
+    }
+
+    #[test]
+    fn a_block_past_the_density_boundary_stores_dense() {
+        let s = CubeSchema::tiny();
+        let mut records = Vec::new();
+        for et in ElementType::ALL {
+            for c in 0..4 {
+                for r in 0..3 {
+                    for u in UpdateType::ALL {
+                        records.push(rec(et, c, r, u));
+                    }
+                }
+            }
+        }
+        let full = SparseBlock::from_records(s, &records).unwrap();
+        assert_eq!(full.len(), s.cell_count());
+        let bytes = full.to_bytes();
+        assert_eq!(bytes.len(), s.cube_bytes(), "never longer than a dense cube");
+        assert_eq!(bytes, DataCube::from_records(s, &records).unwrap().to_bytes());
+        assert_eq!(SparseBlock::from_bytes(s, &bytes).unwrap(), full);
     }
 
     #[test]

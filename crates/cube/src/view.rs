@@ -60,6 +60,17 @@ impl<'a> CubeView<'a> {
         }
     }
 
+    /// The non-zero cells as sorted `(index, count)` entries.
+    pub(crate) fn nonzero(self) -> Vec<(u32, u64)> {
+        match self.body {
+            Body::Dense(cells) => (0..self.schema.cell_count())
+                .filter_map(|i| Some((u32::try_from(i).ok()?, read_u64(cells, i * 8)?)))
+                .filter(|&(_, v)| v != 0)
+                .collect(),
+            Body::Sparse(body) => entries(body).collect(),
+        }
+    }
+
     /// Decode into an owned dense cube.
     pub(crate) fn to_cube(self) -> DataCube {
         let mut cells = vec![0u64; self.schema.cell_count()];

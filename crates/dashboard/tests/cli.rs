@@ -119,13 +119,13 @@ fn cli_reports_errors_cleanly() {
     assert!(String::from_utf8_lossy(&serve().stderr).contains("invalid socket address"));
     let catalog = store.join("index").join("catalog.bin");
     let mut bytes = std::fs::read(&catalog).unwrap();
-    bytes.splice(..8, *b"RASEDCT3");
+    bytes.splice(..8, *b"RASEDCT4");
     std::fs::write(&catalog, bytes).unwrap();
     let out = serve();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success());
     assert!(
-        stderr.contains("store format version 3 is not readable by this build (version 4)")
+        stderr.contains("store format version 4 is not readable by this build (version 5)")
             && !stderr.contains("panicked"),
         "{stderr}"
     );

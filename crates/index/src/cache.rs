@@ -16,12 +16,13 @@
 //! cubes worth contending for.
 //!
 //! Versioning: the store is copy-on-write — republishing a period binds it
-//! to a fresh page, never rewriting the old one — so every cached cube is
-//! tagged with the [`PageId`] it was read from. A reader pinned to a
-//! catalog snapshot asks for (period, page) and only a tag-exact entry
-//! hits; page ids grow monotonically, so a smaller tag is provably stale
-//! (dropped on sight) while a larger tag belongs to a newer epoch (kept
-//! for current readers, a miss for the old snapshot).
+//! to a fresh record, never rewriting the old one — so every cached cube is
+//! tagged with the record id ([`PageId`]) it was read from. A reader pinned
+//! to a catalog snapshot asks for (period, id) and only a tag-exact entry
+//! hits; ids are offsets in an append-only file and grow monotonically, so
+//! a smaller tag is provably stale (dropped on sight) while a larger tag
+//! belongs to a newer epoch (kept for current readers, a miss for the old
+//! snapshot).
 
 use rased_cube::DataCube;
 use rased_storage::sync::Mutex;
@@ -120,10 +121,10 @@ impl CubeCache {
 
     /// Replace the warm set per the recency policy: for each level, the
     /// most recent `quota` periods from `available` (every catalogued
-    /// period of that level with its current page binding, any order).
+    /// period of that level with its current record binding, any order).
     ///
     /// `load` fetches a cube from disk; it is only called for (period,
-    /// page) pairs not already cached at that exact version.
+    /// record) pairs not already cached at that exact version.
     pub fn warm<E>(
         &self,
         available: &[(Period, PageId)],
@@ -165,11 +166,11 @@ impl CubeCache {
         Ok(())
     }
 
-    /// Look up the cube for `period` *at page version `current`*, updating
+    /// Look up the cube for `period` *at record version `current`*, updating
     /// hit/miss counters.
     ///
     /// A cached entry with a smaller tag predates `current` and can never
-    /// be valid again (pages are never rewritten): it is dropped. A larger
+    /// be valid again (records are never rewritten): it is dropped. A larger
     /// tag means a newer version was published after the caller pinned its
     /// snapshot — the entry stays (it serves current readers) but this
     /// caller misses and reads its own version from disk.
@@ -213,7 +214,7 @@ impl CubeCache {
     }
 
     /// Surgical invalidation on publish: drop the cached cube for `period`
-    /// unless it is already the copy for `current` (the page just
+    /// unless it is already the copy for `current` (the record just
     /// published). Returns true when a stale entry was removed.
     pub fn invalidate_stale(&self, period: Period, current: PageId) -> bool {
         let mut cubes = self.shard(&period).cubes.lock();

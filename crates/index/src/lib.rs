@@ -5,9 +5,10 @@
 //! under a dummy root. Three pieces cooperate to answer a query window with
 //! as few disk reads as possible:
 //!
-//! * [`TemporalIndex`] — the cube store: one disk page per cube, a period →
-//!   page catalog, and the maintenance procedures (daily roll-up at period
-//!   boundaries; monthly rebuild when refined update types arrive).
+//! * [`TemporalIndex`] — the cube store: one record per cube, packed in an
+//!   append-only record file, a period → record catalog, and the
+//!   maintenance procedures (daily roll-up at period boundaries; monthly
+//!   rebuild when refined update types arrive).
 //! * [`LevelPlanner`] — the level optimizer (§VII-B): an exact dynamic
 //!   program that partitions the query window into cubes minimizing
 //!   (disk fetches, then total cubes), given what is cached. A greedy
@@ -22,7 +23,7 @@
 //! * [`SpatialBank`] — the spatial arm of the lattice: per-grid-cell
 //!   pre-aggregated sparse blocks ([`spatial_shard_for`] longitude bands)
 //!   keyed in the same catalogs via [`CubeKey::regional`], giving viewport
-//!   queries the same page-per-answer economics as temporal ones.
+//!   queries the same record-per-answer economics as temporal ones.
 
 mod cache;
 mod partition;
@@ -40,7 +41,7 @@ pub use planner::{
 };
 pub use routing::{marker_shard, shard_for, spatial_shard_for};
 pub use shard::ShardedIndex;
-pub use spatial::{SpatialBank, SpatialPublishReport, BLOCK_PAGE_BYTES};
+pub use spatial::{SpatialBank, SpatialPublishReport};
 pub use store::{
     with_planner, CatalogVersion, CubeKey, FetchOutcome, IndexError, MaintenanceReport,
     TemporalIndex, WORLD_REGION,

@@ -239,7 +239,7 @@ impl ShardedIndex {
         self.shards.iter().map(|s| s.cube_count()).sum()
     }
 
-    /// Total bytes across all shard page files.
+    /// Total bytes across all shard record files.
     pub fn storage_bytes(&self) -> u64 {
         self.shards.iter().map(|s| s.storage_bytes()).sum()
     }
@@ -495,7 +495,7 @@ mod tests {
     /// month refinement: a bare [`TemporalIndex`], a 1-shard facade and a
     /// 3-shard facade. The sharded store must merge back to the single
     /// one, and the 1-shard facade — which takes the same split/marker
-    /// path as any other count — must leave *byte-identical* page and WAL
+    /// path as any other count — must leave *byte-identical* record and WAL
     /// files to the bare store: no workload runs N=1, so this is its proof.
     #[test]
     fn merged_fetch_matches_single_store() {
@@ -541,7 +541,7 @@ mod tests {
         assert_eq!(single.epoch(), 45, "one publish per day at one shard");
 
         // Refine March down to one day. (One, because a unit stages its
-        // days in `HashMap` order: with more, page order inside the unit
+        // days in `HashMap` order: with more, record order inside the unit
         // is unspecified even between two bare stores.)
         let refined = HashMap::from([(start, cube_from(&mut rng, schema, 4))]);
         bare.rebuild_month(2021, 3, &refined).expect("bare rebuild");
@@ -551,7 +551,7 @@ mod tests {
         let b = multi.fetch_uncached(march).expect("fetch").expect("month");
         assert_eq!(*a, *b, "rebuilt month roll-up diverges");
         assert_eq!(single.epoch(), bare.epoch());
-        for file in ["cubes.pg", "wal.log"] {
+        for file in ["cubes.rec", "wal.log"] {
             let want = std::fs::read(bare_dir.path().join(file)).expect("read bare");
             let got = std::fs::read(single_dir.path().join(file)).expect("read single");
             assert!(!want.is_empty(), "{file} must hold the 46 units");

@@ -28,12 +28,10 @@
 //! *unmarked* day — history the bank never saw — falls back to a
 //! warehouse scan, which is exact either way. The marker commits strictly
 //! *after* the band units: a crash between the two loses acceleration
-//! (extra scans), never rows. Blocks whose sparse encoding outgrows the
-//! bank's small page are simply skipped rather than split; their cells
-//! stay reachable through the scan path because the oversize skip also
-//! suppresses that day's marker. Ingest orders warehouse flush → cube
-//! commit → bank publish *last*, so the warehouse is always at least as
-//! new as any marker.
+//! (extra scans), never rows. Every block is stored, at its encoded size,
+//! whatever its cell count. Ingest orders warehouse flush → cube commit →
+//! bank publish *last*, so the warehouse is always at least as new as any
+//! marker.
 
 use crate::cache::CacheConfig;
 use crate::partition;
@@ -50,12 +48,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Page size of a bank shard's store. Sparse blocks are a few hundred
-/// bytes for typical cells; 16 KiB holds ~1 360 non-zero cube cells. A
-/// block that would not fit is not materialized (scan fallback) — see the
-/// module docs.
-pub const BLOCK_PAGE_BYTES: usize = 16 * 1024;
-
 /// What one bank publish did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpatialPublishReport {
@@ -65,15 +57,12 @@ pub struct SpatialPublishReport {
     pub month_blocks: usize,
     /// Catalog bindings removed (monthly rebuild only).
     pub tombstones: usize,
-    /// Blocks skipped because their encoding exceeded the page size;
-    /// queries over those cells fall back to the warehouse scan.
-    pub oversize_skipped: usize,
     /// Bank shards that published a unit (and bumped their epoch).
     pub shards_touched: usize,
 }
 
-/// Decoded blocks by (bank shard, key), each tagged with the page it was
-/// read from.
+/// Decoded blocks by (bank shard, key), each tagged with the id of the
+/// record it was read from.
 type BlockCache = LruCache<(usize, CubeKey), (PageId, Arc<SparseBlock>)>;
 
 /// The spatial block bank: N longitude-band shards of per-cell
@@ -86,7 +75,7 @@ pub struct SpatialBank {
     /// separate store so marker commits never bump a band epoch (bumping
     /// one would evict that band's cached viewport tiles for no reason).
     marker: TemporalIndex,
-    /// Page-tagged block cache, shared across bank shards. A leaf lock:
+    /// Record-tagged block cache, shared across bank shards. A leaf lock:
     /// probes and inserts are memcpy-bounded and never held across I/O.
     blocks: Mutex<BlockCache>,
     cache_cap: usize,
@@ -110,8 +99,8 @@ fn marker_key(day: Date) -> CubeKey {
 
 impl SpatialBank {
     /// Create a fresh bank under `dir`: one [`TemporalIndex`] per shard
-    /// with small pages and no cube cache (the bank runs its own
-    /// page-tagged block cache of `cache_blocks` entries).
+    /// with no cube cache (the bank runs its own record-tagged block cache
+    /// of `cache_blocks` entries).
     pub fn create(
         dir: &Path,
         shards: usize,
@@ -121,7 +110,7 @@ impl SpatialBank {
         cache_blocks: usize,
     ) -> Result<SpatialBank, IndexError> {
         Self::build(dir, shards, grid, schema, model, cache_blocks, |d, s, m| {
-            TemporalIndex::create_sized(d, s, 3, CacheConfig::disabled(), m, BLOCK_PAGE_BYTES)
+            TemporalIndex::create(d, s, 3, CacheConfig::disabled(), m)
         })
     }
 
@@ -184,6 +173,11 @@ impl SpatialBank {
         &self.shards
     }
 
+    /// The day-marker registry's store (exposes I/O statistics).
+    pub fn marker_store(&self) -> &TemporalIndex {
+        &self.marker
+    }
+
     /// The band shard owning `cell`.
     pub fn shard_of(&self, cell: CellId) -> usize {
         spatial_shard_for(cell, self.grid.cols(), self.shards.len())
@@ -235,8 +229,7 @@ impl SpatialBank {
     /// True when `day` was fully published to the bank under `snap` (a
     /// registry snapshot): every cell the day's records touched has its
     /// block, so a (cell, day) *without* one provably has no rows and
-    /// needs no warehouse scan. Days with oversize-skipped blocks are
-    /// never marked — their cells keep the scan fallback.
+    /// needs no warehouse scan.
     pub fn day_published(&self, snap: &CatalogVersion, day: Date) -> bool {
         snap.contains_key(marker_key(day))
     }
@@ -248,7 +241,7 @@ impl SpatialBank {
     }
 
     /// Fetch `cell`'s block for `period` as bound by `snap` (which must be
-    /// shard `shard`'s snapshot), through the page-tagged block cache.
+    /// shard `shard`'s snapshot), through the record-tagged block cache.
     /// `None` when not materialized — the caller falls back to a warehouse
     /// scan for that (cell, period).
     pub fn fetch_block(
@@ -295,7 +288,9 @@ impl SpatialBank {
         if self.cache_cap > 0 {
             let mut c = self.blocks.lock();
             // A newer tag (post-publish reader got here first) must not be
-            // clobbered by this older snapshot's copy.
+            // clobbered by this older snapshot's copy. Record ids are
+            // offsets in an append-only file, so a newer record's id is
+            // always larger.
             if c.peek(&(shard, key)).is_none_or(|(tag, _)| *tag <= pg) {
                 c.insert((shard, key), (pg, Arc::clone(&block)));
                 while c.len() > self.cache_cap {
@@ -360,18 +355,11 @@ impl SpatialBank {
         let mut units: Vec<Vec<(CubeKey, Option<Vec<u8>>)>> = (0..n).map(|_| Vec::new()).collect();
         let mut staged: Vec<BTreeMap<u32, SparseBlock>> = (0..n).map(|_| BTreeMap::new()).collect();
 
-        let mut day_oversize = false;
         for (cell, block) in self.blocks_by_cell(records)? {
-            let bytes = block.to_bytes();
-            if bytes.len() > BLOCK_PAGE_BYTES {
-                report.oversize_skipped += 1;
-                day_oversize = true;
-                continue;
-            }
             let s = self.shard_of(cell);
             let key = self.key_for(cell, Period::Day(day));
             if let (Some(unit), Some(st)) = (units.get_mut(s), staged.get_mut(s)) {
-                unit.push((key, Some(bytes)));
+                unit.push((key, Some(block.to_bytes())));
                 st.insert(key.region, block);
                 report.day_blocks += 1;
             }
@@ -406,13 +394,8 @@ impl SpatialBank {
                             sum.merge_from(&b)?;
                         }
                     }
-                    let bytes = sum.to_bytes();
-                    if bytes.len() > BLOCK_PAGE_BYTES {
-                        report.oversize_skipped += 1;
-                        continue;
-                    }
                     if let Some(unit) = units.get_mut(s) {
-                        unit.push((CubeKey::regional(month, region), Some(bytes)));
+                        unit.push((CubeKey::regional(month, region), Some(sum.to_bytes())));
                         report.month_blocks += 1;
                     }
                 }
@@ -426,16 +409,9 @@ impl SpatialBank {
             }
         }
         // Day marker strictly last: present only once every band unit is
-        // durable, so a marked day's blocks are complete. A day-block
-        // oversize skip suppresses the marker — the skipped cell's rows
-        // are reachable only through the scan fallback, which the marker
-        // would disable.
-        if !day_oversize {
-            self.marker.put_blocks(vec![(
-                marker_key(day),
-                Some(SparseBlock::empty(self.schema).to_bytes()),
-            )])?;
-        }
+        // durable, so a marked day's blocks are complete.
+        self.marker
+            .put_blocks(vec![(marker_key(day), Some(SparseBlock::empty(self.schema).to_bytes()))])?;
         Ok(report)
     }
 
@@ -457,22 +433,15 @@ impl SpatialBank {
         let mut monthly: Vec<BTreeMap<u32, SparseBlock>> = (0..n).map(|_| BTreeMap::new()).collect();
         let mut restaged: Vec<BTreeSet<CubeKey>> = (0..n).map(|_| BTreeSet::new()).collect();
 
-        let mut oversize_days: BTreeSet<Date> = BTreeSet::new();
         for (d, records) in by_day {
             debug_assert!(month_period.contains(*d), "{d} outside {month_period}");
             for (cell, block) in self.blocks_by_cell(records)? {
-                let bytes = block.to_bytes();
-                if bytes.len() > BLOCK_PAGE_BYTES {
-                    report.oversize_skipped += 1;
-                    oversize_days.insert(*d);
-                    continue;
-                }
                 let s = self.shard_of(cell);
                 let key = self.key_for(cell, Period::Day(*d));
                 if let (Some(unit), Some(seen), Some(sums)) =
                     (units.get_mut(s), restaged.get_mut(s), monthly.get_mut(s))
                 {
-                    unit.push((key, Some(bytes)));
+                    unit.push((key, Some(block.to_bytes())));
                     seen.insert(key);
                     report.day_blocks += 1;
                     match sums.get_mut(&key.region) {
@@ -514,12 +483,7 @@ impl SpatialBank {
             }
             if let Some(sums) = monthly.get(s) {
                 for (region, sum) in sums {
-                    let bytes = sum.to_bytes();
-                    if bytes.len() > BLOCK_PAGE_BYTES {
-                        report.oversize_skipped += 1;
-                        continue;
-                    }
-                    unit.push((CubeKey::regional(month_period, *region), Some(bytes)));
+                    unit.push((CubeKey::regional(month_period, *region), Some(sum.to_bytes())));
                     report.month_blocks += 1;
                 }
             }
@@ -527,14 +491,6 @@ impl SpatialBank {
                 store.put_blocks(unit)?;
                 report.shards_touched += 1;
             }
-        }
-        // A refined day whose block newly outgrew the page loses its
-        // marker: its rows are only reachable through the scan fallback,
-        // which a standing marker would disable. (Marker changes last, as
-        // in `publish_day` — see the crash-ordering note there.)
-        if !oversize_days.is_empty() {
-            self.marker
-                .put_blocks(oversize_days.into_iter().map(|d| (marker_key(d), None)).collect())?;
         }
         Ok(report)
     }

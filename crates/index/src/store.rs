@@ -6,21 +6,25 @@
 //! run concurrently with serving:
 //!
 //! * Every write unit (`put`, `ingest_day`, `rebuild_month`) *stages* its
-//!   cubes as freshly appended pages — published pages are never rewritten.
-//!   Until the unit commits, those pages are unreachable orphans.
-//! * Commit is one atomic step: sync the page file, append a checksummed
-//!   record of the unit's `Period → (PageId, length)` bindings to the WAL
+//!   cubes as records appended to the store's [`RecordFile`] (`cubes.rec`),
+//!   each at its encoded length — published records are never rewritten.
+//!   A record's id is its byte offset. Until the unit commits, its records
+//!   are unreachable orphans.
+//! * Commit is one atomic step: sync the record file, append a checksummed
+//!   entry of the unit's `Period → (offset, length)` bindings to the WAL
 //!   (`wal.log`), then swap in a new [`CatalogVersion`] with a bumped
 //!   epoch. Readers that pinned the previous version keep resolving the
-//!   old pages; a crash between stage and commit loses nothing but orphan
-//!   pages.
+//!   old records; a crash between stage and commit loses nothing but
+//!   orphan bytes.
 //! * A binding can also be a *tombstone*: `rebuild_month` removes the
 //!   daily cube of any in-month day the refined crawl produced no records
 //!   for, so stale pre-refinement counts cannot survive inside roll-ups.
 //! * `open()` loads the last catalog checkpoint (`catalog.bin`) and
 //!   replays the WAL, discarding a torn or corrupt tail — an interrupted
-//!   unit is rolled back wholesale, never half-applied. The checkpoint
-//!   carries the epoch, so epochs are monotonic across restarts.
+//!   unit is rolled back wholesale, never half-applied. A WAL entry that
+//!   points past the record file's end (the file lost a suffix the log
+//!   kept) ends trusted history the same way. The checkpoint carries the
+//!   epoch, so epochs are monotonic across restarts.
 //! * `sync()` checkpoints the catalog (write-temp + atomic rename) and
 //!   resets the WAL.
 //! * A day unit may carry a *durable watermark* — the warehouse row count
@@ -30,14 +34,14 @@
 //!
 //! Publishing surgically invalidates exactly the replaced periods in the
 //! cube cache (version-tagged; see [`CubeCache`]) and cancels in-flight
-//! single-flight fetches keyed by the dead pages.
+//! single-flight fetches keyed by the dead records.
 
 use crate::cache::{CacheConfig, CubeCache};
 use crate::planner::LevelPlanner;
 use crate::wal;
 use rased_cube::{CubeError, CubeSchema, CubeView, DataCube, DimSelection};
 use rased_storage::sync::{Mutex, RwLock};
-use rased_storage::{FlightGroup, IoCostModel, IoSnapshot, PageFile, PageId, StorageError};
+use rased_storage::{FlightGroup, IoCostModel, IoSnapshot, IoStats, PageId, RecordFile, StorageError};
 use rased_temporal::{Date, Granularity, Period};
 use std::collections::HashMap;
 use std::fmt;
@@ -56,9 +60,6 @@ pub enum IndexError {
     BadCatalog(String),
     /// A level that the index was configured without.
     LevelDisabled(Granularity),
-    /// A raw block exceeds the store's page size (the caller should have
-    /// skipped materializing it and left the region to scan fallback).
-    BlockTooLarge { have: usize, page: usize },
     /// The store was written in another on-disk format version; it does
     /// not open (rebuild it from its data).
     StoreVersion { found: u32, expected: u32 },
@@ -74,9 +75,6 @@ impl fmt::Display for IndexError {
             }
             IndexError::BadCatalog(m) => write!(f, "bad catalog: {m}"),
             IndexError::LevelDisabled(g) => write!(f, "index level `{g}` is disabled"),
-            IndexError::BlockTooLarge { have, page } => {
-                write!(f, "block of {have} bytes exceeds the {page}-byte page")
-            }
             IndexError::StoreVersion { found, expected } => write!(
                 f,
                 "store format version {found} is not readable by this build (version {expected}); \
@@ -185,11 +183,11 @@ impl fmt::Display for CubeKey {
     }
 }
 
-/// Where a key's encoding lives: its page, and the length of the encoding
-/// at the page's start (the rest of the page is padding).
+/// Where a key's encoding lives: the record's byte offset in the store's
+/// record file (its id), and its length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Loc {
-    page: PageId,
+    at: PageId,
     len: u32,
 }
 
@@ -222,7 +220,7 @@ impl CatalogVersion {
 
     /// The page bound to an arbitrary lattice key in this version.
     pub fn page_of(&self, key: CubeKey) -> Option<PageId> {
-        self.loc(key).map(|l| l.page)
+        self.loc(key).map(|l| l.at)
     }
 
     fn loc(&self, key: CubeKey) -> Option<Loc> {
@@ -262,7 +260,7 @@ impl CatalogVersion {
     /// Every whole-world (period, page) binding (unordered) — the cube
     /// cache's warm-set domain.
     pub fn entries(&self) -> Vec<(Period, PageId)> {
-        self.map.iter().filter(|(k, _)| k.is_world()).map(|(k, l)| (k.period, l.page)).collect()
+        self.map.iter().filter(|(k, _)| k.is_world()).map(|(k, l)| (k.period, l.at)).collect()
     }
 }
 
@@ -273,7 +271,7 @@ const UNIT_DAY: u8 = 1;
 const UNIT_MONTH: u8 = 2;
 const UNIT_BLOCK: u8 = 3;
 
-/// An uncommitted write unit: pages already appended (copy-on-write), the
+/// An uncommitted write unit: records already appended (copy-on-write), the
 /// catalog bindings they will install, none of it visible to readers.
 /// A `None` location is a tombstone — commit removes the key's binding.
 /// `mark` is the warehouse durable row count to publish with the unit.
@@ -292,8 +290,8 @@ impl WriteUnit {
     }
 }
 
-/// Sentinel page value marking a tombstone in WAL records (a real page id
-/// can never reach it — the page file would be > 10^13 TB).
+/// Sentinel offset marking a tombstone in WAL records (a real record id
+/// can never reach it — the record file would be 16 EiB).
 const TOMBSTONE: u64 = u64::MAX;
 
 /// Sentinel for "no durable watermark recorded" in the catalog checkpoint
@@ -304,22 +302,22 @@ const NO_MARK: u64 = u64::MAX;
 /// each newly published epoch.
 pub type PublishHook = Arc<dyn Fn(u64) + Send + Sync>;
 
-/// The hierarchical temporal index: one disk page per cube, an
-/// epoch-versioned period → page catalog, a cube cache, and the
-/// maintenance procedures.
+/// The hierarchical temporal index: one record per cube in an append-only
+/// record file, an epoch-versioned key → record catalog, a cube cache, and
+/// the maintenance procedures.
 pub struct TemporalIndex {
     schema: CubeSchema,
     levels: u8,
-    file: Arc<PageFile>,
+    file: Arc<RecordFile>,
     catalog: RwLock<Arc<CatalogVersion>>,
     /// Serializes commits so WAL order equals publish order: held across
     /// the record append *and* the catalog swap.
     wal: Mutex<wal::Wal>,
     cache: CubeCache,
-    /// Coalesces concurrent cold fetches of the same page: one physical
+    /// Coalesces concurrent cold fetches of the same record: one physical
     /// read of the encoding's bytes, which every waiter then folds or
-    /// decodes. Keyed by page (not period) — two epochs of the same period
-    /// are different pages and must never coalesce.
+    /// decodes. Keyed by record id (not period) — two epochs of the same
+    /// period are different records and must never coalesce.
     flights: FlightGroup<u64, Arc<[u8]>>,
     catalog_path: PathBuf,
     published_units: AtomicU64,
@@ -349,7 +347,10 @@ impl TemporalIndex {
     /// Create a fresh index under `dir`.
     ///
     /// `levels` enables 1 (daily only) through 4 (…+ yearly) granularities —
-    /// the Figure 8 experiment varies exactly this.
+    /// the Figure 8 experiment varies exactly this. The temporal shards,
+    /// the spatial bank's bands and its day-marker registry are all this
+    /// one store: no encoding under `schema`, cube or block, is longer than
+    /// a dense cube, which bounds every record.
     pub fn create(
         dir: &Path,
         schema: CubeSchema,
@@ -357,31 +358,17 @@ impl TemporalIndex {
         cache: CacheConfig,
         model: IoCostModel,
     ) -> Result<TemporalIndex, IndexError> {
-        Self::create_sized(dir, schema, levels, cache, model, schema.cube_bytes())
-    }
-
-    /// [`TemporalIndex::create`] with an explicit page size. The temporal
-    /// store sizes pages to the dense cube; the spatial bank stores small
-    /// sparse blocks and picks a much smaller page so pre-aggregated
-    /// viewport data doesn't cost a dense page per (cell, day).
-    pub fn create_sized(
-        dir: &Path,
-        schema: CubeSchema,
-        levels: u8,
-        cache: CacheConfig,
-        model: IoCostModel,
-        page_size: usize,
-    ) -> Result<TemporalIndex, IndexError> {
         assert!((1..=4).contains(&levels), "levels must be 1..=4");
         std::fs::create_dir_all(dir).map_err(StorageError::from)?;
-        let file = PageFile::create(&dir.join("cubes.pg"), page_size, model)?;
+        let file = RecordFile::create(&dir.join(RECORDS), schema.cube_bytes(), model)?;
         let catalog_path = dir.join("catalog.bin");
         // Write the empty checkpoint and an empty WAL up front: a process
         // killed right after create must reopen as a valid empty index. The
         // watermark starts at zero — an empty index accounts for no rows —
         // so a crash before the first marked commit trims stragglers away.
-        save_catalog(&catalog_path, &HashMap::new(), 0, Some(0))?;
-        let mut log = wal::Wal::open_append(&dir.join("wal.log")).map_err(StorageError::from)?;
+        save_catalog(&catalog_path, &HashMap::new(), 0, Some(0), file.stats())?;
+        let mut log = wal::Wal::open_append(&dir.join("wal.log"), Arc::clone(file.stats()))
+            .map_err(StorageError::from)?;
         log.reset().map_err(StorageError::from)?;
         Ok(TemporalIndex {
             schema,
@@ -404,10 +391,12 @@ impl TemporalIndex {
 
     /// Reopen an index created earlier: load the catalog checkpoint, then
     /// replay committed WAL units on top. A torn or corrupt WAL tail — a
-    /// crash mid-commit — is truncated away; pages staged by uncommitted
-    /// units are unreachable orphans and simply never referenced. The
-    /// epoch resumes at checkpoint epoch + replayed units (monotonic
-    /// across restarts); the durable watermark is the last one committed.
+    /// crash mid-commit — is truncated away, and so is every unit from the
+    /// first one binding a record past the record file's end or longer
+    /// than a dense cube; records staged by uncommitted units are
+    /// unreachable orphans and simply never referenced. The epoch resumes
+    /// at checkpoint epoch + replayed units (monotonic across restarts);
+    /// the durable watermark is the last one committed.
     pub fn open(
         dir: &Path,
         schema: CubeSchema,
@@ -416,23 +405,22 @@ impl TemporalIndex {
         model: IoCostModel,
     ) -> Result<TemporalIndex, IndexError> {
         assert!((1..=4).contains(&levels), "levels must be 1..=4");
-        let file = PageFile::open(&dir.join("cubes.pg"), model)?;
+        // The catalog first: it carries the format version, so a store
+        // from another format fails as such, not as a missing file.
         let catalog_path = dir.join("catalog.bin");
         let (mut map, base_epoch, mut mark) = load_catalog(&catalog_path)?;
+        let file = RecordFile::open(&dir.join(RECORDS), schema.cube_bytes(), model)?;
 
         let wal_path = dir.join("wal.log");
         let (records, total_len) = wal::replay(&wal_path).map_err(StorageError::from)?;
-        let page_count = file.page_count();
         let mut applied: u64 = 0;
         let mut good_end: u64 = 0;
         for rec in records {
-            // A record that fails to decode — or that points past the
-            // allocation watermark — marks the end of trustworthy history.
-            // Tombstone entries carry no page and are exempt.
+            // A unit that fails to decode — or that binds a record past the
+            // file's end or longer than the maximum — marks the end of
+            // trustworthy history. Tombstones bind no record and are exempt.
             let Ok((entries, unit_mark)) = decode_unit(&rec.payload) else { break };
-            if entries.iter().any(|(_, loc)| {
-                loc.is_some_and(|l| l.page.0 >= page_count || l.len as usize > file.page_size())
-            }) {
+            if entries.iter().any(|(_, loc)| loc.is_some_and(|l| !file.holds(l.at, l.len as usize))) {
                 break;
             }
             for (p, loc) in entries {
@@ -452,9 +440,9 @@ impl TemporalIndex {
             good_end = rec.end_offset;
         }
         if good_end < total_len {
-            wal::truncate(&wal_path, good_end).map_err(StorageError::from)?;
+            wal::truncate(&wal_path, good_end, file.stats()).map_err(StorageError::from)?;
         }
-        let log = wal::Wal::open_append(&wal_path).map_err(StorageError::from)?;
+        let log = wal::Wal::open_append(&wal_path, Arc::clone(file.stats())).map_err(StorageError::from)?;
 
         Ok(TemporalIndex {
             schema,
@@ -490,8 +478,9 @@ impl TemporalIndex {
         &self.cache
     }
 
-    /// The backing page file (exposes I/O statistics).
-    pub fn file(&self) -> &Arc<PageFile> {
+    /// The backing record file (exposes I/O statistics, syncs included:
+    /// the store's WAL and checkpoint syncs are charged to it too).
+    pub fn file(&self) -> &Arc<RecordFile> {
         &self.file
     }
 
@@ -556,10 +545,10 @@ impl TemporalIndex {
         self.catalog.read().len()
     }
 
-    /// Total bytes of cube storage (pages allocated × page size) — the
-    /// Figure 8 metric.
+    /// Bytes of cube storage: the record file's length, superseded and
+    /// orphaned records included.
     pub fn storage_bytes(&self) -> u64 {
-        self.file.page_count() * self.file.page_size() as u64
+        self.file.len()
     }
 
     /// The date range covered by daily cubes, if any data is present.
@@ -582,25 +571,20 @@ impl TemporalIndex {
         Ok(())
     }
 
-    /// Append `cube` as a staged page and record the binding in `unit`.
+    /// Append `cube` as a staged record and note the binding in `unit`.
     /// Nothing becomes visible until the unit commits.
     fn stage(&self, unit: &mut WriteUnit, period: Period, cube: &DataCube) -> Result<(), IndexError> {
         self.check_level(period)?;
         self.stage_raw(unit, CubeKey::world(period), cube.to_bytes())
     }
 
-    /// Append pre-encoded block bytes as a staged page under an arbitrary
-    /// lattice key. Oversized blocks are rejected with
-    /// [`IndexError::BlockTooLarge`] *before* touching the file.
+    /// Append pre-encoded bytes as a staged record under an arbitrary
+    /// lattice key: one write of exactly the encoding.
     fn stage_raw(&self, unit: &mut WriteUnit, key: CubeKey, bytes: Vec<u8>) -> Result<(), IndexError> {
-        let page_size = self.file.page_size();
-        let too_large = || IndexError::BlockTooLarge { have: bytes.len(), page: page_size };
-        let len = u32::try_from(bytes.len()).map_err(|_| too_large())?;
-        if bytes.len() > page_size {
-            return Err(too_large());
-        }
-        let page = self.file.append_page(&pad_to_page(bytes, page_size))?;
-        let loc = Some(Loc { page, len });
+        let len = u32::try_from(bytes.len())
+            .map_err(|_| StorageError::RecordTooLarge { len: bytes.len(), max: self.file.max_record() })?;
+        let page = self.file.append(&bytes)?;
+        let loc = Some(Loc { at: page, len });
         unit.delta.push((key, loc));
         unit.staged.insert(key, loc);
         Ok(())
@@ -608,7 +592,7 @@ impl TemporalIndex {
 
     /// Record that `period` has no cube in the unit's post-state: commit
     /// removes its catalog binding, and roll-ups built by this unit treat
-    /// it as empty (the staged tombstone shadows the committed page).
+    /// it as empty (the staged tombstone shadows the committed record).
     fn stage_tombstone(&self, unit: &mut WriteUnit, period: Period) {
         self.stage_tombstone_key(unit, CubeKey::world(period));
     }
@@ -618,7 +602,7 @@ impl TemporalIndex {
         unit.staged.insert(key, None);
     }
 
-    /// Publish a unit: durable pages → WAL record → catalog swap. The WAL
+    /// Publish a unit: durable records → WAL entry → catalog swap. The WAL
     /// mutex is held across the append *and* the swap so log order equals
     /// publish order; the catalog write lock nests inside it (upward in
     /// rank). Invalidation runs after both locks drop.
@@ -626,8 +610,8 @@ impl TemporalIndex {
         if unit.delta.is_empty() {
             return Ok(());
         }
-        // Every page a WAL record references must be durable before the
-        // record that publishes it.
+        // Every record a WAL entry references must be durable before the
+        // entry that publishes it.
         self.file.sync()?;
         let payload = encode_unit(&unit);
         let mut stale: Vec<(CubeKey, Option<PageId>, PageId)> = Vec::new();
@@ -644,14 +628,14 @@ impl TemporalIndex {
                 match loc {
                     Some(loc) => {
                         if let Some(old) = map.insert(k, loc) {
-                            if old.page != loc.page {
-                                stale.push((k, Some(loc.page), old.page));
+                            if old.at != loc.at {
+                                stale.push((k, Some(loc.at), old.at));
                             }
                         }
                     }
                     None => {
                         if let Some(old) = map.remove(&k) {
-                            stale.push((k, None, old.page));
+                            stale.push((k, None, old.at));
                         }
                     }
                 }
@@ -662,10 +646,10 @@ impl TemporalIndex {
         for (key, new_page, old_page) in stale {
             // Drop the superseded cached cube (tag-checked so a copy of the
             // new version is spared; a tombstone drops unconditionally) and
-            // cancel any in-flight read of the dead page so a stalled miss
+            // cancel any in-flight read of the dead record so a stalled miss
             // can't resurrect it. The cube cache holds whole-world cubes
             // only; regional blocks are cached by their owner (the spatial
-            // bank), which keys by page tag and self-corrects on mismatch.
+            // bank), which keys by record tag and self-corrects on mismatch.
             if key.is_world() {
                 match new_page {
                     Some(new_page) => {
@@ -699,9 +683,7 @@ impl TemporalIndex {
     /// bytes) — under arbitrary lattice keys as **one atomic unit**: one
     /// WAL record, one epoch bump, all-or-nothing on crash. This is the
     /// spatial bank's write path; temporal levels are still enforced per
-    /// key, and a block larger than the page size fails the whole unit
-    /// before anything commits (the bank pre-filters, so hitting it is a
-    /// caller bug, not data loss — staged pages are reclaimable orphans).
+    /// key.
     pub fn put_blocks(&self, blocks: Vec<(CubeKey, Option<Vec<u8>>)>) -> Result<(), IndexError> {
         let mut unit = WriteUnit::new(UNIT_BLOCK, 0, 0);
         for (key, bytes) in blocks {
@@ -715,9 +697,9 @@ impl TemporalIndex {
     }
 
     /// The encoded bytes bound to `key` in `snap` — exactly as many as
-    /// were stored, read in one go, not the padded page — or `None` when
+    /// were stored, read in one go — with the record's id, or `None` when
     /// the key is not materialized in that version. Bypasses the cube
-    /// cache; block callers run their own page-tagged cache.
+    /// cache; block callers run their own record-tagged cache.
     pub fn fetch_block_at(
         &self,
         snap: &CatalogVersion,
@@ -726,7 +708,7 @@ impl TemporalIndex {
         let Some(loc) = snap.loc(key) else {
             return Ok(None);
         };
-        Ok(Some((loc.page, self.read_exact(loc)?)))
+        Ok(Some((loc.at, self.read_exact(loc)?)))
     }
 
     /// Every catalogued lattice key (unordered, regional keys included).
@@ -784,19 +766,19 @@ impl TemporalIndex {
     }
 
     /// The cached cube for `period` at `snap`'s version, or else its
-    /// stored bytes. Concurrent misses of one *page* coalesce into one
+    /// stored bytes. Concurrent misses of one *record* coalesce into one
     /// physical read whose bytes every caller shares; each still counts as
-    /// `Disk`, since each did miss the cache. Pages are immutable once
+    /// `Disk`, since each did miss the cache. Records are immutable once
     /// published, so a retry after a publish-driven cancellation always
     /// reads correct bytes.
     fn probe(&self, snap: &CatalogVersion, period: Period) -> Result<Option<Probed>, IndexError> {
         let Some(loc) = snap.loc(CubeKey::world(period)) else {
             return Ok(None);
         };
-        if let Some(cube) = self.cache.get(period, loc.page) {
+        if let Some(cube) = self.cache.get(period, loc.at) {
             return Ok(Some(Probed::Cached(cube)));
         }
-        let bytes = self.flights.run(loc.page.0, || self.read_exact(loc).map(Arc::from))?;
+        let bytes = self.flights.run(loc.at.0, || self.read_exact(loc).map(Arc::from))?;
         Ok(Some(Probed::Read(bytes)))
     }
 
@@ -812,7 +794,7 @@ impl TemporalIndex {
     /// The encoding stored at `loc`: one read of exactly its length.
     fn read_exact(&self, loc: Loc) -> Result<Vec<u8>, IndexError> {
         let mut buf = vec![0u8; loc.len as usize];
-        self.file.read_page_prefix(loc.page, &mut buf)?;
+        self.file.read(loc.at, &mut buf)?;
         Ok(buf)
     }
 
@@ -820,7 +802,7 @@ impl TemporalIndex {
         Ok(Arc::new(DataCube::from_bytes(self.schema, &self.read_exact(loc)?)?))
     }
 
-    /// Resolve `period` for roll-up building: the unit's own staged pages
+    /// Resolve `period` for roll-up building: the unit's own staged records
     /// shadow the committed catalog, so a roll-up aggregates the very data
     /// its unit is publishing.
     fn fetch_for_build(
@@ -828,7 +810,7 @@ impl TemporalIndex {
         unit: &WriteUnit,
         period: Period,
     ) -> Result<Option<Arc<DataCube>>, IndexError> {
-        // A staged binding — page *or* tombstone — shadows the committed
+        // A staged binding — record *or* tombstone — shadows the committed
         // catalog; only an untouched period falls through to it.
         let key = CubeKey::world(period);
         let loc = match unit.staged.get(&key) {
@@ -922,7 +904,7 @@ impl TemporalIndex {
     }
 
     /// Merge every materialized descendant of `parent` into `sum` (staged
-    /// pages of the current unit shadow committed ones). A missing *day*
+    /// records of the current unit shadow committed ones). A missing *day*
     /// means no data that day (ingestion invariant). A missing coarser
     /// child does NOT mean its span is empty: its roll-up only fires when
     /// its closing day is ingested, so a gap day at a period boundary
@@ -1028,7 +1010,7 @@ impl TemporalIndex {
         // `entries` come from `snap`, so every period has its length there.
         self.cache.warm(&snap.entries(), |period, page| {
             let len = snap.loc(CubeKey::world(period)).map_or(0, |l| l.len);
-            self.read_cube(Loc { page, len })
+            self.read_cube(Loc { at: page, len })
         })
     }
 
@@ -1039,7 +1021,7 @@ impl TemporalIndex {
         self.file.sync()?;
         let mut log = self.wal.lock();
         let snap = Arc::clone(&self.catalog.read());
-        save_catalog(&self.catalog_path, &snap.map, snap.epoch(), self.durable_mark())?;
+        save_catalog(&self.catalog_path, &snap.map, snap.epoch(), self.durable_mark(), self.file.stats())?;
         log.reset().map_err(StorageError::from)?;
         Ok(())
     }
@@ -1058,17 +1040,14 @@ pub fn with_planner<T>(index: &TemporalIndex, f: impl FnOnce(&LevelPlanner<'_>) 
     f(&planner)
 }
 
-fn pad_to_page(mut bytes: Vec<u8>, page_size: usize) -> Vec<u8> {
-    debug_assert!(bytes.len() <= page_size, "cube larger than page");
-    bytes.resize(page_size, 0);
-    bytes
-}
+/// The record file's name inside a store directory.
+const RECORDS: &str = "cubes.rec";
 
 // --- WAL unit payloads -----------------------------------------------------
 // Payload: kind u8 | a i32 | b u32 | entry count u32, then per entry the
 // same 25-byte layout as the catalog sidecar:
-//   granularity u8 | a i32 | b u32 | region u32 | page u64 | len u32
-// A page of `TOMBSTONE` (u64::MAX) removes the binding instead of
+//   granularity u8 | a i32 | b u32 | region u32 | offset u64 | len u32
+// An offset of `TOMBSTONE` (u64::MAX) removes the binding instead of
 // installing one. An optional 8-byte trailer after the entries is the
 // unit's durable warehouse watermark; units without one omit it.
 
@@ -1110,7 +1089,7 @@ fn encode_entry(out: &mut Vec<u8>, key: CubeKey, loc: Option<Loc>) {
     out.extend_from_slice(&a.to_le_bytes());
     out.extend_from_slice(&b.to_le_bytes());
     out.extend_from_slice(&key.region.to_le_bytes());
-    out.extend_from_slice(&loc.map_or(TOMBSTONE, |l| l.page.0).to_le_bytes());
+    out.extend_from_slice(&loc.map_or(TOMBSTONE, |l| l.at.0).to_le_bytes());
     out.extend_from_slice(&loc.map_or(0, |l| l.len).to_le_bytes());
 }
 
@@ -1124,22 +1103,23 @@ fn decode_entry(bytes: &[u8], off: usize) -> Option<Result<(CubeKey, Option<Loc>
     let region = rased_storage::bytes::read_u32_le(bytes, off + 9)?;
     let page = rased_storage::bytes::read_u64_le(bytes, off + 13)?;
     let len = rased_storage::bytes::read_u32_le(bytes, off + 21)?;
-    let loc = (page != TOMBSTONE).then_some(Loc { page: PageId(page), len });
+    let loc = (page != TOMBSTONE).then_some(Loc { at: PageId(page), len });
     Some(decode_period(g, a, b).map(|p| (CubeKey { period: p, region }, loc)))
 }
 
 // --- catalog sidecar -------------------------------------------------------
-// Format v4: magic (8) + epoch (u64) + durable mark (u64, u64::MAX = none)
+// Format v5: magic (8) + epoch (u64) + durable mark (u64, u64::MAX = none)
 // + entry count (u64), then per entry:
-//   granularity u8 | a i32 | b u32 | region u32 | page u64 | len u32
+//   granularity u8 | a i32 | b u32 | region u32 | offset u64 | len u32
 // where (a, b) encode the period: Day/Week → (start-days, 0);
 // Month → (year, month); Year → (year, 0), `region` is the spatial half
-// of the key (0 = world) and `len` the stored encoding's length on its
-// page. The magic's last byte is the format version; an older store
-// fails to open with `IndexError::StoreVersion` rather than misreading.
+// of the key (0 = world), and (offset, len) locate the stored encoding in
+// the record file. The magic's last byte is the format version; an older
+// store fails to open with `IndexError::StoreVersion` rather than
+// misreading.
 
-const CATALOG_MAGIC: &[u8; 8] = b"RASEDCT4";
-const CATALOG_VERSION: u32 = 4;
+const CATALOG_MAGIC: &[u8; 8] = b"RASEDCT5";
+const CATALOG_VERSION: u32 = 5;
 const CATALOG_HEADER: usize = 32;
 
 /// The format version a catalog file declares: the digit after its
@@ -1175,6 +1155,7 @@ fn save_catalog(
     catalog: &HashMap<CubeKey, Loc>,
     epoch: u64,
     mark: Option<u64>,
+    stats: &IoStats,
 ) -> Result<(), IndexError> {
     let mut out = Vec::with_capacity(CATALOG_HEADER + catalog.len() * ENTRY_BYTES);
     out.extend_from_slice(CATALOG_MAGIC);
@@ -1195,6 +1176,7 @@ fn save_catalog(
         std::fs::rename(&tmp, path)
     })()
     .map_err(StorageError::from)?;
+    stats.record_sync();
     Ok(())
 }
 
@@ -1744,16 +1726,24 @@ mod tests {
                 TemporalIndex::create(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free())
                     .unwrap();
             idx.put(Period::Day(d("2021-01-01")), &day_cube(schema, "2021-01-01", 1)).unwrap();
-            // A staged-but-never-committed page (crash between stage and
+            // A staged-but-never-committed record (crash between stage and
             // commit): appended to the file, absent from WAL and catalog.
-            let page_size = idx.file().page_size();
-            idx.file().append_page(&vec![0u8; page_size]).unwrap();
+            // A whole cube's encoding, then a torn one.
+            let orphan = day_cube(schema, "2021-01-02", 5).to_bytes();
+            idx.file().append(&orphan).unwrap();
+            idx.file().append(orphan.get(..orphan.len() / 2).unwrap()).unwrap();
             idx.file().sync().unwrap();
         }
         let idx =
             TemporalIndex::open(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free()).unwrap();
-        assert_eq!(idx.cube_count(), 1, "orphan page must not become a cube");
+        assert_eq!(idx.cube_count(), 1, "orphan bytes must not become a cube");
         assert_eq!(idx.fetch(Period::Day(d("2021-01-01"))).unwrap().unwrap().0.total(), 1);
+        assert!(!idx.has(Period::Day(d("2021-01-02"))));
+        // New records land past the orphans and read back whole.
+        let end = idx.storage_bytes();
+        idx.put(Period::Day(d("2021-01-02")), &day_cube(schema, "2021-01-02", 3)).unwrap();
+        assert_eq!(idx.snapshot().page(Period::Day(d("2021-01-02"))), Some(PageId(end)));
+        assert_eq!(idx.fetch(Period::Day(d("2021-01-02"))).unwrap().unwrap().0.total(), 3);
     }
 
     #[test]
@@ -1788,7 +1778,7 @@ mod tests {
         v3.extend_from_slice(&0u64.to_le_bytes());
         std::fs::write(dir.file("catalog.bin"), v3).unwrap();
         match TemporalIndex::open(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free()) {
-            Err(IndexError::StoreVersion { found: 3, expected: 4 }) => {}
+            Err(IndexError::StoreVersion { found: 3, expected: 5 }) => {}
             other => panic!("expected a store-version error, got {other:?}"),
         }
     }
@@ -1803,7 +1793,8 @@ mod tests {
         let cube = day_cube(schema, "2021-01-01", 6);
         idx.put(p, &cube).unwrap();
         let stored = cube.to_bytes().len() as u64;
-        assert!(stored < idx.file().page_size() as u64, "four non-zero cells store sparse");
+        assert!(stored < schema.cube_bytes() as u64, "four non-zero cells store sparse");
+        assert_eq!(idx.storage_bytes(), stored, "the record file holds the encoding and nothing else");
         let before = idx.file().stats().snapshot();
         let sel = DimSelection::all(schema);
         let mut total = 0;
@@ -1835,13 +1826,13 @@ mod tests {
         let barrier = std::sync::Barrier::new(N + 1);
         std::thread::scope(|scope| {
             let leader = scope.spawn(|| {
-                idx.flights.run(loc.page.0, || {
+                idx.flights.run(loc.at.0, || {
                     // Registered before anyone passes the barrier; held
                     // open until every follower has joined (bounded, so a
                     // miss path that never joins fails instead of hanging).
                     barrier.wait();
                     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-                    while idx.flights.followers(&loc.page.0) < N && std::time::Instant::now() < deadline {
+                    while idx.flights.followers(&loc.at.0) < N && std::time::Instant::now() < deadline {
                         std::thread::yield_now();
                     }
                     idx.read_exact(loc).map(Arc::from)

@@ -1,11 +1,12 @@
 //! Commit log for catalog publishes (the "manifest/WAL" of the write path).
 //!
 //! A publish unit (one `put`, `ingest_day`, or `rebuild_month`) stages its
-//! cube pages with copy-on-write appends and then commits by writing a single
-//! checksummed record here. The record carries the full set of `Period →
-//! PageId` bindings the unit installs, so replay is a pure catalog-map
-//! operation: staged pages that never reached a committed record are orphans
-//! and are simply never referenced again.
+//! cube records with copy-on-write appends and then commits by writing a
+//! single checksummed record here. The record carries the full set of
+//! `Period → (offset, length)` bindings the unit installs, so replay is a
+//! pure catalog-map operation: staged cube records that never reached a
+//! committed log record are orphans and are simply never referenced again.
+//! Every sync is charged to the owning store's [`IoStats`].
 //!
 //! Framing is `[crc32 u32 LE][len u32 LE][payload]`. The CRC covers the
 //! payload only; `len` is validated against both the CRC and a hard cap so a
@@ -13,9 +14,11 @@
 //! than misparsed. Records after the first invalid byte are discarded — the
 //! log is an ordered history, so nothing after a tear can be trusted.
 
+use rased_storage::IoStats;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Upper bound on a single record payload; a unit is at most one month of
 /// days plus roll-ups, far under this. Guards replay against a corrupt
@@ -27,13 +30,20 @@ const MAX_PAYLOAD: u32 = 1 << 20;
 pub(crate) struct Wal {
     path: PathBuf,
     file: File,
+    stats: Arc<IoStats>,
 }
 
 impl Wal {
     /// Open the log for appending, creating it if missing.
-    pub(crate) fn open_append(path: &Path) -> io::Result<Wal> {
+    pub(crate) fn open_append(path: &Path, stats: Arc<IoStats>) -> io::Result<Wal> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Wal { path: path.to_path_buf(), file })
+        Ok(Wal { path: path.to_path_buf(), file, stats })
+    }
+
+    fn sync(&self) -> io::Result<()> {
+        self.file.sync_data()?;
+        self.stats.record_sync();
+        Ok(())
     }
 
     /// Append one framed record and flush it to stable storage.
@@ -43,14 +53,14 @@ impl Wal {
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(payload);
         self.file.write_all(&frame)?;
-        self.file.sync_data()
+        self.sync()
     }
 
     /// Discard every record (after a successful catalog checkpoint).
     pub(crate) fn reset(&mut self) -> io::Result<()> {
         // An append-mode handle cannot be rewound portably; reopen truncating.
         self.file = OpenOptions::new().write(true).create(true).truncate(true).open(&self.path)?;
-        self.file.sync_data()?;
+        self.sync()?;
         let file = OpenOptions::new().create(true).append(true).open(&self.path)?;
         self.file = file;
         Ok(())
@@ -106,10 +116,12 @@ pub(crate) fn replay(path: &Path) -> io::Result<(Vec<ReplayedRecord>, u64)> {
 }
 
 /// Truncate the log to `len` bytes, discarding a torn tail found by replay.
-pub(crate) fn truncate(path: &Path, len: u64) -> io::Result<()> {
+pub(crate) fn truncate(path: &Path, len: u64, stats: &IoStats) -> io::Result<()> {
     let file = OpenOptions::new().write(true).open(path)?;
     file.set_len(len)?;
-    file.sync_data()
+    file.sync_data()?;
+    stats.record_sync();
+    Ok(())
 }
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-free.
@@ -144,7 +156,7 @@ mod tests {
     fn append_then_replay_roundtrips() {
         let dir = TempDir::new("wal");
         let path = dir.file("wal.log");
-        let mut wal = Wal::open_append(&path).unwrap();
+        let mut wal = Wal::open_append(&path, Arc::default()).unwrap();
         wal.append(b"first").unwrap();
         wal.append(b"second record").unwrap();
         let (records, total) = replay(&path).unwrap();
@@ -166,7 +178,7 @@ mod tests {
     fn torn_tail_is_dropped_at_every_truncation_point() {
         let dir = TempDir::new("wal");
         let path = dir.file("wal.log");
-        let mut wal = Wal::open_append(&path).unwrap();
+        let mut wal = Wal::open_append(&path, Arc::default()).unwrap();
         wal.append(b"alpha").unwrap();
         wal.append(b"beta!").unwrap();
         let full = std::fs::read(&path).unwrap();
@@ -192,7 +204,7 @@ mod tests {
     fn corrupt_byte_invalidates_record_and_suffix() {
         let dir = TempDir::new("wal");
         let path = dir.file("wal.log");
-        let mut wal = Wal::open_append(&path).unwrap();
+        let mut wal = Wal::open_append(&path, Arc::default()).unwrap();
         wal.append(b"aaaa").unwrap();
         wal.append(b"bbbb").unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
@@ -208,7 +220,7 @@ mod tests {
     fn reset_empties_the_log_and_allows_new_appends() {
         let dir = TempDir::new("wal");
         let path = dir.file("wal.log");
-        let mut wal = Wal::open_append(&path).unwrap();
+        let mut wal = Wal::open_append(&path, Arc::default()).unwrap();
         wal.append(b"old").unwrap();
         wal.reset().unwrap();
         let (records, total) = replay(&path).unwrap();

@@ -9,16 +9,18 @@
 //!
 //! and the agreement must survive running the engine over a sharded cube
 //! store at any shard × thread count. A second property pins that adding
-//! a spatial context changes nothing for pure-temporal queries.
+//! a spatial context changes nothing for pure-temporal queries, and a
+//! fixed case pins that a cell too dense for any small page is banked
+//! like any other.
 
 use dettest::{det_proptest, Rng, TempDir};
 use rased_cube::{CubeSchema, DataCube};
-use rased_geo::{BBox, GridSpec};
+use rased_geo::{BBox, GridSpec, Point};
 use rased_index::{CacheConfig, ShardedIndex, SpatialBank, TemporalIndex};
 use rased_osm_model::{ChangesetId, CountryId, ElementType, RoadTypeId, UpdateRecord, UpdateType};
 use rased_query::{naive_execute, AnalysisQuery, GroupDim, QueryEngine, SpatialExec};
 use rased_storage::IoCostModel;
-use rased_temporal::{Date, DateRange, Granularity};
+use rased_temporal::{Date, DateRange, Granularity, Period};
 use rased_warehouse::Warehouse;
 use std::collections::BTreeMap;
 
@@ -227,6 +229,75 @@ fn check_temporal_unaffected(seed: u64, span: u64) {
         assert_eq!(ctx.rows, plain.rows, "spatial context changed temporal rows (seed {seed})");
         assert_eq!(ctx.stats.blocks_from_disk + ctx.stats.blocks_from_cache, 0);
         assert_eq!(ctx.stats.scan_rows, 0, "temporal query must not scan the warehouse");
+    }
+}
+
+/// One cell sees 1 400 distinct (element, country, road, update) cells in
+/// a day — an encoding of 16 820 B, over the 16 KiB a bank page once held.
+/// The block is stored, its day and month are marked and rolled up, and a
+/// viewport over the cell is answered from blocks alone, equal to the
+/// grid scan and the oracle.
+#[test]
+fn a_dense_cell_is_banked_marked_and_exact() {
+    let schema = CubeSchema::new(20, 10);
+    let grid = GridSpec::new(BBox::new(0, 0, EXT as i32, EXT as i32), 2, 2);
+    let (busy, quiet) = (Date::new(2021, 1, 31).expect("date"), Date::new(2021, 1, 12).expect("date"));
+    let rec = |date: Date, et: usize, c: u16, r: u16, u: usize, lat7: i32| UpdateRecord {
+        element_type: ElementType::ALL[et],
+        update_type: UpdateType::ALL[u],
+        country: CountryId(c),
+        road_type: RoadTypeId(r),
+        date,
+        lat7,
+        lon7: 1000,
+        changeset: ChangesetId(u64::from(c) * 100 + u64::from(r)),
+    };
+    let mut records = vec![rec(quiet, 1, 3, 2, 0, 1000), rec(busy, 0, 0, 0, 1, 7000)];
+    for et in 0..3 {
+        for c in 0..20 {
+            for r in 0..10 {
+                for u in 0..5 {
+                    records.push(rec(busy, et, c, r, u, 1000));
+                }
+            }
+        }
+    }
+    records.truncate(2 + 1_400);
+    let fx = build(&mut Rng::new(0xDE45E), schema, grid, 2, &records);
+
+    let cell = grid.cell_of(Point::new(1000, 1000)).expect("cell");
+    let shard = fx.bank.shard_of(cell);
+    let snap = fx.bank.snapshot(shard).expect("snapshot");
+    let block = fx
+        .bank
+        .fetch_block(shard, &snap, cell, Period::Day(busy))
+        .expect("fetch")
+        .expect("the dense day's block is stored");
+    assert_eq!(block.len(), 1_400);
+    assert!(block.to_bytes().len() > 16 * 1024, "the encoding outgrows a 16 KiB page");
+    assert!(fx.bank.has_block(&snap, cell, Period::Month(2021, 1)), "month rolled up");
+    assert!(fx.bank.day_published(&fx.bank.marker_snapshot(), busy), "the dense day is marked");
+
+    let viewport = grid.cell_bbox(cell).expect("cell bbox");
+    for q in [
+        AnalysisQuery::over(DateRange::single(busy)),
+        AnalysisQuery::over(DateRange::new(quiet, busy)).group(GroupDim::Country),
+        AnalysisQuery::over(DateRange::new(quiet, busy)).group(GroupDim::UpdateType).group(GroupDim::RoadType),
+    ] {
+        let q = q.within(viewport);
+        let want = naive_execute(&records, &q, None);
+        let banked = QueryEngine::new(&fx.single)
+            .with_spatial(SpatialExec::banked(&fx.warehouse, &fx.bank))
+            .execute(&q)
+            .expect("banked execute");
+        let scanned = QueryEngine::new(&fx.single)
+            .with_spatial(SpatialExec::scan_only(&fx.warehouse))
+            .execute(&q)
+            .expect("scan-only execute");
+        assert_eq!(banked.rows, want.rows, "banked != oracle for {q:?}");
+        assert_eq!(scanned.rows, want.rows, "grid-scan != oracle for {q:?}");
+        assert_eq!(banked.stats.scan_rows, 0, "a marked, banked cell needs no scan: {q:?}");
+        assert!(banked.stats.blocks_from_disk + banked.stats.blocks_from_cache > 0);
     }
 }
 

@@ -1,12 +1,16 @@
-//! Paged storage engine for RASED (§VI).
+//! Storage engine for RASED (§VI).
 //!
 //! The paper stores every data cube in "one disk page" of ~4 MB and reasons
 //! about query cost in *number of cubes retrieved from disk* (§VII). This
 //! crate provides that abstraction:
 //!
+//! * [`RecordFile`] — an append-only file of byte-addressed records, one
+//!   per stored cube or block, packed with no padding (the index stores);
 //! * [`PageFile`] — a file of fixed-size pages with explicit allocation,
-//!   positioned reads/writes, and a persistent header;
-//! * [`IoStats`] — exact physical-I/O counters (reads, writes, bytes);
+//!   positioned reads/writes, and a persistent header (the warehouse heap
+//!   and hash index);
+//! * [`IoStats`] — exact physical-I/O counters (reads, writes, bytes,
+//!   syncs);
 //! * [`IoCostModel`] — a deterministic latency model (seek + transfer)
 //!   accumulated alongside the counters. On a modern dev box the OS page
 //!   cache hides the disk/memory asymmetry that Figures 7, 9 and 10 of the
@@ -27,6 +31,7 @@ mod flight;
 mod hash_index;
 mod lru;
 mod pagefile;
+mod recordfile;
 mod stats;
 pub mod sync;
 
@@ -35,4 +40,5 @@ pub use flight::FlightGroup;
 pub use hash_index::DiskHashIndex;
 pub use lru::LruCache;
 pub use pagefile::{PageFile, PageId, StorageError};
+pub use recordfile::RecordFile;
 pub use stats::{IoCostModel, IoStats, IoSnapshot};

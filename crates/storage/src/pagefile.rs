@@ -29,6 +29,10 @@ pub enum StorageError {
     PageOutOfBounds { page: PageId, page_count: u64 },
     /// A buffer whose length does not equal the page size.
     WrongBufferSize { expected: usize, got: usize },
+    /// A record read reaching past the end of its [`crate::RecordFile`].
+    RecordOutOfBounds { at: PageId, len: usize, end: u64 },
+    /// A record longer than its [`crate::RecordFile`] accepts.
+    RecordTooLarge { len: usize, max: usize },
 }
 
 impl fmt::Display for StorageError {
@@ -41,6 +45,12 @@ impl fmt::Display for StorageError {
             }
             StorageError::WrongBufferSize { expected, got } => {
                 write!(f, "buffer size {got} does not match page size {expected}")
+            }
+            StorageError::RecordOutOfBounds { at, len, end } => {
+                write!(f, "record of {len} bytes at offset {} runs past the end ({end})", at.0)
+            }
+            StorageError::RecordTooLarge { len, max } => {
+                write!(f, "record of {len} bytes exceeds the {max}-byte maximum")
             }
         }
     }
@@ -184,19 +194,9 @@ impl PageFile {
         if buf.len() != self.page_size {
             return Err(StorageError::WrongBufferSize { expected: self.page_size, got: buf.len() });
         }
-        self.read_page_prefix(page, buf)
-    }
-
-    /// Read the first `buf.len()` bytes of a page (at most one page) — for
-    /// a record shorter than its page. One physical read, charged as one
-    /// operation of `buf.len()` bytes: one modeled seek plus that transfer.
-    pub fn read_page_prefix(&self, page: PageId, buf: &mut [u8]) -> Result<(), StorageError> {
-        if buf.len() > self.page_size {
-            return Err(StorageError::WrongBufferSize { expected: self.page_size, got: buf.len() });
-        }
         self.check_bounds(page)?;
         self.file.read_exact_at(buf, self.offset_of(page))?;
-        self.stats.record_read(buf.len() as u64, &self.model);
+        self.stats.record_read(self.page_size as u64, &self.model);
         Ok(())
     }
 
@@ -244,14 +244,18 @@ impl PageFile {
         self.page_count.store(keep, Ordering::SeqCst);
         self.file.set_len(HEADER_BYTES + keep * self.page_size as u64)?;
         self.write_header()?;
-        self.file.sync_all()?;
-        Ok(())
+        self.sync_file()
     }
 
     /// Flush file contents and metadata to stable storage.
     pub fn sync(&self) -> Result<(), StorageError> {
         self.write_header()?;
+        self.sync_file()
+    }
+
+    fn sync_file(&self) -> Result<(), StorageError> {
         self.file.sync_all()?;
+        self.stats.record_sync();
         Ok(())
     }
 }
@@ -340,37 +344,13 @@ mod tests {
         let p = pf.allocate().unwrap(); // one write (zero-fill)
         pf.write_page(p, &[1u8; 16]).unwrap();
         pf.read_page_vec(p).unwrap();
+        pf.sync().unwrap();
         let d = pf.stats().snapshot().since(&base);
         assert_eq!(d.writes, 2);
         assert_eq!(d.reads, 1);
+        assert_eq!(d.syncs, 1);
         assert_eq!(d.bytes_read, 16);
         assert_eq!(d.modeled, std::time::Duration::from_micros(300));
-    }
-
-    #[test]
-    fn prefix_read_is_one_read_of_its_own_length() {
-        let dir = TempDir::new("pagefile");
-        let path = dir.file("p.pg");
-        let model = IoCostModel { seek_micros: 100, bytes_per_sec: 1_000_000 };
-        let pf = PageFile::create(&path, 64, model).unwrap();
-        let data: Vec<u8> = (0..64).collect();
-        let p = pf.append_page(&data).unwrap();
-        let base = pf.stats().snapshot();
-        let mut head = [0u8; 10];
-        pf.read_page_prefix(p, &mut head).unwrap();
-        assert_eq!(head.as_slice(), data.get(..10).unwrap());
-        let d = pf.stats().snapshot().since(&base);
-        assert_eq!((d.reads, d.bytes_read), (1, 10));
-        // One seek plus ten bytes at 1 MB/s.
-        assert_eq!(d.modeled, std::time::Duration::from_micros(110));
-        assert!(matches!(
-            pf.read_page_prefix(p, &mut [0u8; 65]),
-            Err(StorageError::WrongBufferSize { .. })
-        ));
-        assert!(matches!(
-            pf.read_page_prefix(PageId(1), &mut head),
-            Err(StorageError::PageOutOfBounds { .. })
-        ));
     }
 
     #[test]

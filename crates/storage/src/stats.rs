@@ -3,17 +3,22 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Thread-safe physical I/O counters, attached to a [`crate::PageFile`].
+/// Thread-safe physical I/O counters, attached to a [`crate::PageFile`] or
+/// a [`crate::RecordFile`].
 ///
 /// "Modeled time" is the I/O latency the configured [`IoCostModel`] assigns
 /// to the operations performed — a simulated wall clock that stands in for
-/// the spinning-disk testbed of the paper's evaluation.
+/// the spinning-disk testbed of the paper's evaluation. Syncs (`fsync` /
+/// `fdatasync`) are counted beside the reads and writes but carry no
+/// modeled cost: the model prices transfers, and a sync's price is the
+/// device's, which the wall clock measures.
 #[derive(Debug, Default)]
 pub struct IoStats {
     reads: AtomicU64,
     writes: AtomicU64,
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
+    syncs: AtomicU64,
     modeled_micros: AtomicU64,
 }
 
@@ -35,6 +40,12 @@ impl IoStats {
         self.modeled_micros.fetch_add(model.micros(bytes), Ordering::Relaxed);
     }
 
+    /// Count one flush to stable storage. Public so a file the owner syncs
+    /// itself (a commit log, a checkpoint) is charged to the same counters.
+    pub fn record_sync(&self) {
+        self.syncs.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// A point-in-time copy of the counters.
     pub fn snapshot(&self) -> IoSnapshot {
         IoSnapshot {
@@ -42,6 +53,7 @@ impl IoStats {
             writes: self.writes.load(Ordering::Relaxed),
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
+            syncs: self.syncs.load(Ordering::Relaxed),
             modeled: Duration::from_micros(self.modeled_micros.load(Ordering::Relaxed)),
         }
     }
@@ -55,6 +67,8 @@ pub struct IoSnapshot {
     pub writes: u64,
     pub bytes_read: u64,
     pub bytes_written: u64,
+    /// Flushes to stable storage.
+    pub syncs: u64,
     /// Accumulated modeled I/O latency.
     pub modeled: Duration,
 }
@@ -67,6 +81,7 @@ impl IoSnapshot {
             writes: self.writes.saturating_sub(earlier.writes),
             bytes_read: self.bytes_read.saturating_sub(earlier.bytes_read),
             bytes_written: self.bytes_written.saturating_sub(earlier.bytes_written),
+            syncs: self.syncs.saturating_sub(earlier.syncs),
             modeled: self.modeled.saturating_sub(earlier.modeled),
         }
     }
@@ -80,6 +95,7 @@ impl std::ops::AddAssign for IoSnapshot {
         self.writes += delta.writes;
         self.bytes_read += delta.bytes_read;
         self.bytes_written += delta.bytes_written;
+        self.syncs += delta.syncs;
         self.modeled = self.modeled.saturating_add(delta.modeled);
     }
 }
@@ -167,12 +183,14 @@ mod tests {
         assert_eq!(a.modeled, Duration::from_micros(1_000_010));
 
         s.record_write(500, &m);
+        s.record_sync();
         let b = s.snapshot();
         let d = b.since(&a);
         assert_eq!(d.reads, 0);
         assert_eq!(d.writes, 1);
+        assert_eq!(d.syncs, 1);
         assert_eq!(d.bytes_written, 500);
-        // 10 µs seek + 500 µs transfer at 1 MB/s.
+        // 10 µs seek + 500 µs transfer at 1 MB/s; the sync is free.
         assert_eq!(d.modeled, Duration::from_micros(510));
         // Deltas sum back to the total.
         let mut total = a;

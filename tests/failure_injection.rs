@@ -20,20 +20,25 @@ fn corrupt_cube_page_is_reported_not_misread() {
     let index =
         TemporalIndex::create(&dir, schema, 4, CacheConfig::disabled(), IoCostModel::free())
             .unwrap();
-    let day: Date = "2021-06-01".parse().unwrap();
-    index
-        .ingest_day(day, &rased_core::DataCube::zeroed(schema))
-        .unwrap();
+    // A neighbour first, so the stomped record sits mid-file.
+    let before: Date = "2021-06-01".parse().unwrap();
+    let day: Date = "2021-06-02".parse().unwrap();
+    for d in [before, day] {
+        index
+            .ingest_day(d, &rased_core::DataCube::zeroed(schema))
+            .unwrap();
+    }
     index.sync().unwrap();
+    let at = index.snapshot().page(Period::Day(day)).unwrap();
+    assert!(at.0 > 0, "records pack back to back");
     drop(index);
 
-    // Stomp the cube page's magic through the page file.
+    // Stomp the cube record's magic at its offset in the record file.
     {
-        let pf = PageFile::open(&dir.join("cubes.pg"), IoCostModel::free()).unwrap();
-        let mut page = pf.read_page_vec(rased_storage::PageId(0)).unwrap();
-        page[0..8].copy_from_slice(b"GARBAGE!");
-        pf.write_page(rased_storage::PageId(0), &page).unwrap();
-        pf.sync().unwrap();
+        use std::os::unix::fs::FileExt;
+        let file = std::fs::OpenOptions::new().write(true).open(dir.join("cubes.rec")).unwrap();
+        file.write_all_at(b"GARBAGE!", at.0).unwrap();
+        file.sync_all().unwrap();
     }
 
     let index =
@@ -42,6 +47,7 @@ fn corrupt_cube_page_is_reported_not_misread() {
         Err(IndexError::Cube(_)) => {}
         other => panic!("expected cube corruption error, got {other:?}"),
     }
+    assert!(index.fetch(Period::Day(before)).unwrap().is_some(), "the neighbour is intact");
 }
 
 #[test]
