@@ -32,7 +32,8 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 #                   (incl. the event loop's wake tests: misses then hits
 #                   on one connection, a pipelined miss+hit+miss, a lone
 #                   miss on an idle server, a stalled reader reaped at
-#                   write_timeout)
+#                   write_timeout; the response cache admits a key on its
+#                   second render, so each hit follows a warming request)
 #   executor:       parallel_props (parallel at every thread count ==
 #                   record-scan oracle), epoch_isolation
 #   write path:     crash_recovery (WAL truncated at every byte boundary
@@ -54,6 +55,11 @@ DETTEST_SEED=20260808 timeout 120 cargo test -q --offline --locked --test respca
 # folds what the owned cube folds, corrupt bytes give typed errors) at a
 # pinned seed, plus the 2 880-cell density-boundary case.
 DETTEST_SEED=20261015 timeout 120 cargo test -q --offline --locked --test proptests cube_
+# The cold-miss equivalences at a pinned seed: packed group keys round-trip
+# and keep GroupKey's order, the aggregator equals a BTreeMap reference
+# through fork/absorb, the incremental sparse fold equals a coords_of
+# fold, and the row writer equals the renderer it replaced.
+DETTEST_SEED=20261017 timeout 120 cargo test -q --offline --locked --test proptests cold_
 
 # Bench smoke runs. Each harness exits non-zero when its gate fails, so
 # these lines are regression gates, not build checks. All three gate on

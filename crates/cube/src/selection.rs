@@ -2,7 +2,8 @@
 //!
 //! A RASED analysis query filters each non-temporal dimension with an `IN`
 //! list (or no constraint). A `DimSelection` is that filter resolved against
-//! a concrete [`CubeSchema`]: four sorted index lists, one per dimension.
+//! a concrete [`CubeSchema`]: four sorted index lists, one per dimension,
+//! each with a membership bitmap built alongside it.
 
 use crate::schema::CubeSchema;
 use rased_osm_model::{CountryId, ElementType, RoadTypeId, UpdateType};
@@ -11,17 +12,43 @@ use rased_osm_model::{CountryId, ElementType, RoadTypeId, UpdateType};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DimSelection {
     schema: CubeSchema,
-    element_types: Vec<usize>,
-    countries: Vec<usize>,
-    road_types: Vec<usize>,
-    update_types: Vec<usize>,
+    element_types: Dim,
+    countries: Dim,
+    road_types: Dim,
+    update_types: Dim,
 }
 
-fn normalize(mut v: Vec<usize>, cardinality: usize) -> Vec<usize> {
-    v.retain(|&i| i < cardinality);
-    v.sort_unstable();
-    v.dedup();
-    v
+/// One dimension's selection, as a sorted list (the dense fold iterates
+/// it) and as a bitmap built with it (the sparse fold's membership test).
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Dim {
+    list: Vec<usize>,
+    bits: Vec<u64>,
+}
+
+impl Dim {
+    /// Keep the indexes below `cardinality`, sorted and deduplicated.
+    fn new(mut list: Vec<usize>, cardinality: usize) -> Dim {
+        list.retain(|&i| i < cardinality);
+        list.sort_unstable();
+        list.dedup();
+        let mut bits = vec![0u64; cardinality.div_ceil(64)];
+        for &i in &list {
+            if let Some(word) = bits.get_mut(i / 64) {
+                *word |= 1 << (i % 64);
+            }
+        }
+        Dim { list, bits }
+    }
+
+    fn all(cardinality: usize) -> Dim {
+        Dim::new((0..cardinality).collect(), cardinality)
+    }
+
+    #[inline]
+    fn contains(&self, i: usize) -> bool {
+        self.bits.get(i / 64).is_some_and(|word| word >> (i % 64) & 1 != 0)
+    }
 }
 
 impl DimSelection {
@@ -29,38 +56,38 @@ impl DimSelection {
     pub fn all(schema: CubeSchema) -> DimSelection {
         DimSelection {
             schema,
-            element_types: (0..schema.n_element_types()).collect(),
-            countries: (0..schema.n_countries()).collect(),
-            road_types: (0..schema.n_road_types()).collect(),
-            update_types: (0..schema.n_update_types()).collect(),
+            element_types: Dim::all(schema.n_element_types()),
+            countries: Dim::all(schema.n_countries()),
+            road_types: Dim::all(schema.n_road_types()),
+            update_types: Dim::all(schema.n_update_types()),
         }
     }
 
     /// Restrict the element-type dimension.
     pub fn with_element_types(mut self, types: &[ElementType]) -> DimSelection {
         self.element_types =
-            normalize(types.iter().map(|t| t.index()).collect(), self.schema.n_element_types());
+            Dim::new(types.iter().map(|t| t.index()).collect(), self.schema.n_element_types());
         self
     }
 
     /// Restrict the country dimension. Ids beyond the schema are dropped.
     pub fn with_countries(mut self, countries: &[CountryId]) -> DimSelection {
         self.countries =
-            normalize(countries.iter().map(|c| c.index()).collect(), self.schema.n_countries());
+            Dim::new(countries.iter().map(|c| c.index()).collect(), self.schema.n_countries());
         self
     }
 
     /// Restrict the road-type dimension. Ids beyond the schema are dropped.
     pub fn with_road_types(mut self, roads: &[RoadTypeId]) -> DimSelection {
         self.road_types =
-            normalize(roads.iter().map(|r| r.index()).collect(), self.schema.n_road_types());
+            Dim::new(roads.iter().map(|r| r.index()).collect(), self.schema.n_road_types());
         self
     }
 
     /// Restrict the update-type dimension.
     pub fn with_update_types(mut self, updates: &[UpdateType]) -> DimSelection {
         self.update_types =
-            normalize(updates.iter().map(|u| u.index()).collect(), self.schema.n_update_types());
+            Dim::new(updates.iter().map(|u| u.index()).collect(), self.schema.n_update_types());
         self
     }
 
@@ -71,46 +98,50 @@ impl DimSelection {
 
     /// Selected element-type indexes (sorted).
     pub fn element_types(&self) -> &[usize] {
-        &self.element_types
+        &self.element_types.list
     }
 
     /// Selected country indexes (sorted).
     pub fn countries(&self) -> &[usize] {
-        &self.countries
+        &self.countries.list
     }
 
     /// Selected road-type indexes (sorted).
     pub fn road_types(&self) -> &[usize] {
-        &self.road_types
+        &self.road_types.list
     }
 
     /// Selected update-type indexes (sorted).
     pub fn update_types(&self) -> &[usize] {
-        &self.update_types
+        &self.update_types.list
     }
 
     /// True when the cell at `(et, country, road, update)` is selected on
-    /// every dimension — the membership test sparse spatial blocks filter
-    /// with (dense cubes iterate the selection instead; see
-    /// `DataCube::for_each_selected`).
+    /// every dimension — the membership test sparse encodings filter with
+    /// (dense cubes iterate the selection instead; see
+    /// `DataCube::for_each_selected`). Four bitmap probes.
+    #[inline]
     pub fn contains(&self, et: usize, country: usize, road: usize, update: usize) -> bool {
-        self.element_types.binary_search(&et).is_ok()
-            && self.countries.binary_search(&country).is_ok()
-            && self.road_types.binary_search(&road).is_ok()
-            && self.update_types.binary_search(&update).is_ok()
+        self.element_types.contains(et)
+            && self.countries.contains(country)
+            && self.road_types.contains(road)
+            && self.update_types.contains(update)
     }
 
     /// True when any dimension selects nothing (the query matches no cell).
     pub fn is_empty(&self) -> bool {
-        self.element_types.is_empty()
-            || self.countries.is_empty()
-            || self.road_types.is_empty()
-            || self.update_types.is_empty()
+        self.element_types.list.is_empty()
+            || self.countries.list.is_empty()
+            || self.road_types.list.is_empty()
+            || self.update_types.list.is_empty()
     }
 
     /// Number of selected cells.
     pub fn cell_count(&self) -> usize {
-        self.element_types.len() * self.countries.len() * self.road_types.len() * self.update_types.len()
+        self.element_types.list.len()
+            * self.countries.list.len()
+            * self.road_types.list.len()
+            * self.update_types.list.len()
     }
 }
 

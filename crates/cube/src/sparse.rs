@@ -51,6 +51,10 @@ pub(crate) fn encode(schema: CubeSchema, count: usize, entries: impl Iterator<It
 /// The one sparse fold: visit every entry the selection contains as
 /// `(element, country, road, update, count)`. Cost is proportional to the
 /// entries, not to the cube.
+///
+/// Entries ascend, so each one's coordinates are the previous entry's
+/// plus the index delta, carried through the mixed radix: a division
+/// happens only where the carry crosses a row, never within one.
 pub(crate) fn fold<F>(
     schema: CubeSchema,
     entries: impl Iterator<Item = (u32, u64)>,
@@ -60,8 +64,29 @@ pub(crate) fn fold<F>(
     F: FnMut(usize, usize, usize, usize, u64),
 {
     debug_assert_eq!(sel.schema(), schema, "selection resolved against another schema");
+    let (nu, nr, nc) = (schema.n_update_types(), schema.n_road_types(), schema.n_countries());
+    let (mut prev, mut et, mut c, mut r, mut u) = (0usize, 0usize, 0usize, 0usize, 0usize);
     for (i, v) in entries {
-        let (et, c, r, u) = schema.coords_of(i as usize);
+        let i = i as usize;
+        if i < prev {
+            // Not reachable from a validated encoding; stay exact anyway.
+            (et, c, r, u) = schema.coords_of(i);
+        } else {
+            u += i - prev;
+            if u >= nu {
+                r += u / nu;
+                u %= nu;
+                if r >= nr {
+                    c += r / nr;
+                    r %= nr;
+                    if c >= nc {
+                        et += c / nc;
+                        c %= nc;
+                    }
+                }
+            }
+        }
+        prev = i;
         if sel.contains(et, c, r, u) {
             visit(et, c, r, u, v);
         }

@@ -1,8 +1,10 @@
 //! HTTP API plumbing: query-string → [`AnalysisQuery`], results → JSON.
 
-use crate::json::Json;
+use crate::json::{self, Json};
 use rased_core::model::{ElementType, UpdateType};
-use rased_core::{AnalysisQuery, DateRange, Granularity, GroupDim, QueryResult, Rased};
+use rased_core::{
+    AnalysisQuery, Date, DateRange, Granularity, GroupDim, Period, QueryResult, Rased,
+};
 use std::fmt;
 
 /// API request error (reported as HTTP 400 with a message).
@@ -176,34 +178,57 @@ pub fn parse_bbox(s: &str) -> Result<rased_geo::BBox, ApiError> {
     Ok(rased_geo::BBox::from_deg(deg(a)?, deg(b)?, deg(c)?, deg(d)?))
 }
 
+/// Bytes reserved per row: a `country,road,month` row is about 90.
+const ROW_BYTES: usize = 96;
+
 /// Serialize a query result (rows + execution stats) to JSON.
+///
+/// Rows are written straight into one pre-sized buffer: every optional
+/// key field is followed by the always-present `count`, so each can carry
+/// its own trailing comma; integers and periods are printed without `fmt`.
+/// The stats object goes through [`Json`].
 pub fn result_to_json(system: &Rased, result: &QueryResult) -> String {
-    let mut j = Json::new();
-    j.begin_object();
-    j.key("rows").begin_array();
-    for row in &result.rows {
-        j.begin_object();
+    let mut out = String::with_capacity(result.rows.len() * ROW_BYTES + 512);
+    out.push_str("{\"rows\":[");
+    for (i, row) in result.rows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('{');
         if let Some(d) = row.key.date {
-            j.key("date").string(&d.to_string());
+            out.push_str("\"date\":\"");
+            write_period(&mut out, d);
+            out.push_str("\",");
         }
         if let Some(c) = row.key.country {
-            j.key("country").string(system.countries().name(c).unwrap_or("?"));
+            out.push_str("\"country\":");
+            json::write_escaped(&mut out, system.countries().name(c).unwrap_or("?"));
+            out.push(',');
         }
         if let Some(e) = row.key.element_type {
-            j.key("element").string(e.xml_name());
+            out.push_str("\"element\":");
+            json::write_escaped(&mut out, e.xml_name());
+            out.push(',');
         }
         if let Some(r) = row.key.road_type {
-            j.key("road").string(system.roads().value(r).unwrap_or("?"));
+            out.push_str("\"road\":");
+            json::write_escaped(&mut out, system.roads().value(r).unwrap_or("?"));
+            out.push(',');
         }
         if let Some(u) = row.key.update_type {
-            j.key("update").string(u.label());
+            out.push_str("\"update\":");
+            json::write_escaped(&mut out, u.label());
+            out.push(',');
         }
-        j.key("count").uint(row.count);
-        j.key("value").number(row.value);
-        j.end_object();
+        out.push_str("\"count\":");
+        json::write_uint(&mut out, row.count);
+        out.push_str(",\"value\":");
+        json::write_number(&mut out, row.value);
+        out.push('}');
     }
-    j.end_array();
-    j.key("stats").begin_object();
+    out.push_str("],\"stats\":");
+    let mut j = Json::new();
+    j.begin_object();
     j.key("cubes_from_cache").uint(result.stats.cubes_from_cache as u64);
     j.key("cubes_from_disk").uint(result.stats.cubes_from_disk as u64);
     j.key("empty_days").uint(result.stats.empty_days as u64);
@@ -216,8 +241,42 @@ pub fn result_to_json(system: &Rased, result: &QueryResult) -> String {
     j.key("io_critical_micros").uint(result.stats.io_critical.as_micros() as u64);
     j.key("wall_micros").uint(result.stats.wall.as_micros() as u64);
     j.end_object();
-    j.end_object();
-    j.finish()
+    out.push_str(&j.finish());
+    out.push('}');
+    out
+}
+
+/// Append a period as its `Display` prints it (`D2021-03-07`,
+/// `W2021-03-07`, `M2021-03`, `Y2021`).
+fn write_period(out: &mut String, p: Period) {
+    let date = |out: &mut String, d: Date| {
+        let (y, m, day) = d.civil();
+        json::write_int(out, y.into(), 4);
+        out.push('-');
+        json::write_int(out, m.into(), 2);
+        out.push('-');
+        json::write_int(out, day.into(), 2);
+    };
+    match p {
+        Period::Day(d) => {
+            out.push('D');
+            date(out, d);
+        }
+        Period::Week(d) => {
+            out.push('W');
+            date(out, d);
+        }
+        Period::Month(y, m) => {
+            out.push('M');
+            json::write_int(out, y.into(), 4);
+            out.push('-');
+            json::write_int(out, m.into(), 2);
+        }
+        Period::Year(y) => {
+            out.push('Y');
+            json::write_int(out, y.into(), 4);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -107,18 +107,14 @@ impl Json {
     /// Emit a number. Integral values print without a decimal point.
     pub fn number(&mut self, v: f64) -> &mut Json {
         self.before_value();
-        if v.fract() == 0.0 && v.abs() < 9e15 {
-            let _ = write!(self.out, "{}", v as i64); // fmt::Write to String is infallible
-        } else {
-            let _ = write!(self.out, "{v}");
-        }
+        write_number(&mut self.out, v);
         self
     }
 
     /// Emit an unsigned integer exactly.
     pub fn uint(&mut self, v: u64) -> &mut Json {
         self.before_value();
-        let _ = write!(self.out, "{v}");
+        write_uint(&mut self.out, v);
         self
     }
 
@@ -154,22 +150,80 @@ impl Json {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal. Most strings need no escape, and
+/// those are copied whole.
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+        out.push_str(s);
+    } else {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32); // fmt::Write to String is infallible
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
         }
     }
     out.push('"');
+}
+
+/// Append a number as [`Json::number`] prints it: integral values as
+/// integers (written without `fmt`), the rest in `f64`'s shortest form.
+pub(crate) fn write_number(out: &mut String, v: f64) {
+    if v.fract() == 0.0 && v.abs() < 9e15 {
+        write_int(out, v as i64, 0);
+    } else {
+        let _ = write!(out, "{v}");
+    }
+}
+
+/// Append `v` in decimal.
+pub(crate) fn write_uint(out: &mut String, v: u64) {
+    let mut digits = [0u8; 20];
+    let len = decimal(v, &mut digits);
+    push_ascii(out, &digits, len);
+}
+
+/// Append `v` in decimal, zero-padded to `width` characters counting the
+/// sign — what `format!("{v:0width$}")` prints.
+pub(crate) fn write_int(out: &mut String, v: i64, width: usize) {
+    let mut digits = [0u8; 20];
+    let len = decimal(v.unsigned_abs(), &mut digits);
+    if v < 0 {
+        out.push('-');
+    }
+    for _ in len + usize::from(v < 0)..width {
+        out.push('0');
+    }
+    push_ascii(out, &digits, len);
+}
+
+/// Write `v`'s decimal digits into the tail of `buf`; returns how many.
+fn decimal(mut v: u64, buf: &mut [u8; 20]) -> usize {
+    let mut len = 0;
+    for slot in buf.iter_mut().rev() {
+        *slot = b'0' + (v % 10) as u8;
+        len += 1;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    len
+}
+
+/// Append the last `len` bytes of `buf` (ASCII digits).
+fn push_ascii(out: &mut String, buf: &[u8; 20], len: usize) {
+    for &b in buf.iter().skip(buf.len() - len) {
+        out.push(b as char);
+    }
 }
 
 #[cfg(test)]
@@ -206,6 +260,22 @@ mod tests {
         j.number(3.0).number(3.25).uint(u64::MAX);
         j.end_array();
         assert_eq!(j.finish(), format!("[3,3.25,{}]", u64::MAX));
+    }
+
+    #[test]
+    fn integers_print_as_fmt_does() {
+        for v in [0i64, 7, -7, 42, -100, 9999, -9999, 12_345, i64::MAX, i64::MIN] {
+            for width in [0, 2, 4, 6] {
+                let mut out = String::new();
+                write_int(&mut out, v, width);
+                assert_eq!(out, format!("{v:0width$}"), "{v} width {width}");
+            }
+        }
+        for v in [0u64, 9, 10, 1 << 40, u64::MAX] {
+            let mut out = String::new();
+            write_uint(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
     }
 
     #[test]

@@ -45,14 +45,18 @@
 //! atomics (the LRU map hands out `&V` only) and surface, along with the
 //! aggregate hit/miss/eviction/invalidation counters, in the
 //! `response_cache` section of `GET /api/metrics`.
+//!
+//! Admission: [`ResponseCache::render_through`] inserts a response only on
+//! the second render of its path and params, so requests asked for once
+//! never occupy the budget; first sightings are counted as `deferred`.
 
 use crate::http::response_head;
 use crate::json::Json;
 use rased_storage::sync::Mutex;
-use rased_storage::{FlightGroup, LruCache};
+use rased_storage::{shard_of, FlightGroup, LruCache, WordHashState};
 use std::collections::BTreeMap;
 use std::convert::Infallible;
-use std::hash::{Hash, Hasher};
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -243,11 +247,50 @@ pub struct ResponseCache {
     /// epoch. A strict leaf lock (rank `dashboard:floors`): held for a
     /// map probe only, never across a cache-shard lock.
     floors: Mutex<BTreeMap<u16, u64>>,
+    /// Which keys were rendered before: the admission filter.
+    seen: Seen,
     hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
+    /// 200s rendered on a first sighting and therefore not inserted.
+    deferred: AtomicU64,
     evictions: AtomicU64,
     invalidations: AtomicU64,
+}
+
+/// The admission filter: a fixed table of 64-bit fingerprints of `path`
+/// plus canonical params, the stamp left out. A render whose fingerprint
+/// is already in its slot is a repeat and is admitted; otherwise its
+/// fingerprint takes the slot. So a one-off request costs one slot write
+/// and no cache bytes, and a tile seen before a publish is admitted on
+/// its first render after it. A slot collision only delays an admission.
+/// The table holds two slots per entry the cache can hold: a key that
+/// recurs within about that many distinct renders is still remembered.
+struct Seen {
+    slots: Vec<AtomicU64>,
+}
+
+/// No cached response costs less than this (its two heads alone do not),
+/// so the byte budget also caps how many entries the cache can hold, and
+/// the table stays within an eighth of the byte budget.
+const MIN_ENTRY_BYTES: usize = 128;
+
+impl Seen {
+    fn new(max_bytes: usize, max_entries: usize) -> Seen {
+        let entries = max_entries.min(max_bytes / MIN_ENTRY_BYTES).max(1);
+        let n = (entries * 2).next_power_of_two();
+        Seen { slots: std::iter::repeat_with(|| AtomicU64::new(0)).take(n).collect() }
+    }
+
+    /// True when `key` was noted before; notes it either way.
+    fn check_and_note(&self, key: &RespKey) -> bool {
+        // 0 marks an empty slot, so no fingerprint is 0.
+        let fp = WordHashState.hash_one((&key.path, &key.params)).max(1);
+        let Some(slot) = self.slots.get(fp as usize & (self.slots.len() - 1)) else {
+            return false;
+        };
+        slot.swap(fp, Relaxed) == fp
+    }
 }
 
 impl ResponseCache {
@@ -267,37 +310,21 @@ impl ResponseCache {
             shard_entries: (max_entries / SHARDS).max(1),
             tick: AtomicU64::new(0),
             floors: Mutex::new_named(BTreeMap::new(), "dashboard.respcache_floors"),
+            seen: Seen::new(max_bytes, max_entries),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
+            deferred: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
         }
     }
 
-    /// Deterministic shard placement (same fold hash family as
-    /// `FlightGroup`, so placement is reproducible across runs).
-    #[expect(clippy::indexing_slicing, reason = "i is reduced mod shards.len(), which new() keeps >= 1")]
+    /// Deterministic shard placement (the shared word hash, so placement
+    /// is reproducible across runs).
+    #[expect(clippy::indexing_slicing, reason = "shard_of reduces mod shards.len(), which new() keeps >= 1")]
     fn shard(&self, key: &RespKey) -> &Mutex<Shard> {
-        struct Fold(u64);
-        impl Hasher for Fold {
-            fn finish(&self) -> u64 {
-                self.0
-            }
-            fn write(&mut self, bytes: &[u8]) {
-                for &b in bytes {
-                    self.0 =
-                        (self.0.rotate_left(5) ^ b as u64).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-                }
-            }
-        }
-        let mut h = Fold(0);
-        key.hash(&mut h);
-        let mut x = h.finish();
-        x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        x ^= x >> 32;
-        let i = (x as usize) % self.shards.len();
-        &self.shards[i]
+        &self.shards[shard_of(key, self.shards.len())]
     }
 
     /// Look up a key, counting a hit or a miss and touching the entry's
@@ -326,7 +353,9 @@ impl ResponseCache {
     /// Render through the cache with single-flight coalescing: concurrent
     /// misses on `key` run `render` once; everyone gets the same bytes.
     /// Only `200` responses are inserted — errors stay cold so a
-    /// transient failure is retried, not pinned.
+    /// transient failure is retried, not pinned — and only once the key's
+    /// path and params were rendered before (see `Seen`): a response
+    /// asked for once never occupies the cache.
     pub fn render_through(
         &self,
         key: &RespKey,
@@ -342,7 +371,11 @@ impl ResponseCache {
             let (status, content_type, body) = render();
             let resp = CachedResponse::new(status, content_type, body);
             if status == 200 {
-                self.insert(key, &resp);
+                if self.seen.check_and_note(key) {
+                    self.insert(key, &resp);
+                } else {
+                    self.deferred.fetch_add(1, Relaxed);
+                }
             }
             Ok(resp)
         });
@@ -477,7 +510,7 @@ impl ResponseCache {
     /// ```json
     /// "response_cache": {"enabled":true,"entries":N,"bytes":N,
     ///   "capacity_bytes":N,"capacity_entries":N,
-    ///   "hits":N,"misses":N,"insertions":N,"evictions":N,
+    ///   "hits":N,"misses":N,"insertions":N,"deferred":N,"evictions":N,
     ///   "invalidations":N,"min_epoch":N,"floors":[N,…],
     ///   "top":[{"key":"/api/analysis?… @ E","requests":N,
     ///           "last_accessed":N,"bytes":N},…]}
@@ -511,6 +544,7 @@ impl ResponseCache {
         j.kv_uint("hits", self.hits_total());
         j.kv_uint("misses", self.misses_total());
         j.kv_uint("insertions", self.insertions.load(Relaxed));
+        j.kv_uint("deferred", self.deferred.load(Relaxed));
         j.kv_uint("evictions", self.evictions.load(Relaxed));
         j.kv_uint("invalidations", self.invalidations_total());
         let floors = { self.floors.lock().clone() };
@@ -778,6 +812,8 @@ mod tests {
         let cache = ResponseCache::new(1 << 20, 64);
         let key = scalar("/api/analysis", "q=1", 1);
         let mut renders = 0;
+        // Warm the key: a first sighting renders but is not admitted.
+        cache.render_through(&key, || (200, "application/json", b"ok".to_vec()));
         let r = cache.render_through(&key, || {
             renders += 1;
             (200, "application/json", b"ok".to_vec())
@@ -790,5 +826,51 @@ mod tests {
         let r = cache.render_through(&err_key, || (400, "text/plain", b"bad".to_vec()));
         assert_eq!(r.status(), 400);
         assert!(cache.lookup(&err_key).is_none(), "non-200 must stay cold");
+    }
+
+    #[test]
+    fn no_response_costs_less_than_the_admission_table_assumes() {
+        assert!(resp("").cost() >= MIN_ENTRY_BYTES, "{}", resp("").cost());
+    }
+
+    fn render_ok(cache: &ResponseCache, key: &RespKey) {
+        cache.render_through(key, || (200, "application/json", b"{}".to_vec()));
+    }
+
+    #[test]
+    fn distinct_keys_leave_the_cache_empty() {
+        let cache = ResponseCache::new(1 << 20, 64);
+        for i in 0..100 {
+            render_ok(&cache, &scalar("/api/analysis", &format!("q={i}"), 1));
+        }
+        assert!(cache.is_empty(), "one-off renders were admitted: {}", cache.len());
+        assert_eq!(cache.deferred.load(Relaxed), 100);
+        assert_eq!(cache.insertions.load(Relaxed), 0);
+    }
+
+    #[test]
+    fn a_key_is_cached_on_its_second_render() {
+        let cache = ResponseCache::new(1 << 20, 64);
+        let key = scalar("/api/analysis", "q=1", 1);
+        render_ok(&cache, &key);
+        assert!(cache.lookup(&key).is_none(), "first render must not be admitted");
+        render_ok(&cache, &key);
+        assert!(cache.lookup(&key).is_some(), "second render must be admitted");
+        // Param order is canonical, so a shuffled repeat is the same key.
+        let a = scalar("/api/analysis", "a=1&b=2", 1);
+        render_ok(&cache, &a);
+        render_ok(&cache, &scalar("/api/analysis", "b=2&a=1", 1));
+        assert!(cache.lookup(&a).is_some());
+    }
+
+    #[test]
+    fn a_key_seen_before_a_publish_is_cached_on_its_first_render_after_it() {
+        let cache = ResponseCache::new(1 << 20, 64);
+        render_ok(&cache, &scalar("/api/analysis", "q=1", 1));
+        cache.invalidate_shard(0, 2);
+        let after = scalar("/api/analysis", "q=1", 2);
+        render_ok(&cache, &after);
+        assert!(cache.lookup(&after).is_some(), "a tile seen at epoch 1 is not a one-off");
+        assert_eq!(cache.deferred.load(Relaxed), 1);
     }
 }

@@ -26,9 +26,8 @@
 
 use rased_cube::DataCube;
 use rased_storage::sync::Mutex;
-use rased_storage::PageId;
+use rased_storage::{shard_of, PageId, WordHashMap};
 use rased_temporal::{Granularity, Period};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -69,7 +68,7 @@ pub struct CubeCache {
 }
 
 struct CacheShard {
-    cubes: Mutex<HashMap<Period, (PageId, Arc<DataCube>)>>,
+    cubes: Mutex<WordHashMap<Period, (PageId, Arc<DataCube>)>>,
 }
 
 impl CubeCache {
@@ -77,7 +76,7 @@ impl CubeCache {
     pub fn new(config: CacheConfig) -> CubeCache {
         let n = (config.slots / SLOTS_PER_SHARD).clamp(1, MAX_SHARDS);
         let shards = (0..n)
-            .map(|_| CacheShard { cubes: Mutex::new_named(HashMap::new(), "index.cube_cache") })
+            .map(|_| CacheShard { cubes: Mutex::new_named(WordHashMap::default(), "index.cube_cache") })
             .collect();
         CubeCache { config, shards, hits: AtomicU64::new(0), misses: AtomicU64::new(0) }
     }
@@ -92,19 +91,11 @@ impl CubeCache {
         self.shards.len()
     }
 
-    /// Deterministic shard pick: granularity and start date, multiplicative
-    /// mix. (Deliberately not `RandomState`: shard placement must be
-    /// reproducible run to run.)
-    #[expect(clippy::indexing_slicing, reason = "i is reduced mod shards.len(), which new() keeps >= 1")]
+    /// Deterministic shard pick (the shared word hash of the period, so
+    /// placement is reproducible run to run).
+    #[expect(clippy::indexing_slicing, reason = "shard_of reduces mod shards.len(), which new() keeps >= 1")]
     fn shard(&self, period: &Period) -> &CacheShard {
-        let date = period.start();
-        let raw = ((period.granularity() as u64) << 32)
-            ^ ((date.year() as u64) << 16)
-            ^ ((date.month() as u64) << 8)
-            ^ (date.day() as u64);
-        let mixed = raw.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let i = ((mixed ^ (mixed >> 32)) as usize) % self.shards.len();
-        &self.shards[i]
+        &self.shards[shard_of(period, self.shards.len())]
     }
 
     /// How many slots the recency policy grants each granularity.

@@ -41,7 +41,10 @@ use crate::planner::LevelPlanner;
 use crate::wal;
 use rased_cube::{CubeError, CubeSchema, CubeView, DataCube, DimSelection};
 use rased_storage::sync::{Mutex, RwLock};
-use rased_storage::{FlightGroup, IoCostModel, IoSnapshot, IoStats, PageId, RecordFile, StorageError};
+use rased_storage::{
+    FlightGroup, IoCostModel, IoSnapshot, IoStats, PageId, RecordFile, StorageError, WordHashMap,
+    WordHashState,
+};
 use rased_temporal::{Date, Granularity, Period};
 use std::collections::HashMap;
 use std::fmt;
@@ -200,7 +203,7 @@ struct Loc {
 #[derive(Debug)]
 pub struct CatalogVersion {
     epoch: u64,
-    map: HashMap<CubeKey, Loc>,
+    map: WordHashMap<CubeKey, Loc>,
 }
 
 impl CatalogVersion {
@@ -366,7 +369,7 @@ impl TemporalIndex {
         // killed right after create must reopen as a valid empty index. The
         // watermark starts at zero — an empty index accounts for no rows —
         // so a crash before the first marked commit trims stragglers away.
-        save_catalog(&catalog_path, &HashMap::new(), 0, Some(0), file.stats())?;
+        save_catalog(&catalog_path, &WordHashMap::default(), 0, Some(0), file.stats())?;
         let mut log = wal::Wal::open_append(&dir.join("wal.log"), Arc::clone(file.stats()))
             .map_err(StorageError::from)?;
         log.reset().map_err(StorageError::from)?;
@@ -375,7 +378,7 @@ impl TemporalIndex {
             levels,
             file: Arc::new(file),
             catalog: RwLock::new_named(
-                Arc::new(CatalogVersion { epoch: 0, map: HashMap::new() }),
+                Arc::new(CatalogVersion { epoch: 0, map: WordHashMap::default() }),
                 "index.catalog",
             ),
             wal: Mutex::new_named(log, "index.wal"),
@@ -1152,7 +1155,7 @@ fn decode_period(g: u8, a: i32, b: u32) -> Result<Period, IndexError> {
 
 fn save_catalog(
     path: &Path,
-    catalog: &HashMap<CubeKey, Loc>,
+    catalog: &WordHashMap<CubeKey, Loc>,
     epoch: u64,
     mark: Option<u64>,
     stats: &IoStats,
@@ -1182,7 +1185,7 @@ fn save_catalog(
 
 /// A catalog file's contents: the key → location map, its epoch and the
 /// durable row mark.
-type LoadedCatalog = (HashMap<CubeKey, Loc>, u64, Option<u64>);
+type LoadedCatalog = (WordHashMap<CubeKey, Loc>, u64, Option<u64>);
 
 fn load_catalog(path: &Path) -> Result<LoadedCatalog, IndexError> {
     let bytes = std::fs::read(path).map_err(StorageError::from)?;
@@ -1203,7 +1206,7 @@ fn load_catalog(path: &Path) -> Result<LoadedCatalog, IndexError> {
     if count.checked_mul(ENTRY_BYTES).is_none_or(|need| body.len() < need) {
         return Err(truncated());
     }
-    let mut catalog = HashMap::with_capacity(count);
+    let mut catalog = WordHashMap::with_capacity_and_hasher(count, WordHashState);
     for i in 0..count {
         // A checkpoint holds live bindings only; a tombstone would be a no-op.
         if let (key, Some(loc)) = decode_entry(body, i * ENTRY_BYTES).ok_or_else(truncated)?? {

@@ -3,7 +3,7 @@
 use rased_geo::BBox;
 use rased_osm_model::{CountryId, ElementType, RoadTypeId, UpdateType};
 use rased_storage::IoSnapshot;
-use rased_temporal::{DateRange, Granularity, Period};
+use rased_temporal::{Date, DateRange, Granularity, Period};
 use std::time::Duration;
 
 /// A dimension to group on. `Date` carries the grouping granularity —
@@ -145,6 +145,76 @@ pub struct GroupKey {
     pub road_type: Option<RoadTypeId>,
     pub update_type: Option<UpdateType>,
     pub date: Option<Period>,
+}
+
+// The packed form of a `GroupKey`: one `u128` whose integer order is the
+// key's derived `Ord`. Fields sit most significant first in declaration
+// order, each `None` as 0 and `Some(x)` as 1 + x's rank, so comparing the
+// integers compares field by field. A period is a presence bit, its
+// variant (2 bits, declaration order) and a 64-bit payload: sign-flipped
+// day or year numbers, or a month's sign-flipped year above its month
+// number. Every `GroupKey` packs, including out-of-calendar periods.
+const ELEMENT_SHIFT: u32 = 105; // 2 bits
+const COUNTRY_SHIFT: u32 = 88; // 17 bits
+const ROAD_SHIFT: u32 = 71; // 17 bits
+const UPDATE_SHIFT: u32 = 67; // 4 bits
+const DATE_SOME: u128 = 1 << 66; // then 2 variant bits, then the payload
+
+/// An `i32` as a `u32` of the same order.
+fn flip(x: i32) -> u128 {
+    (x as u32 ^ 0x8000_0000) as u128
+}
+
+fn unflip(bits: u128) -> i32 {
+    (bits as u32 ^ 0x8000_0000) as i32
+}
+
+/// The `width`-bit field at `shift`, as 1 + rank; `None` for 0.
+fn rank(bits: u128, shift: u32, width: u32) -> Option<usize> {
+    (((bits >> shift) & ((1 << width) - 1)) as usize).checked_sub(1)
+}
+
+impl GroupKey {
+    /// The key as one integer: equal keys pack equal, and the integers
+    /// order as the keys do. The aggregator hashes and sorts these.
+    pub fn pack(&self) -> u128 {
+        let date = match self.date {
+            None => 0,
+            Some(p) => {
+                DATE_SOME
+                    | match p {
+                        Period::Day(d) => flip(d.days()),
+                        Period::Week(d) => 1 << 64 | flip(d.days()),
+                        Period::Month(y, m) => 2 << 64 | flip(y) << 32 | m as u128,
+                        Period::Year(y) => 3 << 64 | flip(y),
+                    }
+            }
+        };
+        let some = |x: Option<usize>, shift: u32| x.map_or(0, |i| (i as u128 + 1) << shift);
+        some(self.element_type.map(ElementType::index), ELEMENT_SHIFT)
+            | some(self.country.map(|c| c.0 as usize), COUNTRY_SHIFT)
+            | some(self.road_type.map(|r| r.0 as usize), ROAD_SHIFT)
+            | some(self.update_type.map(UpdateType::index), UPDATE_SHIFT)
+            | date
+    }
+
+    /// Inverse of [`GroupKey::pack`]. Bits no key packs to decode to an
+    /// unspecified key.
+    pub fn unpack(bits: u128) -> GroupKey {
+        let date = (bits & DATE_SOME != 0).then(|| match (bits >> 64) & 3 {
+            0 => Period::Day(Date::from_days(unflip(bits))),
+            1 => Period::Week(Date::from_days(unflip(bits))),
+            2 => Period::Month(unflip(bits >> 32), bits as u32),
+            _ => Period::Year(unflip(bits)),
+        });
+        GroupKey {
+            element_type: rank(bits, ELEMENT_SHIFT, 2).and_then(ElementType::from_index),
+            country: rank(bits, COUNTRY_SHIFT, 17).map(|c| CountryId(c as u16)),
+            road_type: rank(bits, ROAD_SHIFT, 17).map(|r| RoadTypeId(r as u16)),
+            update_type: rank(bits, UPDATE_SHIFT, 4).and_then(UpdateType::from_index),
+            date,
+        }
+    }
 }
 
 /// One output row.

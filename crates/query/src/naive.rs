@@ -6,8 +6,8 @@ use crate::model::{
 };
 use rased_geo::Point;
 use rased_osm_model::{CountryId, ElementType, RoadTypeId, UpdateRecord, UpdateType};
-use rased_temporal::Period;
-use std::collections::HashMap;
+use rased_storage::WordHashMap;
+use rased_temporal::{Granularity, Period};
 
 /// A streaming aggregator implementing the exact query semantics on raw
 /// `UpdateList` rows. Feed it records in any order, then [`RecordAggregator::finish`].
@@ -15,16 +15,47 @@ use std::collections::HashMap;
 /// This is both the test oracle ([`naive_execute`]) and the execution core
 /// of the row-scan DBMS baseline (Fig. 10): a full-table scan pushes every
 /// row through here.
+///
+/// Groups are keyed by [`GroupKey::pack`]: one `u128` hashed a word at a
+/// time and sorted as an integer, whose order is the key's.
 pub struct RecordAggregator<'a> {
     q: &'a AnalysisQuery,
     sizes: Option<&'a NetworkSizes>,
-    groups: HashMap<GroupKey, u64>,
+    grouped: Grouped,
+    groups: WordHashMap<u128, u64>,
+}
+
+/// The query's `group_by`, resolved once: which key fields are set, and
+/// the date granularity (the last `Date` listed wins, as it always has).
+#[derive(Debug, Clone, Copy, Default)]
+struct Grouped {
+    element_type: bool,
+    country: bool,
+    road_type: bool,
+    update_type: bool,
+    date: Option<Granularity>,
+}
+
+impl Grouped {
+    fn of(q: &AnalysisQuery) -> Grouped {
+        let mut g = Grouped::default();
+        for dim in &q.group_by {
+            match dim {
+                GroupDim::ElementType => g.element_type = true,
+                GroupDim::Country => g.country = true,
+                GroupDim::RoadType => g.road_type = true,
+                GroupDim::UpdateType => g.update_type = true,
+                GroupDim::Date(gran) => g.date = Some(*gran),
+            }
+        }
+        g
+    }
 }
 
 impl<'a> RecordAggregator<'a> {
     /// Start an aggregation for `q`.
     pub fn new(q: &'a AnalysisQuery, sizes: Option<&'a NetworkSizes>) -> RecordAggregator<'a> {
-        RecordAggregator { q, sizes, groups: HashMap::new() }
+        RecordAggregator { q, sizes, grouped: Grouped::of(q), groups: WordHashMap::default() }
     }
 
     /// Offer one record; filtered and grouped per the query.
@@ -58,17 +89,15 @@ impl<'a> RecordAggregator<'a> {
                 return;
             }
         }
-        let mut key = GroupKey::default();
-        for dim in &q.group_by {
-            match dim {
-                GroupDim::ElementType => key.element_type = Some(r.element_type),
-                GroupDim::Country => key.country = Some(r.country),
-                GroupDim::RoadType => key.road_type = Some(r.road_type),
-                GroupDim::UpdateType => key.update_type = Some(r.update_type),
-                GroupDim::Date(g) => key.date = Some(Period::containing(*g, r.date)),
-            }
-        }
-        *self.groups.entry(key).or_insert(0) += 1;
+        let g = self.grouped;
+        let key = GroupKey {
+            element_type: g.element_type.then_some(r.element_type),
+            country: g.country.then_some(r.country),
+            road_type: g.road_type.then_some(r.road_type),
+            update_type: g.update_type.then_some(r.update_type),
+            date: g.date.map(|gran| Period::containing(gran, r.date)),
+        };
+        *self.groups.entry(key.pack()).or_insert(0) += 1;
     }
 
     /// Merge one pre-aggregated cube/block cell: its coordinates projected
@@ -90,17 +119,15 @@ impl<'a> RecordAggregator<'a> {
         if n == 0 {
             return;
         }
-        let mut key = GroupKey { date, ..GroupKey::default() };
-        for dim in &self.q.group_by {
-            match dim {
-                GroupDim::ElementType => key.element_type = ElementType::from_index(et),
-                GroupDim::Country => key.country = Some(CountryId(c as u16)),
-                GroupDim::RoadType => key.road_type = Some(RoadTypeId(r as u16)),
-                GroupDim::UpdateType => key.update_type = UpdateType::from_index(u),
-                GroupDim::Date(_) => {} // already in `date`
-            }
-        }
-        *self.groups.entry(key).or_insert(0) += n;
+        let g = self.grouped;
+        let key = GroupKey {
+            element_type: if g.element_type { ElementType::from_index(et) } else { None },
+            country: g.country.then_some(CountryId(c as u16)),
+            road_type: g.road_type.then_some(RoadTypeId(r as u16)),
+            update_type: if g.update_type { UpdateType::from_index(u) } else { None },
+            date,
+        };
+        *self.groups.entry(key.pack()).or_insert(0) += n;
     }
 
     /// An empty aggregator for the same query — a gather worker's private
@@ -121,19 +148,25 @@ impl<'a> RecordAggregator<'a> {
     /// caller to fill).
     pub fn finish(self) -> QueryResult {
         let grand_total: u64 = self.groups.values().sum();
-        let mut rows: Vec<ResultRow> = self
-            .groups
+        let mut packed: Vec<(u128, u64)> = self.groups.into_iter().collect();
+        // Packed keys are unique and order as the keys do.
+        packed.sort_unstable_by_key(|&(bits, _)| bits);
+        let rows = packed
             .into_iter()
-            .map(|(key, count)| ResultRow {
-                key,
-                count,
-                value: match self.q.value {
-                    ValueMode::Count => count as f64,
-                    ValueMode::Percentage => percentage_value(count, &key, self.sizes, grand_total),
-                },
+            .map(|(bits, count)| {
+                let key = GroupKey::unpack(bits);
+                ResultRow {
+                    key,
+                    count,
+                    value: match self.q.value {
+                        ValueMode::Count => count as f64,
+                        ValueMode::Percentage => {
+                            percentage_value(count, &key, self.sizes, grand_total)
+                        }
+                    },
+                }
             })
             .collect();
-        rows.sort_by_key(|r| r.key);
         QueryResult { rows, stats: QueryStats::default() }
     }
 }

@@ -1,6 +1,7 @@
 //! [`BufferPool`]: a sharded LRU page cache over a [`PageFile`].
 
-use crate::flight::{mix, FlightGroup};
+use crate::flight::FlightGroup;
+use crate::hash::shard_of;
 use crate::lru::LruCache;
 use crate::pagefile::{PageFile, PageId, StorageError};
 use crate::sync::Mutex;
@@ -103,10 +104,9 @@ impl BufferPool {
         self.shards.len()
     }
 
-    #[expect(clippy::indexing_slicing, reason = "i is reduced mod shards.len(), which with_shards keeps >= 1")]
+    #[expect(clippy::indexing_slicing, reason = "shard_of reduces mod shards.len(), which with_shards keeps >= 1")]
     fn shard(&self, key: u64) -> &Shard {
-        let i = (mix(key) as usize) % self.shards.len();
-        &self.shards[i]
+        &self.shards[shard_of(&key, self.shards.len())]
     }
 
     /// Read a page through the cache.

@@ -26,6 +26,7 @@
 //! construction) so the debug-build lock-order detector and the static
 //! rank table see them.
 
+use crate::hash::shard_of;
 use crate::sync::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -88,10 +89,9 @@ impl<K: Clone + Eq + Hash, V: Clone> FlightGroup<K, V> {
         self.shard(key).lock().get(key).map_or(0, |f| Arc::strong_count(f).saturating_sub(2))
     }
 
-    #[expect(clippy::indexing_slicing, reason = "i is reduced mod shards.len(), which new() keeps >= 1")]
+    #[expect(clippy::indexing_slicing, reason = "shard_of reduces mod shards.len(), which new() keeps >= 1")]
     fn shard(&self, key: &K) -> &Mutex<HashMap<K, Arc<Flight<V>>>> {
-        let i = (mix(fxhash(key)) as usize) % self.shards.len();
-        &self.shards[i]
+        &self.shards[shard_of(key, self.shards.len())]
     }
 
     /// Cancel the in-flight computation for `key`, if any: the slot is
@@ -222,33 +222,6 @@ impl<K: Clone + Eq + Hash, V: Clone> Drop for LeaderGuard<'_, K, V> {
             self.finish(FlightState::Failed);
         }
     }
-}
-
-/// A small deterministic key hash (byte-fold over the value's `Hash`
-/// output). Deterministic across runs, unlike `RandomState`, so shard
-/// placement is reproducible.
-fn fxhash<K: Hash>(key: &K) -> u64 {
-    struct Fold(u64);
-    impl std::hash::Hasher for Fold {
-        fn finish(&self) -> u64 {
-            self.0
-        }
-        fn write(&mut self, bytes: &[u8]) {
-            for &b in bytes {
-                self.0 = (self.0.rotate_left(5) ^ b as u64).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-            }
-        }
-    }
-    let mut h = Fold(0);
-    key.hash(&mut h);
-    std::hash::Hasher::finish(&h)
-}
-
-/// 64-bit finalizer spreading low-entropy keys across shards.
-pub(crate) fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x ^= x >> 32;
-    x
 }
 
 #[cfg(test)]

@@ -23,11 +23,14 @@
 //!   blocks behind both caches: an O(1) recency list and a
 //!   leader/follower in-flight-miss coalescer, reused by `rased-index`;
 //! * [`DiskHashIndex`] — a persistent extendible hash index (the
-//!   warehouse's ChangesetID index, §VI-B).
+//!   warehouse's ChangesetID index, §VI-B);
+//! * [`WordHasher`] — the one deterministic hash for program-derived keys
+//!   (maps and shard picks); client-chosen keys keep `RandomState`.
 
 mod buffer;
 pub mod bytes;
 mod flight;
+mod hash;
 mod hash_index;
 mod lru;
 mod pagefile;
@@ -37,6 +40,7 @@ pub mod sync;
 
 pub use buffer::{BufferPool, PoolStats};
 pub use flight::FlightGroup;
+pub use hash::{shard_of, WordHashMap, WordHashState, WordHasher};
 pub use hash_index::DiskHashIndex;
 pub use lru::LruCache;
 pub use pagefile::{PageFile, PageId, StorageError};

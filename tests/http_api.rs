@@ -238,6 +238,43 @@ fn metrics_endpoint_serves_percentiles_admission_and_cache() {
     ts.stop().unwrap();
 }
 
+/// The response cache admits a key on its second render; first sightings
+/// are rendered, not inserted, and `/api/metrics` counts them as
+/// `deferred` beside `insertions`.
+#[test]
+fn metrics_response_cache_counts_deferred_first_sightings() {
+    let (_dir, system) = demo_system("deferred");
+    let ts = TestServer::start(system, test_config());
+    let mut client = HttpClient::connect(ts.addr).unwrap();
+    for q in [
+        "/api/analysis?start=2021-01-01&end=2021-01-31&group=update",
+        "/api/analysis?start=2021-01-01&end=2021-01-20&group=country",
+        "/api/analysis?start=2021-01-01&end=2021-01-31&group=update",
+        "/api/analysis?start=2021-01-01&end=2021-01-31&group=update",
+    ] {
+        assert_eq!(client.get(q).unwrap().status, 200, "{q}");
+    }
+    let m = client.get("/api/metrics").unwrap();
+    let at = m.body.find("\"response_cache\"").expect("response_cache section");
+    let section = &m.body[at..];
+    let field = |name: &str| {
+        let pat = format!("\"{name}\":");
+        let from = section.find(&pat).unwrap_or_else(|| panic!("{name} not in {}", m.body));
+        section[from + pat.len()..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect::<String>()
+            .parse::<u64>()
+            .unwrap()
+    };
+    // Two first sightings deferred, the repeat admitted, the third a hit.
+    assert_eq!(field("deferred"), 2, "{}", m.body);
+    assert_eq!(field("insertions"), 1, "{}", m.body);
+    assert_eq!((field("misses"), field("hits")), (3, 1), "{}", m.body);
+    drop(client);
+    ts.stop().unwrap();
+}
+
 /// `POST /api/ingest` is a write surface reachable from the network, so
 /// enqueued directories are confined: they must resolve (after symlinks
 /// and `..`) under the configured ingest root, and with no root the
