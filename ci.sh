@@ -1,7 +1,7 @@
 #!/bin/sh
 # The tier-1 gate, runnable on a machine with no network and no registry
 # cache: the workspace has zero external dependencies, so --offline --locked
-# must always succeed. Benches are compiled (not run) to keep them honest.
+# must always succeed.
 set -eu
 cd "$(dirname "$0")"
 
@@ -26,8 +26,9 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 # Every test target of every crate, once, under one wall-clock budget: a
 # hang in the worker pool, keep-alive loop, shutdown path or a property
 # suite must fail CI as a timeout, not stall it forever. This run *is* the
-# gate for each battery below — the lines that follow only add what it
-# does not already do (a pinned-seed replay, the bench smoke runs).
+# gate for each battery below — the lines that follow only replay pinned
+# seeds. (The root's default-members make a bare `cargo test` run the
+# same set.)
 #   serving tier:   http_parser, http_api, concurrency, failure_injection
 #                   (incl. the event loop's wake tests: misses then hits
 #                   on one connection, a pipelined miss+hit+miss, a lone
@@ -46,6 +47,11 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 #                   others nothing)
 #   spatial lattice: geo_props, lattice_props (banked viewport == grid
 #                   scan == oracle, under publishes and ragged covers)
+#   figures:        figures_smoke (every entry of rased_bench::FIGURES at
+#                   smoke scale, asserting the gates a full `figures` run
+#                   checks: fig7-10's shapes, fig11's cold speedup, fig14's
+#                   routing and fan-out, fig15's six viewport gates, the
+#                   maintenance bounds; the planner ablation only runs)
 timeout 1500 cargo test --workspace -q --offline --locked
 
 # The same cache-equivalence suite replaying a pinned seed — proves
@@ -60,20 +66,3 @@ DETTEST_SEED=20261015 timeout 120 cargo test -q --offline --locked --test propte
 # through fork/absorb, the incremental sparse fold equals a coords_of
 # fold, and the row writer equals the renderer it replaced.
 DETTEST_SEED=20261017 timeout 120 cargo test -q --offline --locked --test proptests cold_
-
-# Bench smoke runs. Each harness exits non-zero when its gate fails, so
-# these lines are regression gates, not build checks. All three gate on
-# *counters* no test and no benchmark/ workload checks (serving latency
-# and throughput are gated per PR by BENCHMARK.json's bounds instead):
-#   fig11  parallel scaling, incl. its single-flight stampede check
-#   fig14  shard scaling: a country-filtered query reading a non-owning
-#          shard, or no fan-out speedup at 4 shards
-#   fig15  viewport: banked and scanned rows diverging, a single-band
-#          viewport reading a foreign band, a marked day falling back to
-#          a scan, the month roll-up never engaging, or the warm block
-#          cache failing to beat the grid-scan baseline's modeled I/O.
-#          Smoke mode writes its BENCH_fig15.json into its own scratch dir
-#          (full runs refresh the committed copy).
-for fig in fig11_parallel_scaling fig14_shard_scaling fig15_viewport; do
-    BENCH_MEASURE_MS=20 timeout 120 "./target/release/$fig"
-done

@@ -1,29 +1,42 @@
-//! Shared infrastructure for the benchmark harness.
+//! The paper's evaluation as one table of figures.
 //!
-//! Every figure of the paper's evaluation (§VIII) is regenerated by one
-//! binary in `src/bin/`:
+//! Each entry of [`FIGURES`] is one reproduced claim: a function of a
+//! [`Scale`] that builds its workload, prints its table and returns the
+//! failures of the gates computed from that same table. `figures [name…]`
+//! runs the entries at full scale (EXPERIMENTS.md); `tests/figures_smoke.rs`
+//! runs them at smoke scale on every `cargo test`, one test per figure.
 //!
-//! | binary | figure | claim reproduced |
+//! | entry | claim reproduced | gate |
 //! |---|---|---|
-//! | `fig7_cache_size` | Fig. 7 | response time vs. cache size, saturating later for longer windows |
-//! | `fig8_levels_storage` | Fig. 8 | extra hierarchy levels cost ≈ 15% storage over flat |
-//! | `fig9_ablation` | Fig. 9 | RASED-F → RASED-O → RASED spans ~3 orders of magnitude |
-//! | `fig10_vs_dbms` | Fig. 10 | row-scan DBMS is constant-cost; RASED is orders faster |
-//! | `maintenance_io` | §VI-A | 1 I/O plain days; bounded I/O at week/month/year ends |
-//! | `planner_ablation` | DESIGN.md §4 | exact DP planner vs. greedy |
-//! | `fig14_shard_scaling` | DESIGN.md §14 | country queries read only the owning shard; fan-out speedup ≈ shard count |
+//! | `fig7` | Fig. 7: response time falls with cache size, saturating later for longer windows | the probe window's disk fetches never rise with the cache, and the largest cache serves it from memory |
+//! | `fig8` | Fig. 8: extra hierarchy levels cost ≈ 15% storage over flat | 4-level/flat dense pages in [1.0, 1.30); packed 4-level × 5 ≤ flat dense |
+//! | `fig9` | Fig. 9: RASED-F → RASED-O → RASED spans ~3 orders of magnitude | F ≥ 300, O ≤ F/20, RASED < O disk fetches |
+//! | `fig10` | Fig. 10: a row-scan DBMS is constant-cost; RASED is orders faster | equal scan reads at every window, 30-day RASED ≤ 36 reads and ≤ the longest window's, RASED < DBMS, identical rows |
+//! | `fig11` | parallel executor | cold speedup ≥ 2× at 4 threads |
+//! | `fig14` | DESIGN.md §14: country queries read only the owning shard | no foreign shard read; fan-out speedup > 1.5× at 4 shards |
+//! | `fig15` | DESIGN.md §15: viewports from spatial blocks beat a grid scan | six, listed in `fig15.rs` |
+//! | `maintenance` | §VI-A: 1 I/O plain days; bounded I/O at week/month/year ends | 1 / ≤ 8 / ≤ 15 / ≤ 13 ops |
+//! | `planner` | DESIGN.md §4: exact DP planner vs. greedy | none (`planner_props` proves DP ≤ greedy) |
 //!
 //! The workload generator here produces `UpdateRecord`s directly (no XML),
 //! so multi-year indexes build in seconds; the XML → crawler path is
 //! exercised by the integration tests and examples instead. Record volume
 //! is Zipf-skewed across countries and road types like the full simulator.
 
-pub mod harness;
+mod fig10;
+mod fig11;
+mod fig14;
+mod fig15;
+mod fig7;
+mod fig8;
+mod fig9;
+mod maintenance;
+mod planner;
 
 use dettest::TempDir;
 use rased_core::{
     AnalysisQuery, CacheConfig, CubeSchema, DataCube, Date, DateRange, IoCostModel,
-    MaintenanceReport, ShardedIndex, TemporalIndex,
+    MaintenanceReport, QueryEngine, ShardedIndex, TemporalIndex,
 };
 use rased_index::IndexError;
 use rased_osm_gen::rng::{Rng, Zipf};
@@ -31,8 +44,49 @@ use rased_osm_model::{ChangesetId, CountryId, ElementType, RoadTypeId, UpdateRec
 use rased_warehouse::HeapFile;
 use std::error::Error;
 use std::path::Path;
+use std::time::{Duration, Instant};
 
-/// Workload shape shared by the harness binaries.
+/// How large a figure's workload is. Both scales check the same gates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scale {
+    /// Small enough for every `cargo test` run.
+    Smoke,
+    /// The scale EXPERIMENTS.md reports.
+    Full,
+}
+
+/// Measures a figure at a scale, prints its table and returns its gate
+/// failures, each naming its gate.
+pub type Figure = fn(Scale) -> Result<Vec<String>, Box<dyn Error>>;
+
+/// Every reproduced claim, by the name `figures` and `figures_smoke` use.
+pub const FIGURES: [(&str, Figure); 9] = [
+    ("fig7", fig7::run),
+    ("fig8", fig8::run),
+    ("fig9", fig9::run),
+    ("fig10", fig10::run),
+    ("fig11", fig11::run),
+    ("fig14", fig14::run),
+    ("fig15", fig15::run),
+    ("maintenance", maintenance::run),
+    ("planner", planner::run),
+];
+
+/// Run the figure called `name` at `scale`.
+pub fn run_figure(name: &str, scale: Scale) -> Result<Vec<String>, Box<dyn Error>> {
+    let (_, figure) =
+        FIGURES.iter().find(|(n, _)| *n == name).ok_or_else(|| format!("unknown figure `{name}`"))?;
+    figure(scale)
+}
+
+/// Push a failure of the gate called `name` unless `ok`.
+fn gate(failures: &mut Vec<String>, ok: bool, name: &str, detail: String) {
+    if !ok {
+        failures.push(format!("{name}: {detail}"));
+    }
+}
+
+/// Workload shape shared by the figures.
 #[derive(Debug, Clone)]
 pub struct Workload {
     pub seed: u64,
@@ -56,6 +110,14 @@ impl Workload {
             range: DateRange::new(start, end),
             per_day,
         }
+    }
+
+    /// The small workload figs. 7–10, `maintenance` and `planner` run at
+    /// smoke scale: two years of 60 updates a day over a 10 × 6 schema.
+    pub fn smoke() -> Workload {
+        let mut w = Workload::years(2, 60, 0x57A0);
+        w.schema = CubeSchema::new(10, 6);
+        w
     }
 }
 
@@ -143,7 +205,7 @@ fn replay_days(
 
 /// Build a cube index for a workload by replaying daily maintenance. The
 /// same physical index serves the RASED-F / RASED-O / RASED variants by
-/// reopening it with different `levels`/cache (see `fig9_ablation`).
+/// reopening it with different `levels`/cache (see [`fig9`]).
 pub fn build_index(
     dir: &Path,
     w: &Workload,
@@ -219,14 +281,46 @@ pub fn one_cell_query(range: DateRange) -> AnalysisQuery {
         .updates(vec![UpdateType::Create])
 }
 
-/// Scratch directory for a harness binary: unique per process, removed
-/// when the returned guard drops.
+/// Mean modeled response (wall time plus critical-path modeled I/O) of
+/// `mk` over `windows`.
+fn mean_response(
+    engine: &QueryEngine<'_>,
+    windows: &[DateRange],
+    mk: impl Fn(DateRange) -> AnalysisQuery,
+) -> Result<Duration, Box<dyn Error>> {
+    let mut total = Duration::ZERO;
+    for range in windows {
+        total += engine.execute(&mk(*range))?.stats.modeled_response();
+    }
+    Ok(total / windows.len().max(1) as u32)
+}
+
+/// Real wall-clock queries per second of `mk` over `windows`, re-run until
+/// 200 ms have passed.
+fn wall_qps(
+    engine: &QueryEngine<'_>,
+    windows: &[DateRange],
+    mk: impl Fn(DateRange) -> AnalysisQuery,
+) -> Result<f64, Box<dyn Error>> {
+    let started = Instant::now();
+    let mut ran = 0u64;
+    while started.elapsed() < Duration::from_millis(200) {
+        for range in windows {
+            engine.execute(&mk(*range))?;
+            ran += 1;
+        }
+    }
+    Ok(ran as f64 / started.elapsed().as_secs_f64().max(f64::EPSILON))
+}
+
+/// Scratch directory for a figure: unique per process, removed when the
+/// returned guard drops.
 pub fn bench_dir(tag: &str) -> TempDir {
     TempDir::new(&format!("bench-{tag}"))
 }
 
 /// Pretty-print a duration in adaptive units.
-pub fn fmt_duration(d: std::time::Duration) -> String {
+pub fn fmt_duration(d: Duration) -> String {
     let us = d.as_micros();
     if us < 1_000 {
         format!("{us} µs")

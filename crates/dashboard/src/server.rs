@@ -101,11 +101,6 @@ impl StopHandle {
             let _ = TcpStream::connect(addr);
         }
     }
-
-    /// Whether shutdown has been requested.
-    pub fn is_stopped(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
 }
 
 impl DashboardServer {

@@ -34,11 +34,6 @@ impl Default for Config {
 }
 
 impl Config {
-    /// Default config with a custom case count.
-    pub fn with_cases(cases: u32) -> Config {
-        Config { cases, ..Config::default() }
-    }
-
     /// Apply `DETTEST_SEED` / `DETTEST_CASES` from the environment.
     #[expect(clippy::panic, reason = "a malformed DETTEST_SEED or DETTEST_CASES stops the run with a named error")]
     pub fn from_env(mut self) -> Config {

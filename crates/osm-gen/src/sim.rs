@@ -469,11 +469,6 @@ impl<'a> EditSimulator<'a> {
         out.sort_by_key(|e| (e.element_type().index(), e.id().raw(), e.info().version.raw()));
         out
     }
-
-    /// Total number of element versions retained.
-    pub fn history_len(&self) -> usize {
-        self.history.values().map(|h| h.versions.len()).sum()
-    }
 }
 
 #[cfg(test)]

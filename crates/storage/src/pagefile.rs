@@ -161,11 +161,6 @@ impl PageFile {
         &self.stats
     }
 
-    /// The configured I/O cost model.
-    pub fn cost_model(&self) -> IoCostModel {
-        self.model
-    }
-
     fn offset_of(&self, page: PageId) -> u64 {
         HEADER_BYTES + page.0 * self.page_size as u64
     }

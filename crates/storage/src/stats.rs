@@ -121,11 +121,6 @@ impl IoCostModel {
         IoCostModel { seek_micros: 5_000, bytes_per_sec: 150_000_000 }
     }
 
-    /// A SATA SSD: 100 µs access, 500 MB/s transfer.
-    pub fn ssd() -> IoCostModel {
-        IoCostModel { seek_micros: 100, bytes_per_sec: 500_000_000 }
-    }
-
     /// No modeled cost (counters only).
     pub fn free() -> IoCostModel {
         IoCostModel { seek_micros: 0, bytes_per_sec: 0 }

@@ -203,18 +203,6 @@ impl Date {
     pub fn is_week_start(self) -> bool {
         self.weekday() == Weekday::Sunday
     }
-
-    /// True when this date is the first day of its month.
-    #[inline]
-    pub fn is_month_start(self) -> bool {
-        self.day() == 1
-    }
-
-    /// True when this date is January 1.
-    #[inline]
-    pub fn is_year_start(self) -> bool {
-        self.month() == 1 && self.day() == 1
-    }
 }
 
 impl fmt::Display for Date {

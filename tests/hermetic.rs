@@ -5,8 +5,9 @@
 //! lockfile: a registry or git package carries a `source = "…"` line, an
 //! in-repo path crate has none. So the check reads `Cargo.lock` and
 //! `benchmark/Cargo.lock` rather than parsing manifests. It also rejects
-//! the crates the in-repo replacements (`dettest`, `crates/bench`) exist
-//! to make unnecessary, even as a vendored path crate.
+//! the crates the workspace does without, even as a vendored path crate:
+//! `dettest` replaces the property-testing crates, `rased_storage::sync`
+//! the lock crate, and the figures time themselves with `std` alone.
 
 use std::path::Path;
 
