@@ -20,8 +20,10 @@ cargo clippy --workspace --offline --locked -- -D warnings
 cargo build --workspace --release --offline --locked --all-targets
 # The frozen benchmark package compiles against this workspace's public
 # surface from outside it: a refactor that breaks that surface must fail
-# here, not in the benchmark run.
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# here, not in the benchmark run. --locked: so must a new crate edge that
+# cargo would have to write into benchmark/Cargo.lock (a dropped edge
+# passes --locked; tests/hermetic.rs catches both).
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 
 # Every test target of every crate, once, under one wall-clock budget: a
 # hang in the worker pool, keep-alive loop, shutdown path or a property

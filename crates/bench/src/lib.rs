@@ -57,7 +57,7 @@ pub enum Scale {
 
 /// Measures a figure at a scale, prints its table and returns its gate
 /// failures, each naming its gate.
-pub type Figure = fn(Scale) -> Result<Vec<String>, Box<dyn Error>>;
+pub(crate) type Figure = fn(Scale) -> Result<Vec<String>, Box<dyn Error>>;
 
 /// Every reproduced claim, by the name `figures` and `figures_smoke` use.
 pub const FIGURES: [(&str, Figure); 9] = [
@@ -122,11 +122,10 @@ impl Workload {
 }
 
 /// Deterministic per-day record synthesis (no world/XML state).
-pub struct RecordSynth {
+pub(crate) struct RecordSynth {
     rng: Rng,
     country_zipf: Zipf,
     road_zipf: Zipf,
-    schema: CubeSchema,
     per_day: u64,
     next_changeset: u64,
 }
@@ -138,7 +137,6 @@ impl RecordSynth {
             rng: Rng::new(w.seed),
             country_zipf: Zipf::new(w.schema.n_countries(), 1.0),
             road_zipf: Zipf::new(w.schema.n_road_types(), 0.8),
-            schema: w.schema,
             per_day: w.per_day,
             next_changeset: 1,
         }
@@ -181,11 +179,6 @@ impl RecordSynth {
         }
         out
     }
-
-    /// The cube schema records are drawn within.
-    pub fn schema(&self) -> CubeSchema {
-        self.schema
-    }
 }
 
 /// Replay a workload's daily maintenance: one synthesized cube per day,
@@ -222,7 +215,7 @@ pub fn build_index(
 /// Build and ingest a country-sharded index for a workload (same records
 /// as [`build_index`] — the synthesis is deterministic per seed — so a
 /// sharded and a monolithic build of one workload hold identical data).
-pub fn build_sharded_index(
+pub(crate) fn build_sharded_index(
     dir: &Path,
     shards: usize,
     w: &Workload,
@@ -237,7 +230,7 @@ pub fn build_sharded_index(
 }
 
 /// Build a warehouse heap for a workload (the DBMS baseline's relation).
-pub fn build_heap(
+pub(crate) fn build_heap(
     path: &Path,
     w: &Workload,
     model: IoCostModel,
@@ -257,7 +250,7 @@ pub fn build_heap(
 /// Random query windows of a fixed `days` length inside the workload range,
 /// deterministic per seed — "each point is an average of 100 query
 /// executions" (§VIII).
-pub fn random_windows(w: &Workload, days: u32, count: usize, seed: u64) -> Vec<DateRange> {
+pub(crate) fn random_windows(w: &Workload, days: u32, count: usize, seed: u64) -> Vec<DateRange> {
     let mut rng = Rng::new(seed);
     let total = w.range.len_days();
     let span = days.min(total);
@@ -273,7 +266,7 @@ pub fn random_windows(w: &Workload, days: u32, count: usize, seed: u64) -> Vec<D
 
 /// A one-cell analysis query over `range` (§VIII default: "each query
 /// retrieves only one data cube cell").
-pub fn one_cell_query(range: DateRange) -> AnalysisQuery {
+pub(crate) fn one_cell_query(range: DateRange) -> AnalysisQuery {
     AnalysisQuery::over(range)
         .elements(vec![ElementType::Way])
         .countries(vec![CountryId(0)])
@@ -315,12 +308,12 @@ fn wall_qps(
 
 /// Scratch directory for a figure: unique per process, removed when the
 /// returned guard drops.
-pub fn bench_dir(tag: &str) -> TempDir {
+pub(crate) fn bench_dir(tag: &str) -> TempDir {
     TempDir::new(&format!("bench-{tag}"))
 }
 
 /// Pretty-print a duration in adaptive units.
-pub fn fmt_duration(d: Duration) -> String {
+pub(crate) fn fmt_duration(d: Duration) -> String {
     let us = d.as_micros();
     if us < 1_000 {
         format!("{us} µs")

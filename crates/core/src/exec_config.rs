@@ -24,7 +24,7 @@ impl Default for ExecConfig {
 impl ExecConfig {
     /// The effective per-query worker count: `threads`, or the machine's
     /// available parallelism (minimum 1) when `threads == 0`.
-    pub fn effective_threads(&self) -> usize {
+    pub(crate) fn effective_threads(&self) -> usize {
         match self.threads {
             0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             n => n,

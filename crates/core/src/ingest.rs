@@ -299,8 +299,8 @@ mod tests {
         let atlas = dataset.atlas();
         // One country's box (boundary-heavy cover) and a wide box spanning
         // several countries (interior cells served from bank blocks).
-        let one = atlas.countries()[0].polygon.bbox();
-        let all = atlas.countries().iter().fold(one, |b, z| b.union(&z.polygon.bbox()));
+        let one = atlas.countries()[0].polygon;
+        let all = atlas.countries().iter().fold(one, |b, z| b.union(&z.polygon));
         for bbox in [one, all] {
             let q = AnalysisQuery::over(dataset.config.range)
                 .within(bbox)
@@ -334,7 +334,7 @@ mod tests {
         rased.ingest_dataset(&dataset).unwrap();
         let atlas = dataset.atlas();
         let zone = &atlas.countries()[0];
-        let bbox = zone.polygon.bbox();
+        let bbox = zone.polygon;
         let sample = rased.sample_region(&bbox, 50).unwrap();
         assert!(!sample.is_empty());
         for r in &sample {

@@ -33,7 +33,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// How many data directories may wait in the queue.
-pub const DEFAULT_QUEUE_CAPACITY: usize = 16;
+pub(crate) const DEFAULT_QUEUE_CAPACITY: usize = 16;
 
 /// Attempts per unit before the job fails (1 initial + retries).
 const UNIT_ATTEMPTS: u32 = 3;

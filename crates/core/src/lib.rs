@@ -33,9 +33,7 @@ mod system;
 
 pub use exec_config::ExecConfig;
 pub use ingest::IngestReport;
-pub use ingest_controller::{
-    IngestController, IngestPhase, IngestStatus, QueueFull, DEFAULT_QUEUE_CAPACITY,
-};
+pub use ingest_controller::{IngestController, IngestPhase, IngestStatus, QueueFull};
 pub use server_config::ServerConfig;
 pub use shard_config::ShardConfig;
 pub use spatial_config::SpatialConfig;

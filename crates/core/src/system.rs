@@ -148,7 +148,7 @@ impl RasedConfig {
     /// later process can [`RasedConfig::load`] them without knowing how the
     /// system was built. Tuning knobs (cache size, I/O model) are *not*
     /// persisted — they are per-process choices.
-    pub fn save(&self) -> std::io::Result<()> {
+    pub(crate) fn save(&self) -> std::io::Result<()> {
         let body = format!(
             "n_countries={}\nn_road_types={}\nlevels={}\nzones={}\nshards={}\nspatial_rows={}\nspatial_cols={}\nspatial_shards={}\n",
             self.schema.n_countries(),

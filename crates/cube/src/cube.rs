@@ -8,7 +8,7 @@ use rased_osm_model::UpdateRecord;
 use std::fmt;
 
 /// Serialized cube header: magic (8) + n_countries (4) + n_road_types (4).
-pub const CUBE_HEADER_BYTES: usize = 16;
+pub(crate) const CUBE_HEADER_BYTES: usize = 16;
 pub(crate) const MAGIC: &[u8; 8] = b"RSCUBE1\0";
 
 /// Cube-level error.
@@ -85,7 +85,7 @@ impl DataCube {
     }
 
     /// Count one update record.
-    pub fn add_record(&mut self, r: &UpdateRecord) -> Result<(), CubeError> {
+    pub(crate) fn add_record(&mut self, r: &UpdateRecord) -> Result<(), CubeError> {
         let c = r.country.index();
         if c >= self.schema.n_countries() {
             return Err(CubeError::CoordOutOfRange {
@@ -154,14 +154,6 @@ impl DataCube {
         Ok(())
     }
 
-    /// Sum the cells selected by `sel` (the in-memory second phase of query
-    /// execution, §VII: "aggregate values within the cube").
-    pub fn sum_selected(&self, sel: &DimSelection) -> u64 {
-        let mut acc = 0u64;
-        self.for_each_selected(sel, |_, _, _, _, v| acc += v);
-        acc
-    }
-
     /// Visit every selected, *non-zero* cell as
     /// `(element, country, road, update, count)`.
     pub fn for_each_selected<F>(&self, sel: &DimSelection, visit: F)
@@ -169,22 +161,6 @@ impl DataCube {
         F: FnMut(usize, usize, usize, usize, u64),
     {
         fold_dense(self.schema, sel, |i| self.cells.get(i).copied(), visit);
-    }
-
-    /// Zero every cell with UpdateType = `Unclassified` — used by the
-    /// monthly rebuild after re-classifying updates into geometry/metadata.
-    pub fn clear_update_type(&mut self, update: usize) {
-        let s = self.schema;
-        for et in 0..s.n_element_types() {
-            for c in 0..s.n_countries() {
-                for r in 0..s.n_road_types() {
-                    let i = s.cell_index(et, c, r, update);
-                    if let Some(cell) = self.cells.get_mut(i) {
-                        *cell = 0;
-                    }
-                }
-            }
-        }
     }
 
     /// Serialize in the smaller of the two encodings: sparse
@@ -255,6 +231,23 @@ pub(crate) fn fold_dense<F>(
 mod tests {
     use super::*;
     use rased_osm_model::{ChangesetId, CountryId, ElementType, RoadTypeId, UpdateType};
+
+    impl DataCube {
+        /// Zero every cell of one update type.
+        fn clear_update_type(&mut self, update: usize) {
+            let s = self.schema;
+            for et in 0..s.n_element_types() {
+                for c in 0..s.n_countries() {
+                    for r in 0..s.n_road_types() {
+                        let i = s.cell_index(et, c, r, update);
+                        if let Some(cell) = self.cells.get_mut(i) {
+                            *cell = 0;
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn rec(et: ElementType, c: u16, r: u16, u: UpdateType) -> UpdateRecord {
         UpdateRecord {

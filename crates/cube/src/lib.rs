@@ -18,7 +18,7 @@ mod selection;
 mod sparse;
 mod view;
 
-pub use cube::{CubeError, DataCube, CUBE_HEADER_BYTES};
+pub use cube::{CubeError, DataCube};
 pub use schema::CubeSchema;
 pub use selection::DimSelection;
 pub use sparse::{SparseBlock, BLOCK_HEADER_BYTES};

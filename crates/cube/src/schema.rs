@@ -72,7 +72,7 @@ impl CubeSchema {
     /// update innermost — the most common query pattern sums a few update
     /// types for fixed other coordinates, which this keeps contiguous.
     #[inline]
-    pub fn cell_index(&self, et: usize, country: usize, road: usize, update: usize) -> usize {
+    pub(crate) fn cell_index(&self, et: usize, country: usize, road: usize, update: usize) -> usize {
         debug_assert!(et < self.n_element_types());
         debug_assert!(country < self.n_countries());
         debug_assert!(road < self.n_road_types());

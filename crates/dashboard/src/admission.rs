@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 
 /// Why a request was shed (each increments its own counter).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Shed {
+pub(crate) enum Shed {
     /// The client is already running its per-client cap of expensive
     /// requests.
     ClientCap,
@@ -89,7 +89,7 @@ impl AdmissionControl {
     /// Try to admit one expensive request for `client`. On success the
     /// returned [`Permit`] holds the slot until dropped; on failure the
     /// caller answers a cheap 503 (the shed is already counted).
-    pub fn try_admit(&self, client: &str) -> Result<Permit<'_>, Shed> {
+    pub(crate) fn try_admit(&self, client: &str) -> Result<Permit<'_>, Shed> {
         let mut clients = self.clients.lock();
         // Global check first: overload is about total capacity, and
         // reporting it as such (rather than blaming the client) gives the
@@ -150,7 +150,7 @@ impl AdmissionControl {
     ///
     /// Disabled limits serialize as `null` so a harness can tell "no cap"
     /// from "huge cap".
-    pub fn write_section(&self, j: &mut crate::json::Json) {
+    pub(crate) fn write_section(&self, j: &mut crate::json::Json) {
         j.key("admission").begin_object();
         j.kv_uint("active", self.active() as u64);
         j.kv_uint("max_active", self.max_active() as u64);
@@ -190,7 +190,7 @@ impl AdmissionControl {
 
 /// An admitted expensive request; dropping it frees the slot.
 #[derive(Debug)]
-pub struct Permit<'a> {
+pub(crate) struct Permit<'a> {
     ctl: &'a AdmissionControl,
     client: String,
 }

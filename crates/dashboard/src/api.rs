@@ -163,7 +163,7 @@ pub fn parse_analysis_query(system: &Rased, params: &[(String, String)]) -> Resu
 }
 
 /// Parse `min_lat,min_lon,max_lat,max_lon` (degrees) into a [`BBox`].
-pub fn parse_bbox(s: &str) -> Result<rased_geo::BBox, ApiError> {
+pub(crate) fn parse_bbox(s: &str) -> Result<rased_geo::BBox, ApiError> {
     let parts: Vec<&str> = s.split(',').collect();
     let [a, b, c, d] = parts.as_slice() else {
         return Err(bad(format!("bad bbox `{s}`: expected min_lat,min_lon,max_lat,max_lon")));

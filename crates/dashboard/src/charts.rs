@@ -7,7 +7,7 @@ use std::fmt::Write;
 
 /// Human-readable label for one result row's group key, resolved against
 /// the system's taxonomy tables.
-pub fn key_label(system: &Rased, row: &ResultRow) -> String {
+pub(crate) fn key_label(system: &Rased, row: &ResultRow) -> String {
     let mut parts: Vec<String> = Vec::new();
     if let Some(p) = row.key.date {
         parts.push(period_label(p));
@@ -266,7 +266,7 @@ fn escape_csv(s: impl AsRef<str>) -> String {
 }
 
 /// Format an integer with thousands separators (`1234567` → `1,234,567`).
-pub fn group_thousands(v: u64) -> String {
+pub(crate) fn group_thousands(v: u64) -> String {
     let s = v.to_string();
     let mut out = String::with_capacity(s.len() + s.len() / 3);
     for (i, c) in s.chars().enumerate() {

@@ -302,7 +302,7 @@ pub fn read_request<R: BufRead>(r: &mut R, limits: &Limits) -> Result<Option<Req
 }
 
 /// The reason phrase for the status codes this server emits.
-pub fn status_reason(status: u16) -> &'static str {
+pub(crate) fn status_reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -323,7 +323,7 @@ pub fn status_reason(status: u16) -> &'static str {
 /// formatted: [`write_response`] and the response cache both call it, so a
 /// cached response is byte-identical to a freshly written one by
 /// construction, not by convention.
-pub fn response_head(
+pub(crate) fn response_head(
     status: u16,
     content_type: &str,
     body_len: usize,
@@ -346,7 +346,7 @@ pub fn response_head(
 }
 
 /// Serialize a response head + body. `extra_headers` are emitted verbatim.
-pub fn write_response(
+pub(crate) fn write_response(
     w: &mut impl std::io::Write,
     status: u16,
     content_type: &str,

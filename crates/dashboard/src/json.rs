@@ -112,7 +112,7 @@ impl Json {
     }
 
     /// Emit an unsigned integer exactly.
-    pub fn uint(&mut self, v: u64) -> &mut Json {
+    pub(crate) fn uint(&mut self, v: u64) -> &mut Json {
         self.before_value();
         write_uint(&mut self.out, v);
         self
@@ -130,7 +130,7 @@ impl Json {
     }
 
     /// Emit a boolean.
-    pub fn boolean(&mut self, v: bool) -> &mut Json {
+    pub(crate) fn boolean(&mut self, v: bool) -> &mut Json {
         self.before_value();
         self.out.push_str(if v { "true" } else { "false" });
         self

@@ -12,12 +12,12 @@ use std::time::Duration;
 
 /// Upper bucket bounds (µs) of the request-latency histogram; an implicit
 /// overflow bucket catches everything slower.
-pub const LATENCY_BUCKETS_MICROS: [u64; 10] =
+pub(crate) const LATENCY_BUCKETS_MICROS: [u64; 10] =
     [100, 500, 1_000, 5_000, 10_000, 50_000, 100_000, 500_000, 1_000_000, 5_000_000];
 
 /// The endpoints tracked individually; everything else lands in `Other`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Endpoint {
+pub(crate) enum Endpoint {
     Root,
     Meta,
     Analysis,
@@ -58,7 +58,7 @@ impl Endpoint {
     /// Whether this endpoint runs a query over the cube index — the class
     /// admission control meters. Everything else is "cheap": constant-ish
     /// work that must stay served even when the query tier saturates.
-    pub fn is_expensive(self) -> bool {
+    pub(crate) fn is_expensive(self) -> bool {
         matches!(self, Endpoint::Analysis | Endpoint::Sample)
     }
 
@@ -115,35 +115,35 @@ impl ServerMetrics {
     }
 
     /// A connection was accepted off the listener (it may still be queued).
-    pub fn connection_accepted(&self) {
+    pub(crate) fn connection_accepted(&self) {
         self.accepted.fetch_add(1, Relaxed);
     }
 
     /// The serving tier started handling a connection.
-    pub fn connection_opened(&self) {
+    pub(crate) fn connection_opened(&self) {
         let now = self.active.fetch_add(1, Relaxed) + 1;
         self.max_active.fetch_max(now, Relaxed);
     }
 
     /// The serving tier finished with a connection.
-    pub fn connection_closed(&self) {
+    pub(crate) fn connection_closed(&self) {
         self.active.fetch_sub(1, Relaxed);
         self.completed.fetch_add(1, Relaxed);
     }
 
     /// A worker thread picked up a job (render, query, ingest).
-    pub fn worker_busy(&self) {
+    pub(crate) fn worker_busy(&self) {
         let now = self.busy_workers.fetch_add(1, Relaxed) + 1;
         self.max_busy_workers.fetch_max(now, Relaxed);
     }
 
     /// A worker thread finished its job.
-    pub fn worker_idle(&self) {
+    pub(crate) fn worker_idle(&self) {
         self.busy_workers.fetch_sub(1, Relaxed);
     }
 
     /// Worker threads executing a job right now.
-    pub fn busy_workers(&self) -> u64 {
+    pub(crate) fn busy_workers(&self) -> u64 {
         self.busy_workers.load(Relaxed)
     }
 
@@ -153,7 +153,7 @@ impl ServerMetrics {
     }
 
     /// A connection was answered 503 because the queue was full.
-    pub fn queue_full_rejection(&self) {
+    pub(crate) fn queue_full_rejection(&self) {
         self.queue_full_rejections.fetch_add(1, Relaxed);
     }
 
@@ -163,7 +163,7 @@ impl ServerMetrics {
     }
 
     /// A request was answered with `status` after `latency`.
-    pub fn record_request(&self, endpoint: Endpoint, status: u16, latency: Duration) {
+    pub(crate) fn record_request(&self, endpoint: Endpoint, status: u16, latency: Duration) {
         let class = (status / 100).clamp(1, 5) as usize - 1;
         let ei = Endpoint::ALL.iter().position(|e| *e == endpoint).unwrap_or(Endpoint::ALL.len() - 1);
         let micros = latency.as_micros().min(u128::from(u64::MAX)) as u64;
@@ -230,7 +230,7 @@ impl ServerMetrics {
     /// The histogram is relaxed atomics, so a read racing writers may see a
     /// momentarily inconsistent set of buckets; for telemetry that skew is
     /// at most one bucket and self-corrects on the next poll.
-    pub fn latency_percentile_est_micros(&self, p: f64) -> u64 {
+    pub(crate) fn latency_percentile_est_micros(&self, p: f64) -> u64 {
         let counts: Vec<u64> = self.latency_buckets.iter().map(|c| c.load(Relaxed)).collect();
         let total: u64 = counts.iter().sum();
         if total == 0 {
@@ -253,7 +253,7 @@ impl ServerMetrics {
 
     /// The (p50, p99, p999) latency estimates in µs (see
     /// [`ServerMetrics::latency_percentile_est_micros`]).
-    pub fn latency_percentiles_est(&self) -> (u64, u64, u64) {
+    pub(crate) fn latency_percentiles_est(&self) -> (u64, u64, u64) {
         (
             self.latency_percentile_est_micros(0.50),
             self.latency_percentile_est_micros(0.99),
@@ -261,36 +261,9 @@ impl ServerMetrics {
         )
     }
 
-    /// The `/api/metrics` document. Schema (all counters cumulative since
-    /// server start):
-    ///
-    /// ```json
-    /// {
-    ///   "connections": {"accepted":N,"active":N,"max_active":N,"completed":N,
-    ///                   "queue_full_rejections":N,"timeouts":N},
-    ///   "workers": {"busy":N,"max_busy":N},
-    ///   "requests": {"total":N,"status":{"1xx":N,...,"5xx":N}},
-    ///   "endpoints": {"/":N,"/api/meta":N,...,"other":N},
-    ///   "latency_micros": {"total":N,"p50_est":N,"p99_est":N,"p999_est":N,
-    ///     "buckets":[{"le":100,"count":N},...,{"le":null,"count":N}]},
-    ///   "sync": {"poison_recoveries":N}
-    /// }
-    /// ```
-    ///
-    /// `sync.poison_recoveries` counts lock acquisitions (process-wide)
-    /// that recovered a lock poisoned by a panicking holder — panics a
-    /// poison-transparent lock survives must be visible, not silent.
-    pub fn to_json(&self) -> String {
-        let mut j = Json::new();
-        j.begin_object();
-        self.write_sections(&mut j);
-        j.end_object();
-        j.finish()
-    }
-
     /// Write the metrics keys into an already-open JSON object — the server
     /// composes this with a write-path `ingest` section at `/api/metrics`.
-    pub fn write_sections(&self, j: &mut Json) {
+    pub(crate) fn write_sections(&self, j: &mut Json) {
         j.key("connections").begin_object();
         j.kv_uint("accepted", self.accepted());
         j.kv_uint("active", self.active());
@@ -348,6 +321,35 @@ impl ServerMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ServerMetrics {
+        /// The `/api/metrics` document. Schema (all counters cumulative since
+        /// server start):
+        ///
+        /// ```json
+        /// {
+        ///   "connections": {"accepted":N,"active":N,"max_active":N,"completed":N,
+        ///                   "queue_full_rejections":N,"timeouts":N},
+        ///   "workers": {"busy":N,"max_busy":N},
+        ///   "requests": {"total":N,"status":{"1xx":N,...,"5xx":N}},
+        ///   "endpoints": {"/":N,"/api/meta":N,...,"other":N},
+        ///   "latency_micros": {"total":N,"p50_est":N,"p99_est":N,"p999_est":N,
+        ///     "buckets":[{"le":100,"count":N},...,{"le":null,"count":N}]},
+        ///   "sync": {"poison_recoveries":N}
+        /// }
+        /// ```
+        ///
+        /// `sync.poison_recoveries` counts lock acquisitions (process-wide)
+        /// that recovered a lock poisoned by a panicking holder — panics a
+        /// poison-transparent lock survives must be visible, not silent.
+        fn to_json(&self) -> String {
+            let mut j = Json::new();
+            j.begin_object();
+            self.write_sections(&mut j);
+            j.end_object();
+            j.finish()
+        }
+    }
 
     #[test]
     fn counters_accumulate_and_serialize() {

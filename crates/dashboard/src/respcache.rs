@@ -356,7 +356,7 @@ impl ResponseCache {
     /// transient failure is retried, not pinned — and only once the key's
     /// path and params were rendered before (see `Seen`): a response
     /// asked for once never occupies the cache.
-    pub fn render_through(
+    pub(crate) fn render_through(
         &self,
         key: &RespKey,
         mut render: impl FnMut() -> (u16, &'static str, Vec<u8>),
@@ -450,7 +450,7 @@ impl ResponseCache {
     /// so do entries that never read the published shard at all (a
     /// country tile pinned to another shard stays hot across this
     /// publish).
-    pub fn invalidate_shard(&self, index_shard: u16, epoch: u64) {
+    pub(crate) fn invalidate_shard(&self, index_shard: u16, epoch: u64) {
         {
             let mut floors = self.floors.lock();
             let floor = floors.entry(index_shard).or_insert(0);
@@ -519,7 +519,7 @@ impl ResponseCache {
     /// `top` lists up to 8 entries by hit count (ties broken by key, so
     /// the order is deterministic) — the bossphorus-style per-entry view
     /// an operator reads to see *which* tiles are hot.
-    pub fn write_section(&self, j: &mut Json) {
+    pub(crate) fn write_section(&self, j: &mut Json) {
         let mut top: Vec<TopEntry> = Vec::new();
         for shard in &self.shards {
             let guard = shard.lock();

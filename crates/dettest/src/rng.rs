@@ -48,7 +48,7 @@ impl Rng {
     }
 
     /// Uniform `u64` in the inclusive range `[lo, hi]`.
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
+    pub(crate) fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         debug_assert!(lo <= hi);
         let span = (hi - lo) as u128 + 1;
         let off = ((self.next_u64() as u128 * span) >> 64) as u64;

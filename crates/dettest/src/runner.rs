@@ -36,7 +36,7 @@ impl Default for Config {
 impl Config {
     /// Apply `DETTEST_SEED` / `DETTEST_CASES` from the environment.
     #[expect(clippy::panic, reason = "a malformed DETTEST_SEED or DETTEST_CASES stops the run with a named error")]
-    pub fn from_env(mut self) -> Config {
+    pub(crate) fn with_env(mut self) -> Config {
         if let Ok(s) = std::env::var("DETTEST_SEED") {
             match s.parse::<u64>() {
                 Ok(seed) => self.replay = Some(seed),
@@ -129,7 +129,7 @@ fn shrink_search<V: Clone + 'static>(
 /// [`det_proptest!`]: crate::det_proptest
 pub fn check<S: Strategy>(name: &str, config: Config, strategy: S, property: impl Fn(&S::Value)) {
     install_hook();
-    let config = config.from_env();
+    let config = config.with_env();
 
     let run_case = |case_seed: u64| -> Option<(S::Value, String, u32)> {
         let mut rng = Rng::new(case_seed);

@@ -4,8 +4,8 @@ use std::fmt;
 
 /// A geographic point in OSM's 1e-7° fixed-point representation.
 ///
-/// Fixed point keeps all geometry exact: equality, containment, and the
-/// ray-cast predicate never suffer floating-point edge cases.
+/// Fixed point keeps all geometry exact: equality and containment never
+/// suffer floating-point edge cases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Point {
     pub lat7: i32,
@@ -117,6 +117,13 @@ impl BBox {
         }
     }
 
+    /// The box itself, so a rectangular territory reads like a shape:
+    /// `benchmark/src/requests.rs` asks an atlas zone for
+    /// `zone.polygon.bbox()`.
+    pub fn bbox(&self) -> BBox {
+        *self
+    }
+
     /// The smallest box covering both inputs.
     pub fn union(&self, other: &BBox) -> BBox {
         BBox {
@@ -134,19 +141,20 @@ impl BBox {
         self.max_lat7 = self.max_lat7.max(p.lat7);
         self.max_lon7 = self.max_lon7.max(p.lon7);
     }
-
-    /// "Area" in squared fixed-point units — only used to compare boxes, so
-    /// the unit does not matter.
-    pub fn area(&self) -> i128 {
-        let h = (self.max_lat7 - self.min_lat7) as i128;
-        let w = (self.max_lon7 - self.min_lon7) as i128;
-        h * w
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BBox {
+        /// "Area" in squared fixed-point units.
+        fn area(&self) -> i128 {
+            let h = (self.max_lat7 - self.min_lat7) as i128;
+            let w = (self.max_lon7 - self.min_lon7) as i128;
+            h * w
+        }
+    }
 
     #[test]
     fn point_conversions() {

@@ -29,7 +29,7 @@ impl<T: Copy> GridIndex<T> {
 
     /// Create a grid over an existing [`GridSpec`] — the constructor the
     /// warehouse uses so its grid provably shares the bank's geometry.
-    pub fn from_spec(spec: GridSpec) -> GridIndex<T> {
+    pub(crate) fn from_spec(spec: GridSpec) -> GridIndex<T> {
         GridIndex { spec, cells: (0..spec.n_cells()).map(|_| Vec::new()).collect(), len: 0 }
     }
 

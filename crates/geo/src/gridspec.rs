@@ -107,7 +107,7 @@ impl GridSpec {
     /// Total number of addressable cells (including unreachable remainder
     /// cells of an uneven split).
     #[inline]
-    pub fn n_cells(&self) -> usize {
+    pub(crate) fn n_cells(&self) -> usize {
         self.rows as usize * self.cols as usize
     }
 
@@ -133,16 +133,6 @@ impl GridSpec {
     #[inline]
     pub fn code(&self, cell: CellId) -> u32 {
         cell.row as u32 * self.cols + cell.col as u32
-    }
-
-    /// Inverse of [`GridSpec::code`].
-    pub fn cell_from_code(&self, code: u32) -> Option<CellId> {
-        let (row, col) = (code / self.cols, code % self.cols);
-        if row < self.rows {
-            Some(CellId { row: row as u16, col: col as u16 })
-        } else {
-            None
-        }
     }
 
     /// The inclusive extent of `cell`. `None` for out-of-grid cells and for
@@ -214,6 +204,18 @@ impl GridSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl GridSpec {
+        /// Inverse of [`GridSpec::code`].
+        fn cell_from_code(&self, code: u32) -> Option<CellId> {
+            let (row, col) = (code / self.cols, code % self.cols);
+            if row < self.rows {
+                Some(CellId { row: row as u16, col: col as u16 })
+            } else {
+                None
+            }
+        }
+    }
 
     #[test]
     fn cell_of_matches_round_trip() {

@@ -2,23 +2,17 @@
 //!
 //! Pure geometry — this crate knows nothing about OSM. It provides:
 //!
-//! * [`Point`] / [`BBox`] in OSM's 1e-7° fixed-point coordinates,
-//! * [`Polygon`] with ray-cast point-in-polygon,
-//! * [`PolygonIndex`] — "which region contains this point?" lookups, used
-//!   for changeset-bbox → country resolution (§V),
+//! * [`Point`] / [`BBox`] in OSM's 1e-7° fixed-point coordinates, with the
+//!   exact containment a changeset-bbox → country lookup needs (§V),
+//! * [`GridSpec`] — a uniform grid's cell arithmetic and bbox covers, the
+//!   viewport planner's decomposition,
 //! * [`GridIndex`] — a uniform grid over points, the warehouse's spatial
-//!   index for sample-update queries (§VI-B),
-//! * [`RTree`] — an STR bulk-loaded R-tree over rectangles, used by the
-//!   polygon index to avoid scanning every country polygon per lookup.
+//!   index for sample-update queries (§VI-B).
 
 mod bbox;
 mod grid;
 mod gridspec;
-mod polygon;
-mod rtree;
 
 pub use bbox::{BBox, Point};
 pub use grid::GridIndex;
 pub use gridspec::{CellCover, CellId, GridSpec};
-pub use polygon::{Polygon, PolygonIndex};
-pub use rtree::RTree;

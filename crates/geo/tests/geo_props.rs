@@ -2,17 +2,16 @@
 //!
 //! The geo crate sits one call away from the request path — the viewport
 //! planner decomposes query boxes with [`GridSpec`], the warehouse answers
-//! region scans through [`GridIndex`], and the polygon atlas resolves
-//! points through [`RTree`] — so its predicates must be *total* (no panic
-//! on any input) and *exact* (agree with the naive definition). Three
-//! groups:
+//! region scans through [`GridIndex`](rased_geo::GridIndex), and the
+//! generator's atlas resolves points with [`BBox::contains`] — so its
+//! predicates must be *total* (no panic on any input) and *exact* (agree
+//! with the naive definition). Two groups:
 //!
 //! 1. bbox containment / intersection totality and algebraic laws,
-//! 2. grid cell ↔ bbox round-trip and cover partition,
-//! 3. rtree query ≡ linear-scan oracle.
+//! 2. grid cell ↔ bbox round-trip and cover partition.
 
 use dettest::{det_proptest, Strategy};
-use rased_geo::{BBox, GridSpec, Point, RTree};
+use rased_geo::{BBox, GridSpec, Point};
 
 const LAT_LIM: i32 = 900_000_000;
 const LON_LIM: i32 = 1_800_000_000;
@@ -110,28 +109,5 @@ det_proptest! {
                 .count();
             assert_eq!(hits, 1, "{p} in {q:?} covered {hits} times");
         }
-    }
-
-    #[test]
-    fn rtree_query_matches_linear_scan(
-        seeds in dettest::vec_of((any_point(), 0i32..5_000_000, 0i32..5_000_000), 0..120),
-        q in any_bbox(),
-    ) {
-        let entries: Vec<(BBox, usize)> = seeds
-            .iter()
-            .enumerate()
-            .map(|(i, (p, h, w))| {
-                (BBox::new(p.lat7, p.lon7, p.lat7.saturating_add(*h), p.lon7.saturating_add(*w)), i)
-            })
-            .collect();
-        let tree = RTree::bulk_load(entries.clone());
-        assert_eq!(tree.len(), entries.len());
-        let mut got = Vec::new();
-        tree.query_bbox(&q, &mut |&i| got.push(i));
-        got.sort_unstable();
-        let mut oracle: Vec<usize> =
-            entries.iter().filter(|(b, _)| b.intersects(&q)).map(|(_, i)| *i).collect();
-        oracle.sort_unstable();
-        assert_eq!(got, oracle);
     }
 }

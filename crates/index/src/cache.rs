@@ -207,7 +207,7 @@ impl CubeCache {
     /// Surgical invalidation on publish: drop the cached cube for `period`
     /// unless it is already the copy for `current` (the record just
     /// published). Returns true when a stale entry was removed.
-    pub fn invalidate_stale(&self, period: Period, current: PageId) -> bool {
+    pub(crate) fn invalidate_stale(&self, period: Period, current: PageId) -> bool {
         let mut cubes = self.shard(&period).cubes.lock();
         if cubes.get(&period).is_some_and(|(tag, _)| *tag != current) {
             cubes.remove(&period);

@@ -44,5 +44,5 @@ pub use shard::ShardedIndex;
 pub use spatial::{SpatialBank, SpatialPublishReport};
 pub use store::{
     with_planner, CatalogVersion, CubeKey, FetchOutcome, IndexError, MaintenanceReport,
-    TemporalIndex, WORLD_REGION,
+    TemporalIndex,
 };

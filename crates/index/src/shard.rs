@@ -275,24 +275,6 @@ impl ShardedIndex {
         self.shards.iter().map(|s| s.cache().slots()).sum()
     }
 
-    /// Store `cube` for `period`, split across shards. Zero splits are
-    /// skipped; the anchor shard (the period's start-day marker) always
-    /// commits so [`Self::has`]/[`Self::fetch_uncached`] see the period
-    /// even when it is empty.
-    pub fn put(&self, period: Period, cube: &DataCube) -> Result<(), IndexError> {
-        let n = self.shards.len();
-        let parts = split_cube(cube, n);
-        let anchor = marker_shard(period.start(), n);
-        for (i, (shard, part)) in self.shards.iter().zip(parts.iter()).enumerate() {
-            match part {
-                Some(p) => shard.put(period, p)?,
-                None if i == anchor => shard.put(period, &DataCube::zeroed(self.schema))?,
-                None => {}
-            }
-        }
-        Ok(())
-    }
-
     /// Merge-read `period` across shards, bypassing caches. `None` when no
     /// shard materializes it; otherwise the exact sum of the shard cubes
     /// (bit-identical to the unsharded cube for split-ingested data).

@@ -145,7 +145,7 @@ impl MaintenanceReport {
 /// index's classic keys); `1 + cell_code` addresses one grid cell of the
 /// spatial bank's pre-aggregated blocks. The offset keeps cell (0, 0)
 /// distinct from the world.
-pub const WORLD_REGION: u32 = 0;
+pub(crate) const WORLD_REGION: u32 = 0;
 
 /// A lattice coordinate: one node of the (time × space) hierarchy. The
 /// pure-temporal store only ever uses [`CubeKey::world`] keys, so every
@@ -166,12 +166,12 @@ impl CubeKey {
 
     /// The key for `period` restricted to a spatial region (a grid cell
     /// code offset by 1; see [`WORLD_REGION`]).
-    pub fn regional(period: Period, region: u32) -> CubeKey {
+    pub(crate) fn regional(period: Period, region: u32) -> CubeKey {
         CubeKey { period, region }
     }
 
     /// True for whole-world keys.
-    pub fn is_world(&self) -> bool {
+    pub(crate) fn is_world(&self) -> bool {
         self.region == WORLD_REGION
     }
 }
@@ -222,7 +222,7 @@ impl CatalogVersion {
     }
 
     /// The page bound to an arbitrary lattice key in this version.
-    pub fn page_of(&self, key: CubeKey) -> Option<PageId> {
+    pub(crate) fn page_of(&self, key: CubeKey) -> Option<PageId> {
         self.loc(key).map(|l| l.at)
     }
 
@@ -268,8 +268,8 @@ impl CatalogVersion {
 }
 
 /// WAL record kinds — provenance only; replay applies the bindings
-/// regardless of which operation produced them.
-const UNIT_PUT: u8 = 0;
+/// regardless of which operation produced them. Kind 0, a single put, is
+/// written only by unit tests.
 const UNIT_DAY: u8 = 1;
 const UNIT_MONTH: u8 = 2;
 const UNIT_BLOCK: u8 = 3;
@@ -303,7 +303,7 @@ const NO_MARK: u64 = u64::MAX;
 
 /// The callback [`TemporalIndex::set_publish_hook`] registers: invoked with
 /// each newly published epoch.
-pub type PublishHook = Arc<dyn Fn(u64) + Send + Sync>;
+pub(crate) type PublishHook = Arc<dyn Fn(u64) + Send + Sync>;
 
 /// The hierarchical temporal index: one record per cube in an append-only
 /// record file, an epoch-versioned key → record catalog, a cube cache, and
@@ -675,19 +675,12 @@ impl TemporalIndex {
         Ok(())
     }
 
-    /// Write (or supersede) the cube for `period` as a single atomic unit.
-    pub fn put(&self, period: Period, cube: &DataCube) -> Result<(), IndexError> {
-        let mut unit = WriteUnit::new(UNIT_PUT, 0, 0);
-        self.stage(&mut unit, period, cube)?;
-        self.commit_unit(unit)
-    }
-
     /// Publish a batch of pre-encoded blocks — and/or tombstones (`None`
     /// bytes) — under arbitrary lattice keys as **one atomic unit**: one
     /// WAL record, one epoch bump, all-or-nothing on crash. This is the
     /// spatial bank's write path; temporal levels are still enforced per
     /// key.
-    pub fn put_blocks(&self, blocks: Vec<(CubeKey, Option<Vec<u8>>)>) -> Result<(), IndexError> {
+    pub(crate) fn put_blocks(&self, blocks: Vec<(CubeKey, Option<Vec<u8>>)>) -> Result<(), IndexError> {
         let mut unit = WriteUnit::new(UNIT_BLOCK, 0, 0);
         for (key, bytes) in blocks {
             self.check_level(key.period)?;
@@ -1221,6 +1214,17 @@ mod tests {
     use super::*;
     use dettest::TempDir;
     use rased_osm_model::{ChangesetId, CountryId, ElementType, RoadTypeId, UpdateRecord, UpdateType};
+
+    const UNIT_PUT: u8 = 0;
+
+    impl TemporalIndex {
+        /// Write (or supersede) the cube for `period` as a single atomic unit.
+        pub(crate) fn put(&self, period: Period, cube: &DataCube) -> Result<(), IndexError> {
+            let mut unit = WriteUnit::new(UNIT_PUT, 0, 0);
+            self.stage(&mut unit, period, cube)?;
+            self.commit_unit(unit)
+        }
+    }
 
     fn d(s: &str) -> Date {
         s.parse().unwrap()

@@ -63,7 +63,7 @@ const STD_METHOD_NAMES: &[&str] = &[
 
 /// How a call site names its callee.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Callee {
+pub(crate) enum Callee {
     /// `f(…)`, `module::f(…)`, `Type::f(…)`.
     Free { name: String, qualifier: Option<String> },
     /// `recv.m(…)`; `receiver` is the ident directly before the `.`, or
@@ -71,17 +71,9 @@ pub enum Callee {
     Method { name: String, receiver: Option<String> },
 }
 
-impl Callee {
-    pub fn name(&self) -> &str {
-        match self {
-            Callee::Free { name, .. } | Callee::Method { name, .. } => name,
-        }
-    }
-}
-
 /// One syntactic call site inside a function body.
 #[derive(Debug, Clone)]
-pub struct CallSite {
+pub(crate) struct CallSite {
     /// Shipped-index of the callee name token.
     pub s: usize,
     pub callee: Callee,
@@ -128,7 +120,7 @@ impl<'a> Graph<'a> {
     }
 
     /// Functions matching a `crate:name` / `crate:Type::name` spec.
-    pub fn find_roots(&self, spec: &str) -> Vec<usize> {
+    pub(crate) fn find_roots(&self, spec: &str) -> Vec<usize> {
         let Some((krate, name)) = spec.split_once(':') else { return Vec::new() };
         self.fns
             .iter()
@@ -410,7 +402,7 @@ impl<'a> Resolver<'a> {
 
 /// Extract syntactic call sites in `shipped[start..end]`, skipping the
 /// `exclude`d (nested-fn) ranges.
-pub fn calls_in(
+pub(crate) fn calls_in(
     file: &SourceFile,
     start: usize,
     end: usize,

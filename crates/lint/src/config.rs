@@ -125,7 +125,7 @@ impl Config {
     }
 
     /// The declared rank of a lock, if any.
-    pub fn lock_rank(&self, lock: &str) -> Option<i64> {
+    pub(crate) fn lock_rank(&self, lock: &str) -> Option<i64> {
         self.lock_ranks.get(lock).copied()
     }
 }

@@ -87,7 +87,7 @@ impl Token {
 
     /// True for tokens the syntax-level passes consume (not whitespace,
     /// comments, or stray bytes).
-    pub fn is_significant(&self) -> bool {
+    pub(crate) fn is_significant(&self) -> bool {
         !matches!(
             self.kind,
             TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment | TokenKind::Unknown

@@ -101,7 +101,7 @@ pub fn scan(crate_name: &str, config: &Config, file: &SourceFile, out: &mut Vec<
 /// Walk `shipped[start..end]` with the guard state machine: extract
 /// [`BodyFacts`], and when `findings` is given, emit the intra-function
 /// order and I/O-under-write-guard findings.
-pub fn analyze(
+pub(crate) fn analyze(
     crate_name: &str,
     config: &Config,
     file: &SourceFile,
@@ -266,7 +266,7 @@ pub fn analyze(
 /// The interprocedural rank check: propagate entry-held lock sets along
 /// call edges to a fixpoint, then flag acquisitions that invert rank
 /// against any possibly-entry-held lock.
-pub fn propagate(config: &Config, graph: &Graph<'_>, out: &mut Vec<Finding>) {
+pub(crate) fn propagate(config: &Config, graph: &Graph<'_>, out: &mut Vec<Finding>) {
     let n = graph.fns.len();
     // Per-function body facts; exempt files (and bodyless fns) are opaque.
     let facts: Vec<Option<BodyFacts>> = graph
@@ -403,7 +403,7 @@ fn check_order(
 }
 
 /// `rased-storage` → `storage`; rank-table keys use the short form.
-pub fn short_crate(name: &str) -> &str {
+pub(crate) fn short_crate(name: &str) -> &str {
     name.strip_prefix("rased-").unwrap_or(name)
 }
 

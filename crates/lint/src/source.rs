@@ -63,7 +63,7 @@ impl SourceFile {
     }
 
     /// 1-based line containing byte `offset`.
-    pub fn line_of(&self, offset: usize) -> u32 {
+    pub(crate) fn line_of(&self, offset: usize) -> u32 {
         match self.line_starts.binary_search(&offset) {
             Ok(i) => i as u32 + 1,
             Err(i) => i as u32,
@@ -93,12 +93,12 @@ impl SourceFile {
     }
 
     /// The kind of shipped token `s`; `None` past the end.
-    pub fn skind(&self, s: usize) -> Option<TokenKind> {
+    pub(crate) fn skind(&self, s: usize) -> Option<TokenKind> {
         self.stoken(s).map(|t| t.kind)
     }
 
     /// 1-based line of shipped token `s`; 0 past the end.
-    pub fn sline(&self, s: usize) -> u32 {
+    pub(crate) fn sline(&self, s: usize) -> u32 {
         self.stoken(s).map_or(0, |t| self.line_of(t.start))
     }
 

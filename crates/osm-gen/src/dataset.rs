@@ -285,4 +285,34 @@ mod tests {
         let fb = std::fs::read(b.paths.diff(day)).unwrap();
         assert_eq!(fa, fb);
     }
+
+    /// Every benchmark and figure workload is built from this output, so a
+    /// change to the atlas or the simulator that moves one byte, one record
+    /// or one RNG draw must show here. The digest is FNV-1a over the ground
+    /// truth and every emitted file, in path order.
+    #[test]
+    fn generated_output_is_pinned() {
+        fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+            bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        }
+        let root = TempDir::new("dataset-digest");
+        let ds = Dataset::generate(root.path(), tiny_config()).unwrap();
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for r in &ds.truth {
+            h = fnv1a(h, format!("{r:?}\n").as_bytes());
+        }
+        let mut files = vec![root.path().join("dataset.manifest")];
+        for dir in ["changesets", "diffs", "history"] {
+            let entries = std::fs::read_dir(root.path().join(dir)).unwrap();
+            let mut names: Vec<_> = entries.map(|e| e.unwrap().path()).collect();
+            names.sort();
+            files.extend(names);
+        }
+        for f in &files {
+            let rel = f.strip_prefix(root.path()).unwrap();
+            h = fnv1a(h, rel.to_string_lossy().as_bytes());
+            h = fnv1a(h, &std::fs::read(f).unwrap());
+        }
+        assert_eq!((ds.truth.len(), files.len(), h), (306, 27, 0xf1de_b8b9_bb33_cd58));
+    }
 }

@@ -7,7 +7,7 @@
 //! families the crawlers of §V consume, over a synthetic world whose
 //! statistics echo OSM's:
 //!
-//! * a **world atlas** of country polygons laid out on the globe, each with
+//! * a **world atlas** of country rectangles laid out on the globe, each with
 //!   a Zipf-distributed editing-activity weight (OSM editing is heavily
 //!   skewed toward a few countries — cf. Fig. 3 of the paper);
 //! * per-country **road networks** (nodes, highway-tagged ways, route
@@ -27,7 +27,7 @@ pub mod rng;
 mod sim;
 mod world;
 
-pub use sim::{DayOutput, EditSimulator, SimConfig};
+pub use sim::SimConfig;
 pub use world::{CountryZone, WorldAtlas, WorldConfig};
 
 mod dataset;

@@ -83,7 +83,7 @@ impl Rng {
 
     /// Poisson sample via Knuth's product method — fine for the small λ
     /// (≤ ~50) used for per-session edit counts.
-    pub fn poisson(&mut self, lambda: f64) -> u64 {
+    pub(crate) fn poisson(&mut self, lambda: f64) -> u64 {
         debug_assert!(lambda >= 0.0);
         if lambda == 0.0 {
             return 0;
@@ -147,7 +147,7 @@ impl Zipf {
     }
 
     /// The probability mass of rank `k` (0 past the last rank).
-    pub fn mass(&self, k: usize) -> f64 {
+    pub(crate) fn mass(&self, k: usize) -> f64 {
         let below = k.checked_sub(1).and_then(|j| self.cdf.get(j)).copied().unwrap_or(0.0);
         self.cdf.get(k).map_or(0.0, |cdf| cdf - below)
     }

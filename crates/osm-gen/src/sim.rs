@@ -53,8 +53,7 @@ impl Default for SimConfig {
 
 /// Everything one simulated day produces.
 #[derive(Debug)]
-pub struct DayOutput {
-    pub date: Date,
+pub(crate) struct DayOutput {
     /// The diff stream: after-images in changeset order.
     pub changes: Vec<(DiffAction, Element)>,
     /// Changeset metadata for the day.
@@ -74,7 +73,7 @@ struct ElementHistory {
 }
 
 /// The edit simulator. Owns the evolving world state and full history.
-pub struct EditSimulator<'a> {
+pub(crate) struct EditSimulator<'a> {
     atlas: &'a WorldAtlas,
     config: SimConfig,
     rng: Rng,
@@ -104,16 +103,11 @@ impl<'a> EditSimulator<'a> {
         }
     }
 
-    /// The road-type table in use.
-    pub fn road_table(&self) -> &RoadTypeTable {
-        &self.road_table
-    }
-
     /// Seed the base road network: `nodes_per_country` nodes and half as
     /// many ways per country, created at `date` (typically the day before
     /// the simulated range so the seed shows up in full history but not in
     /// any daily diff).
-    pub fn seed_world(&mut self, nodes_per_country: usize, date: Date) {
+    pub(crate) fn seed_world(&mut self, nodes_per_country: usize, date: Date) {
         let countries: Vec<CountryId> = self.atlas.countries().iter().map(|z| z.id).collect();
         for country in countries {
             let user = UserId(0);
@@ -329,8 +323,8 @@ impl<'a> EditSimulator<'a> {
     // -- the daily step ----------------------------------------------------
 
     /// Simulate one day of worldwide editing.
-    pub fn step_day(&mut self, date: Date) -> DayOutput {
-        let mut out = DayOutput { date, changes: Vec::new(), changesets: Vec::new(), truth: Vec::new() };
+    pub(crate) fn step_day(&mut self, date: Date) -> DayOutput {
+        let mut out = DayOutput { changes: Vec::new(), changesets: Vec::new(), truth: Vec::new() };
         let mut remaining = self.rng.poisson(self.config.daily_edits_mean);
         while remaining > 0 {
             let session = (1 + self.rng.poisson(self.config.session_edits_mean)).min(remaining);
@@ -452,7 +446,7 @@ impl<'a> EditSimulator<'a> {
     /// changed during that month — the monthly full-history dump the
     /// monthly crawler consumes (it needs the before-image of each change,
     /// which may predate the month). Sorted by (type, id, version).
-    pub fn history_for_month(&self, year: i32, month: u32) -> Vec<Element> {
+    pub(crate) fn history_for_month(&self, year: i32, month: u32) -> Vec<Element> {
         let period = rased_temporal::Period::Month(year, month);
         let mut out: Vec<Element> = Vec::new();
         for h in self.history.values() {

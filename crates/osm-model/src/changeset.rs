@@ -38,16 +38,18 @@ impl ChangesetMeta {
             )
         })
     }
-
-    /// The bbox center in degrees.
-    pub fn center_deg(&self) -> Option<(f64, f64)> {
-        self.center7().map(|(lat7, lon7)| (lat7 as f64 * 1e-7, lon7 as f64 * 1e-7))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ChangesetMeta {
+        /// The bbox center in degrees.
+        fn center_deg(&self) -> Option<(f64, f64)> {
+            self.center7().map(|(lat7, lon7)| (lat7 as f64 * 1e-7, lon7 as f64 * 1e-7))
+        }
+    }
 
     fn meta(bbox7: Option<(i32, i32, i32, i32)>) -> ChangesetMeta {
         ChangesetMeta {

@@ -106,12 +106,6 @@ impl Node {
     pub fn lon(&self) -> f64 {
         self.lon7 as f64 * 1e-7
     }
-
-    /// Convert degrees to the 1e-7 fixed-point wire representation.
-    #[inline]
-    pub fn deg_to_fixed(deg: f64) -> i32 {
-        (deg * 1e7).round() as i32
-    }
 }
 
 /// A way: an ordered list of node references forming connected segments.
@@ -223,6 +217,14 @@ impl Element {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Node {
+        /// Convert degrees to the 1e-7 fixed-point wire representation.
+        #[inline]
+        fn deg_to_fixed(deg: f64) -> i32 {
+            (deg * 1e7).round() as i32
+        }
+    }
 
     fn info() -> VersionInfo {
         VersionInfo::first("2021-03-04".parse().unwrap(), ChangesetId(7), UserId(1))

@@ -58,7 +58,7 @@ pub struct Version(pub u32);
 
 impl Version {
     /// The version assigned by the creating edit.
-    pub const FIRST: Version = Version(1);
+    pub(crate) const FIRST: Version = Version(1);
 
     /// The raw version number.
     #[inline]

@@ -26,7 +26,6 @@ pub use ids::{ChangesetId, ElementId, UserId, Version};
 pub use tags::Tags;
 pub use taxonomy::{
     CountryId, CountryResolver, CountryTable, RoadTypeId, RoadTypeTable, COUNTRY_COUNT_FULL,
-    ROAD_TYPE_COUNT_FULL,
 };
 pub use update::{UpdateRecord, UpdateType, UPDATE_RECORD_BYTES};
 pub use zones::ZoneMap;

@@ -394,7 +394,7 @@ const ROAD_TYPES: &[&str] = &[
 ];
 
 /// Real road types available without synthetic padding.
-pub const ROAD_TYPE_COUNT_FULL: usize = ROAD_TYPES.len();
+pub(crate) const ROAD_TYPE_COUNT_FULL: usize = ROAD_TYPES.len();
 
 /// Maps a coordinate to the country/zone containing it.
 ///
@@ -482,7 +482,7 @@ impl CountryTable {
     }
 
     /// Resolve a code (`"US"`) to an id.
-    pub fn by_code(&self, code: &str) -> Option<CountryId> {
+    pub(crate) fn by_code(&self, code: &str) -> Option<CountryId> {
         self.by_code.get(code).copied()
     }
 

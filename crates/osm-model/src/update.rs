@@ -56,10 +56,6 @@ impl UpdateType {
         UpdateType::Unclassified,
     ];
 
-    /// The set matching a plain "Update" filter: modifications of any kind.
-    pub const UPDATE: [UpdateType; 3] =
-        [UpdateType::Geometry, UpdateType::Metadata, UpdateType::Unclassified];
-
     /// Cube-dimension index.
     #[inline]
     pub fn index(self) -> usize {
@@ -184,6 +180,12 @@ impl UpdateRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl UpdateType {
+        /// The set matching a plain "Update" filter: modifications of any kind.
+        const UPDATE: [UpdateType; 3] =
+            [UpdateType::Geometry, UpdateType::Metadata, UpdateType::Unclassified];
+    }
 
     fn sample() -> UpdateRecord {
         UpdateRecord {

@@ -96,19 +96,6 @@ impl ZoneMap {
         ZoneMap { parents }
     }
 
-    /// Build from explicit `(zone, members)` pairs (tests, custom regions).
-    pub fn from_members(n_countries: usize, groups: &[(CountryId, &[CountryId])]) -> ZoneMap {
-        let mut parents = vec![Vec::new(); n_countries];
-        for (zone, members) in groups {
-            for m in *members {
-                if let Some(slot) = parents.get_mut(m.index()) {
-                    slot.push(*zone);
-                }
-            }
-        }
-        ZoneMap { parents }
-    }
-
     /// The zones containing `country` (empty when unmapped).
     pub fn parents(&self, country: CountryId) -> &[CountryId] {
         self.parents.get(country.index()).map(|v| v.as_slice()).unwrap_or(&[])
@@ -121,7 +108,7 @@ impl ZoneMap {
 
     /// Expand one record into itself plus one copy per containing zone —
     /// the attribution rule for cube building.
-    pub fn expand<'a>(&'a self, r: &'a UpdateRecord) -> impl Iterator<Item = UpdateRecord> + 'a {
+    pub(crate) fn expand<'a>(&'a self, r: &'a UpdateRecord) -> impl Iterator<Item = UpdateRecord> + 'a {
         std::iter::once(*r).chain(
             self.parents(r.country).iter().map(move |&zone| UpdateRecord { country: zone, ..*r }),
         )
@@ -144,6 +131,21 @@ mod tests {
     use crate::ids::ChangesetId;
     use crate::taxonomy::RoadTypeId;
     use crate::update::UpdateType;
+
+    impl ZoneMap {
+        /// Build from explicit `(zone, members)` pairs (tests, custom regions).
+        fn from_members(n_countries: usize, groups: &[(CountryId, &[CountryId])]) -> ZoneMap {
+            let mut parents = vec![Vec::new(); n_countries];
+            for (zone, members) in groups {
+                for m in *members {
+                    if let Some(slot) = parents.get_mut(m.index()) {
+                        slot.push(*zone);
+                    }
+                }
+            }
+            ZoneMap { parents }
+        }
+    }
 
     fn rec(country: CountryId) -> UpdateRecord {
         UpdateRecord {

@@ -8,7 +8,7 @@
 
 /// Format a fixed-point coordinate as a decimal string with exactly seven
 /// fractional digits, e.g. `449700000` → `"44.9700000"`.
-pub fn format_fixed7(v7: i32) -> String {
+pub(crate) fn format_fixed7(v7: i32) -> String {
     let neg = v7 < 0;
     let abs = (v7 as i64).unsigned_abs();
     let int = abs / 10_000_000;
@@ -23,7 +23,7 @@ pub fn format_fixed7(v7: i32) -> String {
 /// Parse a decimal coordinate string into fixed point. Accepts up to seven
 /// fractional digits (more are an error — they could not roundtrip) and an
 /// optional sign. `"44.97"` → `449_700_000`.
-pub fn parse_fixed7(s: &str) -> Option<i32> {
+pub(crate) fn parse_fixed7(s: &str) -> Option<i32> {
     let s = s.trim();
     let (neg, digits) = match s.strip_prefix('-') {
         Some(rest) => (true, rest),

@@ -21,7 +21,6 @@ pub mod xml;
 mod coords;
 mod formats;
 
-pub use coords::{format_fixed7, parse_fixed7};
 pub use formats::{
     ChangesetReader, ChangesetWriter, DiffAction, DiffReader, DiffWriter, OsmDocError,
     PlanetReader, PlanetWriter,

@@ -42,7 +42,7 @@ impl From<io::Error> for XmlError {
 
 /// One parsed token.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event {
+pub(crate) enum Event {
     /// `<name attr="v" ...>` or `<name ... />` (see `self_closing`).
     Start { name: String, attrs: Vec<(String, String)>, self_closing: bool },
     /// `</name>`.
@@ -55,7 +55,7 @@ pub enum Event {
 }
 
 /// Streaming pull parser.
-pub struct XmlReader<R: BufRead> {
+pub(crate) struct XmlReader<R: BufRead> {
     input: R,
     /// One pushed-back byte (the parser needs 1-byte lookahead).
     peeked: Option<u8>,
@@ -66,11 +66,6 @@ impl<R: BufRead> XmlReader<R> {
     /// Wrap a buffered reader.
     pub fn new(input: R) -> XmlReader<R> {
         XmlReader { input, peeked: None, offset: 0 }
-    }
-
-    /// Byte offset of the next unread byte (for error messages).
-    pub fn offset(&self) -> u64 {
-        self.offset
     }
 
     fn syntax(&self, message: impl Into<String>) -> XmlError {
@@ -102,7 +97,7 @@ impl<R: BufRead> XmlReader<R> {
     }
 
     /// Pull the next event.
-    pub fn next_event(&mut self) -> Result<Event, XmlError> {
+    pub(crate) fn next_event(&mut self) -> Result<Event, XmlError> {
         loop {
             // Gather text until '<' or EOF. Bytes accumulate as raw UTF-8
             // and are validated once per token.
@@ -316,7 +311,7 @@ pub fn escape(s: &str) -> String {
 }
 
 /// Streaming XML writer with automatic escaping and indentation.
-pub struct XmlWriter<W: Write> {
+pub(crate) struct XmlWriter<W: Write> {
     out: W,
     stack: Vec<String>,
     /// True right after a start tag whose `>` is still unwritten.
@@ -372,7 +367,7 @@ impl<W: Write> XmlWriter<W> {
     ///
     /// # Panics
     /// Panics when no start tag is pending (a programming error).
-    pub fn attr(&mut self, key: &str, value: &str) -> io::Result<()> {
+    pub(crate) fn attr(&mut self, key: &str, value: &str) -> io::Result<()> {
         assert!(self.tag_open, "attr() outside a start tag");
         write!(self.out, " {key}=\"{}\"", escape(value))
     }
@@ -399,18 +394,6 @@ impl<W: Write> XmlWriter<W> {
         Ok(())
     }
 
-    /// Write escaped character data inside the current element.
-    pub fn text(&mut self, s: &str) -> io::Result<()> {
-        if self.tag_open {
-            // Close the start tag without the pretty newline so the text
-            // roundtrips without acquiring indentation whitespace.
-            self.out.write_all(b">")?;
-            self.tag_open = false;
-        }
-        self.in_text = true;
-        self.out.write_all(escape(s).as_bytes())
-    }
-
     /// Finish the document; all elements must be closed.
     pub fn finish(mut self) -> io::Result<W> {
         assert!(self.stack.is_empty(), "finish() with unclosed elements: {:?}", self.stack);
@@ -422,6 +405,20 @@ impl<W: Write> XmlWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<W: Write> XmlWriter<W> {
+        /// Write escaped character data inside the current element.
+        fn text(&mut self, s: &str) -> io::Result<()> {
+            if self.tag_open {
+                // Close the start tag without the pretty newline so the text
+                // roundtrips without acquiring indentation whitespace.
+                self.out.write_all(b">")?;
+                self.tag_open = false;
+            }
+            self.in_text = true;
+            self.out.write_all(escape(s).as_bytes())
+        }
+    }
 
     fn parse_all(s: &str) -> Vec<Event> {
         let mut r = XmlReader::new(s.as_bytes());

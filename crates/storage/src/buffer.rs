@@ -70,7 +70,7 @@ impl BufferPool {
     /// Like [`BufferPool::new`] with an explicit shard count (clamped to at
     /// least 1). Capacity is split evenly across shards, the remainder going
     /// to the first shards.
-    pub fn with_shards(file: Arc<PageFile>, capacity: usize, shards: usize) -> BufferPool {
+    pub(crate) fn with_shards(file: Arc<PageFile>, capacity: usize, shards: usize) -> BufferPool {
         let n = shards.max(1);
         let shards = (0..n)
             .map(|i| Shard {
@@ -145,17 +145,6 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Pre-load a page into the cache without counting a hit or miss — the
-    /// cache *warming* step of the paper's caching strategy (§VII-A).
-    pub fn prefetch(&self, page: PageId) -> Result<(), StorageError> {
-        let shard = self.shard(page.0);
-        let already = shard.pages.lock().contains(&page.0);
-        if !already {
-            self.fetch(page, shard)?;
-        }
-        Ok(())
-    }
-
     /// True when the page is currently cached (no LRU update).
     pub fn contains(&self, page: PageId) -> bool {
         self.shard(page.0).pages.lock().contains(&page.0)
@@ -220,6 +209,19 @@ mod tests {
     use crate::stats::IoCostModel;
     use dettest::TempDir;
     use std::sync::Barrier;
+
+    impl BufferPool {
+        /// Pre-load a page into the cache without counting a hit or miss — the
+        /// cache *warming* step of the paper's caching strategy (§VII-A).
+        fn prefetch(&self, page: PageId) -> Result<(), StorageError> {
+            let shard = self.shard(page.0);
+            let already = shard.pages.lock().contains(&page.0);
+            if !already {
+                self.fetch(page, shard)?;
+            }
+            Ok(())
+        }
+    }
 
     fn pool(capacity: usize) -> (TempDir, BufferPool, Arc<PageFile>) {
         let dir = TempDir::new("buffer");

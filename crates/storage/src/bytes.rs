@@ -28,22 +28,22 @@ pub fn read_u32_le(buf: &[u8], offset: usize) -> Option<u32> {
 
 /// Read a `u16` from 2 little-endian bytes at `offset`, if in bounds.
 #[inline]
-pub fn read_u16_le(buf: &[u8], offset: usize) -> Option<u16> {
+pub(crate) fn read_u16_le(buf: &[u8], offset: usize) -> Option<u16> {
     let bytes = buf.get(offset..offset.checked_add(2)?)?;
     let mut raw = [0u8; 2];
     raw.copy_from_slice(bytes);
     Some(u16::from_le_bytes(raw))
 }
 
-/// Read an `f64` from 8 little-endian bytes at `offset`, if in bounds.
-#[inline]
-pub fn read_f64_le(buf: &[u8], offset: usize) -> Option<f64> {
-    read_u64_le(buf, offset).map(f64::from_bits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Read an `f64` from 8 little-endian bytes at `offset`, if in bounds.
+    #[inline]
+    fn read_f64_le(buf: &[u8], offset: usize) -> Option<f64> {
+        read_u64_le(buf, offset).map(f64::from_bits)
+    }
 
     #[test]
     fn in_bounds_reads_decode_le() {

@@ -73,15 +73,6 @@ impl<K: Clone + Eq + Hash, V: Clone> FlightGroup<K, V> {
         }
     }
 
-    /// Number of computations currently in flight (diagnostic).
-    pub fn in_flight(&self) -> usize {
-        let mut n = 0;
-        for shard in &self.shards {
-            n += shard.lock().len();
-        }
-        n
-    }
-
     /// Callers that have joined `key`'s in-flight computation as followers
     /// and will take its result (diagnostic; 0 when nothing is in flight).
     pub fn followers(&self, key: &K) -> usize {
@@ -229,6 +220,17 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Barrier;
+
+    impl<K: Clone + Eq + Hash, V: Clone> FlightGroup<K, V> {
+        /// Number of computations currently in flight (diagnostic).
+        fn in_flight(&self) -> usize {
+            let mut n = 0;
+            for shard in &self.shards {
+                n += shard.lock().len();
+            }
+            n
+        }
+    }
 
     #[test]
     fn single_caller_computes_once() {

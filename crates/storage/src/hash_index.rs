@@ -162,11 +162,6 @@ impl DiskHashIndex {
         self.len == 0
     }
 
-    /// Current directory fan-out (diagnostics).
-    pub fn directory_size(&self) -> usize {
-        self.directory.len()
-    }
-
     #[inline]
     /// The bucket page `key` hashes to.
     fn bucket_of(&self, key: u64) -> Result<PageId, StorageError> {
@@ -374,6 +369,13 @@ mod tests {
     use super::*;
     use dettest::TempDir;
     use std::collections::HashMap;
+
+    impl DiskHashIndex {
+        /// Current directory fan-out (diagnostics).
+        fn directory_size(&self) -> usize {
+            self.directory.len()
+        }
+    }
 
     #[test]
     fn insert_and_get_multivalued() {

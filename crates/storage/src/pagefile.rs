@@ -144,12 +144,6 @@ impl PageFile {
         Ok(())
     }
 
-    /// The fixed page size in bytes.
-    #[inline]
-    pub fn page_size(&self) -> usize {
-        self.page_size
-    }
-
     /// Number of allocated pages.
     #[inline]
     pub fn page_count(&self) -> u64 {
@@ -174,7 +168,7 @@ impl PageFile {
     }
 
     /// Allocate a fresh zeroed page and return its id.
-    pub fn allocate(&self) -> Result<PageId, StorageError> {
+    pub(crate) fn allocate(&self) -> Result<PageId, StorageError> {
         let id = PageId(self.page_count.fetch_add(1, Ordering::SeqCst));
         // Extend the file so reads of the new page succeed.
         let zeros = vec![0u8; self.page_size];
@@ -185,7 +179,7 @@ impl PageFile {
     }
 
     /// Read a full page into `buf` (must be exactly one page long).
-    pub fn read_page(&self, page: PageId, buf: &mut [u8]) -> Result<(), StorageError> {
+    pub(crate) fn read_page(&self, page: PageId, buf: &mut [u8]) -> Result<(), StorageError> {
         if buf.len() != self.page_size {
             return Err(StorageError::WrongBufferSize { expected: self.page_size, got: buf.len() });
         }
@@ -259,6 +253,14 @@ impl PageFile {
 mod tests {
     use super::*;
     use dettest::TempDir;
+
+    impl PageFile {
+        /// The fixed page size in bytes.
+        #[inline]
+        fn page_size(&self) -> usize {
+            self.page_size
+        }
+    }
 
     #[test]
     fn create_write_read_roundtrip() {

@@ -172,24 +172,11 @@ impl Date {
         Date::from_days(self.days - self.weekday().index0() as i32)
     }
 
-    /// The first day of this date's month.
-    #[inline]
-    pub fn month_start(self) -> Date {
-        let (y, m, _) = self.civil();
-        Date { days: days_from_civil(y, m, 1) }
-    }
-
     /// The last day of this date's month.
     #[inline]
     pub fn month_end(self) -> Date {
         let (y, m, _) = self.civil();
         Date { days: days_from_civil(y, m, days_in_month(y, m)) }
-    }
-
-    /// January 1 of this date's year.
-    #[inline]
-    pub fn year_start(self) -> Date {
-        Date { days: days_from_civil(self.year(), 1, 1) }
     }
 
     /// December 31 of this date's year.
@@ -290,6 +277,23 @@ fn civil_from_days(z: i32) -> (i32, u32, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Date {
+        /// January 1 of this date's year.
+        #[inline]
+        fn year_start(self) -> Date {
+            Date { days: days_from_civil(self.year(), 1, 1) }
+        }
+    }
+
+    impl Date {
+        /// The first day of this date's month.
+        #[inline]
+        fn month_start(self) -> Date {
+            let (y, m, _) = self.civil();
+            Date { days: days_from_civil(y, m, 1) }
+        }
+    }
 
     #[test]
     fn epoch_is_thursday() {

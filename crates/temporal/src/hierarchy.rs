@@ -1,20 +1,9 @@
-//! Generalized roll-up hierarchies: [`Hierarchy`] and [`TimeHierarchy`].
-//!
-//! The paper's level optimizer (§VII-B) reasons over one hierarchy — the
-//! temporal Day → Week → Month → Year chain. The lattice planner (DESIGN.md
-//! §15) reasons over several at once: time, and a spatial chain of grid
-//! cell → country → continent. This module abstracts what the planner
-//! actually needs from a dimension: a finite chain of *levels*, a set of
-//! *nodes* each sitting at one level, and a parent/children roll-up
-//! structure where a parent's extent is exactly the disjoint union of its
-//! children's (so answering at the parent *subsumes* answering at every
-//! child).
-//!
-//! [`TimeHierarchy`] implements the trait over [`Period`]; the spatial
-//! counterpart lives next to the zone table it rolls up through (the
-//! planner composes the two into a (time × space) lattice — see
-//! `rased-index`). The hierarchy laws every implementation must satisfy
-//! are spelled out (and tested) here:
+//! The roll-up laws of the temporal hierarchy, Day → Week → Month → Year
+//! (§VI-A), stated as a [`Hierarchy`] trait and checked over [`Period`]
+//! through [`TimeHierarchy`]. The level optimizer (§VII-B) answers at a
+//! parent instead of its children only because these hold. Nothing outside
+//! these tests implements or calls the trait, so the module is compiled for
+//! tests only:
 //!
 //! 1. `level_of(parent(n)) > level_of(n)` — roll-ups go strictly coarser.
 //! 2. `children(n)` all sit strictly finer than `n`, and `n` subsumes each.
@@ -24,7 +13,7 @@ use crate::period::{Granularity, Period};
 
 /// A roll-up dimension: nodes at ordered levels with a parent/children
 /// structure whose unions are exact (no overlap, no gaps within a parent).
-pub trait Hierarchy {
+pub(crate) trait Hierarchy {
     /// A level of the hierarchy; `Ord` runs finest → coarsest.
     type Level: Copy + Eq + Ord;
     /// A node (one concrete extent) of the hierarchy.
@@ -53,7 +42,7 @@ pub trait Hierarchy {
 /// The temporal hierarchy of the paper (§VI-A): Day → Week → Month → Year,
 /// with Sunday-aligned weeks and straddling weeks parentless.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct TimeHierarchy;
+pub(crate) struct TimeHierarchy;
 
 impl Hierarchy for TimeHierarchy {
     type Level = Granularity;

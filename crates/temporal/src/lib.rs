@@ -17,11 +17,13 @@
 //!   `BETWEEN date1 AND date2` in the paper's query signature.
 
 mod date;
-mod hierarchy;
 mod period;
 mod range;
 
 pub use date::{Date, DateError, Weekday};
-pub use hierarchy::{Hierarchy, TimeHierarchy};
 pub use period::{Granularity, Period};
 pub use range::{DateRange, DayIter, PeriodIter};
+
+/// The roll-up laws the planner relies on, checked over [`Period`].
+#[cfg(test)]
+mod hierarchy;

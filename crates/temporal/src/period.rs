@@ -69,7 +69,7 @@ pub enum Period {
 impl Period {
     /// The day period containing `d`.
     #[inline]
-    pub fn day_of(d: Date) -> Period {
+    pub(crate) fn day_of(d: Date) -> Period {
         Period::Day(d)
     }
 

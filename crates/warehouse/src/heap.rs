@@ -11,7 +11,7 @@ use std::sync::Arc;
 pub const HEAP_PAGE_BYTES: usize = 8192;
 
 /// Records per page (full records only; the page tail is padding).
-pub const ROWS_PER_PAGE: usize = HEAP_PAGE_BYTES / UPDATE_RECORD_BYTES;
+pub(crate) const ROWS_PER_PAGE: usize = HEAP_PAGE_BYTES / UPDATE_RECORD_BYTES;
 
 /// Ordinal of a row in the heap (dense, append-order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

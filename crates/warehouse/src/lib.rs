@@ -16,5 +16,5 @@
 mod heap;
 mod warehouse;
 
-pub use heap::{HeapFile, RowId, HEAP_PAGE_BYTES, ROWS_PER_PAGE};
+pub use heap::{HeapFile, RowId, HEAP_PAGE_BYTES};
 pub use warehouse::{Warehouse, WarehouseError};

@@ -12,7 +12,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Sample inside the busiest country's territory (the paper's default
     // sample size is N = 100).
     let zone = &atlas.countries()[0];
-    let bbox = zone.polygon.bbox();
+    let bbox = zone.polygon;
     let samples = demo.rased.sample_region(&bbox, 100)?;
     let name = demo.rased.countries().name(zone.id).unwrap_or("?");
 
