@@ -40,7 +40,10 @@ cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 #   executor:       parallel_props (parallel at every thread count ==
 #                   record-scan oracle), epoch_isolation
 #   write path:     crash_recovery (WAL truncated at every byte boundary
-#                   vs. a never-crashed oracle)
+#                   vs. a never-crashed oracle; a crash after every store
+#                   commit of a two-month batch, resumed day by day, vs. a
+#                   never-crashed run: a_crash_between_any_two_store_commits_
+#                   resumes_to_the_never_crashed_state)
 #   response cache: respcache_props (cached tier byte-identical to cold
 #                   renders across epoch bumps), dettest's per-run seed
 #   sharded store:  shard_props (every shard count x thread count ==

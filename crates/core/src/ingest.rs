@@ -48,9 +48,13 @@ impl Rased {
     /// disk without the in-memory [`Dataset`] handle).
     ///
     /// Daily crawling (XML parsing + changeset joins) fans out across a
-    /// small thread pool — days are independent — while cube maintenance
-    /// and warehouse appends stay sequential in date order, so results are
-    /// bit-identical to a serial run.
+    /// small thread pool — days are independent — while publishing stays
+    /// sequential in date order, so results are bit-identical to a serial
+    /// run. Each calendar month's days (clipped to `range`) publish as one
+    /// unit through [`Rased::apply_days`]: one warehouse flush and one
+    /// commit per store for the whole month, so a crash loses at most the
+    /// month in flight, and resume re-applies it. At most one month of
+    /// parsed records is held at a time.
     pub fn ingest_files(
         &self,
         resolver: &(dyn CountryResolver + Sync),
@@ -67,43 +71,49 @@ impl Rased {
         // Cloned so the parallel parse borrows no part of `self` while the
         // sequential apply mutates it. The table is a few KB.
         let road_table = self.road_table.clone();
-        for chunk in days.chunks(parallelism.max(1) * 4) {
-            // Parse this chunk's files in parallel...
-            type Parsed = Result<(Vec<rased_osm_model::UpdateRecord>, CrawlStats), RasedError>;
-            let parsed: Vec<Parsed> = std::thread::scope(|scope| {
-                let handles: Vec<_> = chunk
-                    .iter()
-                    .map(|&day| {
-                        let diff_path = &diff_path;
-                        let changesets_path = &changesets_path;
-                        let road_table = &road_table;
-                        scope.spawn(move || -> Parsed {
-                            let diff = BufReader::new(File::open(diff_path(day))?);
-                            let changesets =
-                                BufReader::new(File::open(changesets_path(day))?);
-                            let crawler = DailyCrawler::new(resolver, road_table);
-                            Ok(crawler.crawl(diff, changesets)?)
+        for month in days.chunk_by(|a, b| (a.year(), a.month()) == (b.year(), b.month())) {
+            let mut unit: Vec<(Date, Vec<UpdateRecord>)> = Vec::with_capacity(month.len());
+            for chunk in month.chunks(parallelism.max(1) * 4) {
+                // Parse this chunk's files in parallel...
+                type Parsed = Result<(Vec<UpdateRecord>, CrawlStats), RasedError>;
+                let parsed: Vec<Parsed> = std::thread::scope(|scope| {
+                    let handles: Vec<_> = chunk
+                        .iter()
+                        .map(|&day| {
+                            let diff_path = &diff_path;
+                            let changesets_path = &changesets_path;
+                            let road_table = &road_table;
+                            scope.spawn(move || -> Parsed {
+                                let diff = BufReader::new(File::open(diff_path(day))?);
+                                let changesets =
+                                    BufReader::new(File::open(changesets_path(day))?);
+                                let crawler = DailyCrawler::new(resolver, road_table);
+                                Ok(crawler.crawl(diff, changesets)?)
+                            })
                         })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|_| {
-                            Err(RasedError::Io(std::io::Error::other(
-                                "crawler thread panicked",
-                            )))
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| {
+                            h.join().unwrap_or_else(|_| {
+                                Err(RasedError::Io(std::io::Error::other(
+                                    "crawler thread panicked",
+                                )))
+                            })
                         })
-                    })
-                    .collect()
-            });
-            // ...then ingest sequentially in date order.
-            for (day, parsed) in chunk.iter().zip(parsed) {
-                let (records, stats) = parsed?;
-                report.daily += stats;
-                report.maintenance_ops += self.apply_day(*day, &records)?;
-                report.days += 1;
+                        .collect()
+                });
+                for (day, parsed) in chunk.iter().zip(parsed) {
+                    let (records, stats) = parsed?;
+                    report.daily += stats;
+                    unit.push((*day, records));
+                }
             }
+            // ...then publish the month as one unit, in date order.
+            let refs: Vec<(Date, &[UpdateRecord])> =
+                unit.iter().map(|(d, rs)| (*d, rs.as_slice())).collect();
+            report.maintenance_ops += self.apply_days(&refs)?;
+            report.days += unit.len();
         }
 
         // --- monthly refinement ---------------------------------------------
@@ -146,52 +156,64 @@ impl Rased {
         Ok(crawler.crawl(history, metas, y, m)?)
     }
 
-    /// Publish one day: expand zones, build the daily cube, append + flush
-    /// the warehouse rows, then commit the cube (and its roll-ups) as one
-    /// unit carrying the flushed row count as its durable watermark.
-    /// Returns the cube maintenance ops performed. Shared by the batch
-    /// path above and the streaming [`crate::IngestController`].
+    /// Publish one day: the one-day unit of [`Rased::apply_days`]. The
+    /// streaming [`crate::IngestController`] publishes each day this way.
+    pub(crate) fn apply_day(&self, day: Date, records: &[UpdateRecord]) -> Result<usize, RasedError> {
+        self.apply_days(&[(day, records)])
+    }
+
+    /// Publish a run of days — increasing, within one calendar month — as
+    /// one unit: append all the days' warehouse rows and flush them once,
+    /// build each day's cube (zones expanded) and commit every cube shard's
+    /// part of the run (marker shard last, carrying the flushed row count
+    /// as its durable watermark), then publish the run's bank blocks, day
+    /// markers last. Returns the cube maintenance ops performed.
     ///
     /// Ordering is the crash-safety contract: warehouse rows become
-    /// durable *before* the cube unit that implies them, so a day present
+    /// durable *before* the cube units that imply them, so a day present
     /// in the index always has its sample rows — which is what lets the
-    /// streaming resume check skip already-indexed days. If the cube
-    /// commit fails after the rows went in, they are truncated back out
-    /// so a retry (or re-enqueue) cannot double-insert them.
-    pub(crate) fn apply_day(
-        &self,
-        day: Date,
-        records: &[rased_osm_model::UpdateRecord],
-    ) -> Result<usize, RasedError> {
+    /// resume check skip already-indexed days. If the cube commit fails
+    /// after the rows went in, they are truncated back out so a retry (or
+    /// re-enqueue) cannot double-insert them. A crash loses the whole
+    /// unit or none of it, as far as `has(Day)` tells.
+    pub(crate) fn apply_days(&self, days: &[(Date, &[UpdateRecord])]) -> Result<usize, RasedError> {
         // Zones (§VI-A): cubes and network sizes credit containing
         // zones too; the warehouse keeps only the original rows.
-        let expanded = self.config.zones.expand_all(records);
-        let cube = DataCube::from_records(self.config.schema, &expanded)
-            .map_err(rased_index::IndexError::from)?;
+        let expanded: Vec<Vec<UpdateRecord>> =
+            days.iter().map(|&(_, records)| self.config.zones.expand_all(records)).collect();
+        let schema = self.config.schema;
         let base = self.warehouse.row_count();
-        let published = self
-            .warehouse
-            .insert_batch(records)
+        let published = days
+            .iter()
+            .try_for_each(|&(_, records)| self.warehouse.insert_batch(records).map(drop))
+            .and_then(|()| self.warehouse.flush())
             .map_err(RasedError::from)
-            .and_then(|_| Ok(self.warehouse.flush()?))
             .and_then(|()| {
-                Ok(self.index.ingest_day_marked(day, &cube, self.warehouse.row_count())?)
+                // Each day's cube is built as the index stages it, so one
+                // cube is held at a time, not the whole unit's.
+                let cubes = days
+                    .iter()
+                    .zip(&expanded)
+                    .map(|(&(day, _), zoned)| Ok((day, DataCube::from_records(schema, zoned)?)));
+                Ok(self.index.ingest_days(cubes, Some(self.warehouse.row_count()))?)
             });
         match published {
             Ok(maint) => {
                 // Bank blocks publish strictly last: a crash here leaves the
-                // day on the warehouse-scan fallback path, never a block for
-                // a day the index lacks. Blocks are built from the
+                // days on the warehouse-scan fallback path, never a block
+                // for a day the index lacks. Blocks are built from the
                 // *original* records — geography is explicit in the cell
                 // key, so no zone expansion (viewport counts attribute to
                 // the actual country, matching the warehouse rows the scan
                 // fallback would return).
-                self.bank.publish_day(day, records)?;
-                self.track_network(&expanded);
+                self.bank.publish_days(days)?;
+                for zoned in &expanded {
+                    self.track_network(zoned);
+                }
                 Ok(maint.total_ops())
             }
             Err(e) => {
-                // Roll the partial day back; if even that fails the
+                // Roll the partial unit back; if even that fails the
                 // reopen-time trim to the durable watermark (still `base`)
                 // repairs it.
                 let _ = self.warehouse.truncate_rows(base);
@@ -367,6 +389,94 @@ mod tests {
             Date::new(2019, 12, 31).unwrap(),
         ));
         assert!(rased.sample_for_query(&empty_q, &bbox, 10).unwrap().is_empty());
+    }
+
+    /// The 2-shard × 4-band system of the sync-count tests below.
+    fn two_by_four(dir: &TempDir) -> Rased {
+        let mut config = RasedConfig::new(dir.file("system")).with_schema(CubeSchema::new(4, 3));
+        config.shard.shards = 2;
+        config.spatial.shards = 4;
+        Rased::create(config).unwrap()
+    }
+
+    /// Eight records of `day`: countries 0..4 reach both cube shards, and
+    /// longitudes span all four bands.
+    fn spread_records(day: Date) -> Vec<UpdateRecord> {
+        use rased_osm_model::{ChangesetId, CountryId, ElementType, RoadTypeId};
+        (0..8)
+            .map(|i| UpdateRecord {
+                element_type: ElementType::Way,
+                update_type: UpdateType::Create,
+                country: CountryId(i % 4),
+                road_type: RoadTypeId(0),
+                date: day,
+                lat7: 0,
+                lon7: (i32::from(i) - 4) * 440_000_000,
+                changeset: ChangesetId(u64::from(i)),
+            })
+            .collect()
+    }
+
+    /// Every fsync the system's stores and warehouse heap have counted.
+    fn syncs(r: &Rased) -> u64 {
+        let bank = r.spatial_bank();
+        r.index()
+            .stores()
+            .iter()
+            .chain(bank.stores())
+            .chain([bank.marker_store()])
+            .map(|s| s.file().stats().snapshot().syncs)
+            .sum::<u64>()
+            + r.warehouse().io_snapshot().syncs
+    }
+
+    /// A whole month published as one unit costs what one day costs in
+    /// [`one_published_day_costs_a_pinned_number_of_syncs`]: one warehouse
+    /// flush, then records + WAL once per store, whatever the day count.
+    #[test]
+    fn a_month_unit_costs_the_syncs_of_one_day() {
+        let dir = TempDir::new("core-unit-syncs");
+        let rased = two_by_four(&dir);
+        let july: Vec<(Date, Vec<UpdateRecord>)> = Period::Month(2021, 7)
+            .range()
+            .days()
+            .map(|d| (d, spread_records(d)))
+            .collect();
+        let unit: Vec<(Date, &[UpdateRecord])> = july.iter().map(|(d, r)| (*d, r.as_slice())).collect();
+        assert_eq!(unit.len(), 31);
+        let before = syncs(&rased);
+        rased.apply_days(&unit).unwrap();
+        let bank = rased.spatial_bank();
+        assert!(rased.index().epochs().iter().all(|&e| e == 1), "each cube shard commits once");
+        assert!(bank.epochs().iter().all(|&e| e == 1), "each band commits once");
+        assert_eq!(bank.marker_store().epoch(), 1, "the registry commits once");
+        assert_eq!(syncs(&rased) - before, 1 + 7 * 2, "warehouse flush, then 7 stores × (records + WAL)");
+        assert!(unit.iter().all(|(d, _)| rased.index().has(Period::Day(*d))));
+        assert_eq!(rased.warehouse().row_count(), 31 * 8);
+    }
+
+    /// Batch ingest publishes a month per unit: over two months each store
+    /// publishes at most once per month unit, plus once per refinement.
+    #[test]
+    fn batch_ingest_publishes_one_unit_per_month() {
+        let dir = TempDir::new("core-units");
+        let dataset = small_dataset(&dir);
+        let mut config = RasedConfig::new(dir.file("system")).with_schema(CubeSchema::new(
+            dataset.config.world.n_countries,
+            dataset.config.sim.n_road_types,
+        ));
+        config.shard.shards = 2;
+        config.spatial.shards = 4;
+        let rased = Rased::create(config).unwrap();
+        let report = rased.ingest_dataset(&dataset).unwrap();
+        assert_eq!((report.days, report.months), (59, 2));
+        let bank = rased.spatial_bank();
+        let stores = rased.index().stores().iter().chain(bank.stores()).chain([bank.marker_store()]);
+        for (i, store) in stores.enumerate() {
+            let units = store.published_units();
+            assert!(units <= 2 + 2, "store {i} published {units} units for 2 month units + 2 refinements");
+        }
+        assert_eq!(bank.marker_store().published_units(), 2, "one registry unit per month");
     }
 
     /// The fsyncs of one published day on a 2-shard index and a 4-band

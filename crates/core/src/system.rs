@@ -287,9 +287,9 @@ impl Rased {
         )?;
         // Crash repair: every committed day unit records the warehouse row
         // count it flushed first, so rows beyond the last committed
-        // watermark belong to a day whose cube never published. Trim them —
-        // the day is absent from the index, so the streaming resume path
-        // will re-crawl and re-insert it without duplicating rows.
+        // watermark belong to a unit whose cubes never fully published.
+        // Trim them — its days are absent from the index, so the resume
+        // path will re-crawl and re-insert them without duplicating rows.
         if let Some(mark) = index.durable_mark() {
             warehouse.truncate_rows(mark)?;
         }

@@ -125,7 +125,7 @@ fn cli_reports_errors_cleanly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success());
     assert!(
-        stderr.contains("store format version 4 is not readable by this build (version 5)")
+        stderr.contains("store format version 4 is not readable by this build (version 6)")
             && !stderr.contains("panicked"),
         "{stderr}"
     );

@@ -25,10 +25,14 @@ pub fn shard_for(country: CountryId, shards: usize) -> usize {
 }
 
 /// The shard that always commits `day` (possibly with an all-zero cube)
-/// and commits it last, carrying the durable row watermark. Round-robin by
-/// day ordinal so no single shard accumulates every bookkeeping cube.
+/// and commits it last, carrying the durable row watermark. Keyed by the
+/// *month* ordinal, so every day of a calendar month shares one marker
+/// shard: a publish unit is at most one month of days, and its one marker
+/// commit lands after every other shard's part of the unit. Round-robin
+/// by month so no single shard accumulates every bookkeeping cube.
 pub fn marker_shard(day: Date, shards: usize) -> usize {
-    day.days().rem_euclid(shards.max(1) as i32) as usize
+    let month = i64::from(day.year()) * 12 + i64::from(day.month()) - 1;
+    month.rem_euclid(shards.max(1) as i64) as usize
 }
 
 /// The spatial-bank shard owning grid cell `cell` when the bank is split
@@ -58,6 +62,31 @@ mod tests {
         // Zero shards is clamped, never a division by zero.
         assert_eq!(shard_for(CountryId(5), 0), 0);
         assert_eq!(marker_shard(Date::new(2021, 1, 1).unwrap(), 0), 0);
+    }
+
+    #[test]
+    fn a_month_has_one_marker_and_months_rotate() {
+        for shards in [1usize, 2, 3, 4] {
+            let mut markers = Vec::new();
+            for month in 1..=12 {
+                let first = Date::new(2021, month, 1).unwrap();
+                let m = marker_shard(first, shards);
+                assert!(m < shards);
+                let mut day = first;
+                while day <= first.month_end() {
+                    assert_eq!(marker_shard(day, shards), m, "{day} leaves its month's marker");
+                    day = day.succ();
+                }
+                markers.push(m);
+            }
+            // Consecutive months rotate through every shard, across a year
+            // boundary too.
+            for (i, pair) in markers.windows(2).enumerate() {
+                assert_eq!(pair[1], (pair[0] + 1) % shards, "month {} does not rotate", i + 2);
+            }
+            let dec = marker_shard(Date::new(2020, 12, 31).unwrap(), shards);
+            assert_eq!(marker_shard(Date::new(2021, 1, 1).unwrap(), shards), (dec + 1) % shards);
+        }
     }
 
     #[test]

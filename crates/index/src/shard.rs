@@ -17,22 +17,28 @@
 //!   pushdown in `rased-query`), and unfiltered queries scatter across all
 //!   shards and merge partial aggregates deterministically.
 //!
-//! ## Day-commit protocol
+//! ## Unit-commit protocol
 //!
-//! A day's full cube is split into per-shard sub-cubes. Shards whose split
-//! is all-zero are skipped entirely (no WAL append, no epoch bump — this
-//! is what keeps invalidation scoped). One deterministic **marker shard**
-//! per day (round-robin by day ordinal, so zero-day bookkeeping spreads
-//! evenly) always commits, even when its split is empty, and commits
+//! A publish unit is a run of days within one calendar month: one day on
+//! the live path, up to the whole month in batch ingest. Each day's full
+//! cube is split into per-shard sub-cubes, and each shard stages its
+//! splits of every day of the unit, with their roll-ups, as **one** WAL
+//! unit. Shards whose splits are all-zero for the whole unit are skipped
+//! entirely (no WAL append, no epoch bump — this is what keeps
+//! invalidation scoped). One deterministic **marker shard** per month
+//! (round-robin by month ordinal, [`marker_shard`], so every day of a unit
+//! shares it and zero-day bookkeeping spreads evenly) always commits,
+//! with a zero cube for each day where its split is empty, and commits
 //! *last*, carrying the durable row watermark. The global "is this day
 //! ingested?" question is therefore answered by the marker shard alone: if
-//! the process crashes mid-day, the marker commit is missing, resume
-//! re-applies the whole day, and the per-shard replays are idempotent.
+//! the process crashes mid-unit, the marker commit is missing, resume
+//! re-applies every day of the unit, and the per-shard replays are
+//! idempotent. A crash loses at most the one unit in flight.
 //!
-//! Cross-shard visibility is *per-shard atomic, per-day eventually
-//! consistent*: a reader scattering during a day publish may see the day
-//! on some shards and not yet on others (bounded to the single in-flight
-//! day). Single-country queries never observe tearing — all of a
+//! Cross-shard visibility is *per-shard atomic, per-unit eventually
+//! consistent*: a reader scattering during a publish may see the unit on
+//! some shards and not yet on others (bounded to the single in-flight
+//! unit). Single-country queries never observe tearing — all of a
 //! country's cells live in one shard.
 
 use crate::cache::CacheConfig;
@@ -43,6 +49,7 @@ use rased_cube::{CubeSchema, DataCube};
 use rased_osm_model::CountryId;
 use rased_storage::IoCostModel;
 use rased_temporal::{Date, Period};
+use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -202,18 +209,18 @@ impl ShardedIndex {
         self.shards.iter().map(|s| s.invalidations()).sum()
     }
 
-    /// The highest durable row watermark across shards. Marks ride the
-    /// per-day marker commit (which lands last), so this is the watermark
-    /// of the last *fully* committed day.
+    /// The highest durable row watermark across shards. Marks ride each
+    /// unit's marker commit (which lands last), so this is the watermark
+    /// of the last *fully* committed unit.
     pub fn durable_mark(&self) -> Option<u64> {
         self.shards.iter().filter_map(|s| s.durable_mark()).max()
     }
 
     /// True when `period` is materialized. For days this consults the
-    /// day's marker shard only — the one store that commits *last* — so a
-    /// half-committed day (crash between shard commits) reads as absent
-    /// and resume re-applies it. Coarser periods exist if any shard holds
-    /// them.
+    /// day's marker shard only — the one store that commits its unit
+    /// *last* — so a half-committed unit (crash between shard commits)
+    /// reads as absent and resume re-applies it. Coarser periods exist if
+    /// any shard holds them.
     pub fn has(&self, period: Period) -> bool {
         match period {
             Period::Day(d) => {
@@ -292,9 +299,10 @@ impl ShardedIndex {
     }
 
     /// Ingest one day's full cube: split by country, commit non-empty
-    /// splits, marker shard last. See the module docs for the protocol.
+    /// splits, marker shard last. The one-day case of
+    /// [`Self::ingest_days`]; see the module docs for the protocol.
     pub fn ingest_day(&self, day: Date, cube: &DataCube) -> Result<MaintenanceReport, IndexError> {
-        self.ingest_day_inner(day, cube, None)
+        self.ingest_days([Ok((day, cube))], None)
     }
 
     /// [`Self::ingest_day`] carrying a durable row watermark; the mark
@@ -306,41 +314,62 @@ impl ShardedIndex {
         cube: &DataCube,
         rows: u64,
     ) -> Result<MaintenanceReport, IndexError> {
-        self.ingest_day_inner(day, cube, Some(rows))
+        self.ingest_days([Ok((day, cube))], Some(rows))
     }
 
-    fn ingest_day_inner(
+    /// Publish a run of days — strictly increasing, all in one calendar
+    /// month — as one unit per shard: each shard stages its splits of
+    /// every day (the marker shard a zero cube where its split is empty)
+    /// with their roll-ups, the shards holding data commit, and the
+    /// month's marker shard commits last carrying `mark`, the durable row
+    /// watermark. Each day's cube is taken from `days` only when it is
+    /// staged, so a caller building cubes lazily holds one at a time. Days
+    /// of other months would have other marker shards, and no single
+    /// commit could then be the last one for all of them, so such a run is
+    /// refused with [`IndexError::UnitSpan`] before anything commits.
+    pub fn ingest_days<C: Borrow<DataCube>>(
         &self,
-        day: Date,
-        cube: &DataCube,
+        days: impl IntoIterator<Item = Result<(Date, C), IndexError>>,
         mark: Option<u64>,
     ) -> Result<MaintenanceReport, IndexError> {
         let n = self.shards.len();
-        let parts = split_cube(cube, n);
-        let marker = marker_shard(day, n);
-        let mut report = MaintenanceReport::default();
-        for (i, (shard, part)) in self.shards.iter().zip(parts.iter()).enumerate() {
-            if i == marker {
-                continue;
-            }
-            if let Some(p) = part {
-                merge_report(&mut report, shard.ingest_day(day, p)?);
+        let zero = DataCube::zeroed(self.schema);
+        let mut units: Vec<_> = self.shards.iter().map(|s| Some(s.begin_days())).collect();
+        // The run's first day and the last one staged.
+        let mut run: Option<(Date, Date)> = None;
+        for next in days {
+            let (day, cube) = next?;
+            let first = match run {
+                None => day,
+                Some((first, last)) if last < day && Period::month_of(first).contains(day) => first,
+                Some((first, _)) => return Err(IndexError::UnitSpan { first, last: day }),
+            };
+            run = Some((first, day));
+            let marker = marker_shard(first, n);
+            for (i, part) in split_cube(cube.borrow(), n).into_iter().enumerate() {
+                let part = match part.as_ref() {
+                    Some(p) => p,
+                    None if i == marker => &zero,
+                    None => continue,
+                };
+                if let (Some(shard), Some(Some(unit))) = (self.shards.get(i), units.get_mut(i)) {
+                    shard.stage_day(unit, day, part)?;
+                }
             }
         }
-        if let Some(shard) = self.shards.get(marker) {
-            let zero;
-            let part = match parts.get(marker).and_then(|p| p.as_ref()) {
-                Some(p) => p,
-                None => {
-                    zero = DataCube::zeroed(self.schema);
-                    &zero
-                }
-            };
-            let r = match mark {
-                Some(m) => shard.ingest_day_marked(day, part, m)?,
-                None => shard.ingest_day(day, part)?,
-            };
-            merge_report(&mut report, r);
+        let Some((first, _)) = run else {
+            return Ok(MaintenanceReport::default());
+        };
+        let marker = marker_shard(first, n);
+        let marker_unit = units.get_mut(marker).and_then(Option::take);
+        let mut report = MaintenanceReport::default();
+        for (shard, unit) in self.shards.iter().zip(units) {
+            if let Some(unit) = unit.filter(|u| !u.is_empty()) {
+                merge_report(&mut report, shard.commit_days(unit, None)?);
+            }
+        }
+        if let (Some(shard), Some(unit)) = (self.shards.get(marker), marker_unit) {
+            merge_report(&mut report, shard.commit_days(unit, mark)?);
         }
         Ok(report)
     }
@@ -348,7 +377,7 @@ impl ShardedIndex {
     /// Replace a month's days with `daily` (refinement), split per shard.
     ///
     /// Each shard's refined map holds its non-zero splits plus — on the
-    /// day's marker shard — an explicit zero cube, mirroring the ingest
+    /// month's marker shard — an explicit zero cube, mirroring the ingest
     /// protocol so `has(Day)` stays marker-answerable. A shard whose map
     /// is empty *and* which materializes no day of the month is skipped
     /// entirely: a `rebuild_month` call on it would still stage zero
@@ -541,6 +570,59 @@ mod tests {
         }
     }
 
+    /// A month published as one unit holds exactly what its days published
+    /// one by one hold, commits once per shard with the marker shard last,
+    /// and carries the mark; a run that is not increasing days of one
+    /// month is refused before anything is staged.
+    #[test]
+    fn a_month_unit_equals_its_days_one_by_one() {
+        let schema = CubeSchema::tiny();
+        let mut rng = Rng::new(11);
+        let one_dir = TempDir::new("shard-days-one");
+        let unit_dir = TempDir::new("shard-days-unit");
+        let by_day = sharded(one_dir.path(), 3);
+        let by_unit = sharded(unit_dir.path(), 3);
+        let start = Date::new(2021, 5, 1).expect("date");
+        let days: Vec<(Date, DataCube)> =
+            (0..31).map(|off| (start.add_days(off), cube_from(&mut rng, schema, 4))).collect();
+        for (day, cube) in &days {
+            by_day.ingest_day(*day, cube).expect("ingest day");
+        }
+        let order = Arc::new(rased_storage::sync::Mutex::new(Vec::new()));
+        for (i, store) in by_unit.stores().iter().enumerate() {
+            let order = Arc::clone(&order);
+            store.set_publish_hook(Arc::new(move |_| order.lock().push(i)));
+        }
+        by_unit.ingest_days(days.iter().map(|(d, c)| Ok((*d, c))), Some(7)).expect("ingest unit");
+        let marker = marker_shard(start, 3);
+        let want: Vec<usize> = (0..3).filter(|&i| i != marker).chain([marker]).collect();
+        assert_eq!(*order.lock(), want, "one commit per shard, marker last");
+        assert_eq!(by_unit.epochs(), vec![1, 1, 1]);
+        assert_eq!(by_unit.durable_mark(), Some(7));
+        let mut want = by_day.periods();
+        let mut got = by_unit.periods();
+        want.sort_by_key(|p| (p.granularity().level(), p.start()));
+        got.sort_by_key(|p| (p.granularity().level(), p.start()));
+        assert_eq!(got, want);
+        for p in want {
+            let a = by_day.fetch_uncached(p).expect("fetch").expect("cube");
+            let b = by_unit.fetch_uncached(p).expect("fetch").expect("cube");
+            assert_eq!(*a, *b, "{p} diverges between the unit and its days");
+        }
+
+        let june = Date::new(2021, 6, 1).expect("date");
+        let cube = DataCube::zeroed(schema);
+        for bad in [
+            vec![(june.pred(), &cube), (june, &cube)],
+            vec![(june.succ(), &cube), (june, &cube)],
+            vec![(june, &cube), (june, &cube)],
+        ] {
+            let err = by_unit.ingest_days(bad.into_iter().map(Ok), None).expect_err("refused");
+            assert!(matches!(err, IndexError::UnitSpan { .. }), "{err}");
+        }
+        assert_eq!(by_unit.epochs(), vec![1, 1, 1], "a refused run publishes nothing");
+    }
+
     #[test]
     fn publish_touches_only_owning_shards() {
         let schema = CubeSchema::tiny();
@@ -616,16 +698,18 @@ mod tests {
         refined.insert(start, cube);
         idx.rebuild_month(2021, 3, &refined).expect("rebuild");
         let after = idx.epochs();
+        let mut silent = 0;
         for (i, (b, a)) in before.iter().zip(after.iter()).enumerate() {
-            // Marker shards of March days materialized zero day-cubes, so
-            // they are "touched" and legitimately republish (tombstones);
-            // only shards with no March state at all must stay silent.
-            let has_march_state = i == owner
-                || (0..31).any(|off| marker_shard(start.add_days(off), 4) == i);
+            // March's marker shard materialized zero day-cubes, so it is
+            // "touched" and legitimately republishes (tombstones); only
+            // shards with no March state at all must stay silent.
+            let has_march_state = i == owner || i == marker_shard(start, 4);
             if !has_march_state {
                 assert_eq!(a, b, "shard {i} must not publish on rebuild");
+                silent += 1;
             }
         }
+        assert!(silent > 0, "no shard was checked for silence: the test is vacuous");
         assert!(after.get(owner) > before.get(owner), "owner must republish");
         let got = idx.fetch_uncached(Period::Day(start)).expect("fetch").expect("day");
         assert_eq!(got.get(0, 1, 0, 0), 8);

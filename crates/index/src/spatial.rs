@@ -21,17 +21,19 @@
 //! ## Missing block: provably empty, or scan fallback
 //!
 //! The bank is an *accelerator*, not the source of truth — but it can
-//! still prove absence. Every publish commits a tiny day marker to a
-//! *separate* registry store (not a band, so no band epoch moves and no
-//! viewport tile is evicted): a (cell, day) with no block on a *marked*
-//! day provably has no rows, and the planner skips it outright. Only an
-//! *unmarked* day — history the bank never saw — falls back to a
-//! warehouse scan, which is exact either way. The marker commits strictly
-//! *after* the band units: a crash between the two loses acceleration
-//! (extra scans), never rows. Every block is stored, at its encoded size,
-//! whatever its cell count. Ingest orders warehouse flush → cube commit →
-//! bank publish *last*, so the warehouse is always at least as new as any
-//! marker.
+//! still prove absence. Every publish unit (one day live, up to a calendar
+//! month in batch) commits its day blocks as one unit per touched band,
+//! then the markers of all of its days as one unit of a *separate*
+//! registry store (not a band, so no band epoch moves and no viewport tile
+//! is evicted): a (cell, day) with no block on a *marked* day provably has
+//! no rows, and the planner skips it outright. Only an *unmarked* day —
+//! history the bank never saw — falls back to a warehouse scan, which is
+//! exact either way. The registry unit commits strictly *after* the band
+//! units: a crash between them loses acceleration for at most that one
+//! unit's days (extra scans), never rows. Every block is stored, at its
+//! encoded size, whatever its cell count. Ingest orders warehouse flush →
+//! cube commit → bank publish *last*, so the warehouse is always at least
+//! as new as any marker.
 
 use crate::cache::CacheConfig;
 use crate::partition;
@@ -341,41 +343,53 @@ impl SpatialBank {
     }
 
     /// Publish one day's blocks, built from the day's *original* records
-    /// (no zone expansion — geography is explicit in the key). On a
-    /// month-closing day, every band holding day blocks of that month also
-    /// gets its cells' month roll-up blocks in the same unit. Only bands
-    /// with something to publish commit (and bump their epoch).
+    /// (no zone expansion — geography is explicit in the key). The one-day
+    /// case of [`SpatialBank::publish_days`].
     pub fn publish_day(
         &self,
         day: Date,
         records: &[UpdateRecord],
     ) -> Result<SpatialPublishReport, IndexError> {
+        self.publish_days(&[(day, records)])
+    }
+
+    /// Publish a run of days' blocks as one unit per band, then mark every
+    /// one of the days in one registry unit. A month-closing day in the run
+    /// also gives every band holding day blocks of that month its cells'
+    /// month roll-ups, in the same band unit: the run's own blocks count
+    /// for its days, committed blocks for the month's other days. Only
+    /// bands with something to publish commit (and bump their epoch).
+    pub fn publish_days(
+        &self,
+        days: &[(Date, &[UpdateRecord])],
+    ) -> Result<SpatialPublishReport, IndexError> {
         let mut report = SpatialPublishReport::default();
         let n = self.shards.len();
         let mut units: Vec<Vec<(CubeKey, Option<Vec<u8>>)>> = (0..n).map(|_| Vec::new()).collect();
-        let mut staged: Vec<BTreeMap<u32, SparseBlock>> = (0..n).map(|_| BTreeMap::new()).collect();
+        // This run's day blocks, per band, by (region, day).
+        let mut staged: Vec<BTreeMap<(u32, Date), SparseBlock>> = (0..n).map(|_| BTreeMap::new()).collect();
 
-        for (cell, block) in self.blocks_by_cell(records)? {
-            let s = self.shard_of(cell);
-            let key = self.key_for(cell, Period::Day(day));
-            if let (Some(unit), Some(st)) = (units.get_mut(s), staged.get_mut(s)) {
-                unit.push((key, Some(block.to_bytes())));
-                st.insert(key.region, block);
-                report.day_blocks += 1;
+        for &(day, records) in days {
+            for (cell, block) in self.blocks_by_cell(records)? {
+                let s = self.shard_of(cell);
+                let key = self.key_for(cell, Period::Day(day));
+                if let (Some(unit), Some(st)) = (units.get_mut(s), staged.get_mut(s)) {
+                    unit.push((key, Some(block.to_bytes())));
+                    st.insert((key.region, day), block);
+                    report.day_blocks += 1;
+                }
             }
         }
 
-        if day == day.month_end() {
-            let month = Period::month_of(day);
-            for s in 0..n {
-                let snap = match self.shards.get(s) {
-                    Some(store) => store.snapshot(),
-                    None => continue,
-                };
+        let in_run: BTreeSet<Date> = days.iter().map(|&(d, _)| d).collect();
+        for month in in_run.iter().filter(|d| **d == d.month_end()).map(|d| Period::month_of(*d)) {
+            for (s, (store, unit)) in self.shards.iter().zip(units.iter_mut()).enumerate() {
+                let snap = store.snapshot();
+                let Some(st) = staged.get(s) else { continue };
                 // Every region with a day block this month — committed or
                 // staged right now — gets a month roll-up.
                 let mut regions: BTreeSet<u32> =
-                    staged.get(s).map(|m| m.keys().copied().collect()).unwrap_or_default();
+                    st.keys().filter(|(_, d)| month.contains(*d)).map(|&(r, _)| r).collect();
                 for key in snap.keys() {
                     if !key.is_world() && matches!(key.period, Period::Day(d) if month.contains(d)) {
                         regions.insert(key.region);
@@ -384,8 +398,8 @@ impl SpatialBank {
                 for region in regions {
                     let mut sum = SparseBlock::empty(self.schema);
                     for d in month.range().days() {
-                        if d == day {
-                            if let Some(b) = staged.get(s).and_then(|m| m.get(&region)) {
+                        if in_run.contains(&d) {
+                            if let Some(b) = st.get(&(region, d)) {
                                 sum.merge_from(b)?;
                             }
                         } else if let Some(b) =
@@ -394,10 +408,8 @@ impl SpatialBank {
                             sum.merge_from(&b)?;
                         }
                     }
-                    if let Some(unit) = units.get_mut(s) {
-                        unit.push((CubeKey::regional(month, region), Some(sum.to_bytes())));
-                        report.month_blocks += 1;
-                    }
+                    unit.push((CubeKey::regional(month, region), Some(sum.to_bytes())));
+                    report.month_blocks += 1;
                 }
             }
         }
@@ -408,10 +420,10 @@ impl SpatialBank {
                 report.shards_touched += 1;
             }
         }
-        // Day marker strictly last: present only once every band unit is
+        // Day markers strictly last: present only once every band unit is
         // durable, so a marked day's blocks are complete.
-        self.marker
-            .put_blocks(vec![(marker_key(day), Some(SparseBlock::empty(self.schema).to_bytes()))])?;
+        let marker = SparseBlock::empty(self.schema).to_bytes();
+        self.marker.put_blocks(in_run.iter().map(|&d| (marker_key(d), Some(marker.clone()))).collect())?;
         Ok(report)
     }
 
@@ -564,6 +576,47 @@ mod tests {
             .fetch_block(s, &snap, empty_cell, Period::Day(d("2021-03-02")))
             .expect("fetch")
             .is_none());
+    }
+
+    /// February published as one run holds the blocks, roll-ups and
+    /// markers that its days published one by one hold, with one commit
+    /// per touched band and one registry commit.
+    #[test]
+    fn a_month_run_equals_its_days_one_by_one() {
+        let one_dir = TempDir::new("bank-days-one");
+        let run_dir = TempDir::new("bank-days-run");
+        let (by_day, by_run) = (bank(one_dir.path(), 2), bank(run_dir.path(), 2));
+        let days: Vec<(Date, Vec<UpdateRecord>)> = (1..=28)
+            .map(|i| {
+                let day = format!("2021-02-{i:02}");
+                let recs = (0..i % 4).map(|j| rec(&day, 100 * j, 10 + 600 * j)).collect();
+                (d(&day), recs)
+            })
+            .collect();
+        for (day, recs) in &days {
+            by_day.publish_day(*day, recs).expect("publish day");
+        }
+        let run: Vec<(Date, &[UpdateRecord])> = days.iter().map(|(d, r)| (*d, r.as_slice())).collect();
+        let report = by_run.publish_days(&run).expect("publish run");
+        assert_eq!(report.shards_touched, 2);
+        assert!(report.month_blocks > 0, "the run closes February");
+        assert_eq!(by_run.epochs(), vec![1, 1], "one unit per band");
+        assert_eq!(by_run.marker_store().epoch(), 1, "one registry unit");
+        for s in 0..2 {
+            let (a, b) = (by_day.snapshot(s).unwrap(), by_run.snapshot(s).unwrap());
+            let mut keys = a.keys();
+            keys.sort();
+            let mut run_keys = b.keys();
+            run_keys.sort();
+            assert_eq!(keys, run_keys, "band {s} holds other keys");
+            for key in keys {
+                let want = by_day.stores()[s].fetch_block_at(&a, key).unwrap().map(|(_, b)| b);
+                let got = by_run.stores()[s].fetch_block_at(&b, key).unwrap().map(|(_, b)| b);
+                assert_eq!(got, want, "band {s} block {key} diverges");
+            }
+        }
+        let snap = by_run.marker_snapshot();
+        assert!(days.iter().all(|(day, _)| by_run.day_published(&snap, *day)));
     }
 
     #[test]

@@ -5,17 +5,21 @@
 //! The store is copy-on-write and epoch-versioned so streaming ingest can
 //! run concurrently with serving:
 //!
-//! * Every write unit (`put`, `ingest_day`, `rebuild_month`) *stages* its
-//!   cubes as records appended to the store's [`RecordFile`] (`cubes.rec`),
-//!   each at its encoded length — published records are never rewritten.
-//!   A record's id is its byte offset. Until the unit commits, its records
-//!   are unreachable orphans.
-//! * Commit is one atomic step: sync the record file, append a checksummed
-//!   entry of the unit's `Period → (offset, length)` bindings to the WAL
-//!   (`wal.log`), then swap in a new [`CatalogVersion`] with a bumped
-//!   epoch. Readers that pinned the previous version keep resolving the
-//!   old records; a crash between stage and commit loses nothing but
-//!   orphan bytes.
+//! * Every write unit — a run of days with their roll-ups (one day on the
+//!   live path, up to a calendar month in batch: `stage_day` per day, then
+//!   `commit_days`; `ingest_day` is the one-day case), a `rebuild_month`,
+//!   or a batch of spatial blocks — *stages* its cubes as records appended
+//!   to the store's [`RecordFile`] (`cubes.rec`), each at its encoded
+//!   length — published records are never rewritten. A record's id is its
+//!   byte offset. Until the unit commits, its records are unreachable
+//!   orphans.
+//! * Commit is one atomic step, whatever the unit's size: sync the record
+//!   file, append a checksummed entry of the unit's `Period → (offset,
+//!   length)` bindings to the WAL (`wal.log`), then swap in a new
+//!   [`CatalogVersion`] with a bumped epoch — two syncs per unit. Readers
+//!   that pinned the previous version keep resolving the old records; a
+//!   crash between stage and commit loses nothing but orphan bytes, and a
+//!   torn commit loses the whole unit, never part of it.
 //! * A binding can also be a *tombstone*: `rebuild_month` removes the
 //!   daily cube of any in-month day the refined crawl produced no records
 //!   for, so stale pre-refinement counts cannot survive inside roll-ups.
@@ -31,6 +35,8 @@
 //!   that was flushed before the unit committed. Recovery hands the last
 //!   committed watermark back to the system, which trims the warehouse to
 //!   it: a day present in the index then always has its sample rows too.
+//!   Across stores, the unit's marker commit lands last
+//!   (`crate::ShardedIndex`'s unit-commit protocol).
 //!
 //! Publishing surgically invalidates exactly the replaced periods in the
 //! cube cache (version-tagged; see [`CubeCache`]) and cancels in-flight
@@ -66,6 +72,9 @@ pub enum IndexError {
     /// The store was written in another on-disk format version; it does
     /// not open (rebuild it from its data).
     StoreVersion { found: u32, expected: u32 },
+    /// A publish unit's days are not strictly increasing within one
+    /// calendar month, so no one marker commit can close it.
+    UnitSpan { first: Date, last: Date },
 }
 
 impl fmt::Display for IndexError {
@@ -82,6 +91,10 @@ impl fmt::Display for IndexError {
                 f,
                 "store format version {found} is not readable by this build (version {expected}); \
                  rebuild the store from its data"
+            ),
+            IndexError::UnitSpan { first, last } => write!(
+                f,
+                "publish unit {first}..={last} is not a run of increasing days in one calendar month"
             ),
         }
     }
@@ -269,7 +282,8 @@ impl CatalogVersion {
 
 /// WAL record kinds — provenance only; replay applies the bindings
 /// regardless of which operation produced them. Kind 0, a single put, is
-/// written only by unit tests.
+/// written only by unit tests. A day unit's `(a, b)` is (first day's
+/// ordinal, number of days); a month rebuild's is (year, month).
 const UNIT_DAY: u8 = 1;
 const UNIT_MONTH: u8 = 2;
 const UNIT_BLOCK: u8 = 3;
@@ -290,6 +304,21 @@ struct WriteUnit {
 impl WriteUnit {
     fn new(kind: u8, a: i32, b: u32) -> WriteUnit {
         WriteUnit { kind, a, b, delta: Vec::new(), staged: HashMap::new(), mark: None }
+    }
+}
+
+/// Days staged into one [`TemporalIndex`] unit and not yet published: the
+/// write unit, what staging them cost, and the I/O counters at the start.
+pub(crate) struct DayUnit {
+    unit: WriteUnit,
+    report: MaintenanceReport,
+    io_before: IoSnapshot,
+}
+
+impl DayUnit {
+    /// True when no day has been staged.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.unit.delta.is_empty()
     }
 }
 
@@ -520,7 +549,7 @@ impl TemporalIndex {
     }
 
     /// The warehouse row count recorded by the last committed unit that
-    /// carried one ([`TemporalIndex::ingest_day_marked`]); a fresh index
+    /// carried one ([`TemporalIndex::commit_days`]); a fresh index
     /// starts at `Some(0)`. `None` only on a pre-watermark checkpoint
     /// (no trim evidence). Every row below the watermark was flushed before
     /// the unit became durable, so on reopen the system trims the
@@ -822,7 +851,9 @@ impl TemporalIndex {
     /// Daily maintenance (§VI-A): store `cube` as the daily cube for `day`,
     /// then build the parent weekly / monthly / yearly cubes whenever `day`
     /// closes such a period. The day *and* its roll-ups publish together
-    /// as one atomic unit — readers see all of them or none.
+    /// as one atomic unit — readers see all of them or none. This is the
+    /// one-day case of [`TemporalIndex::stage_day`] +
+    /// [`TemporalIndex::commit_days`].
     ///
     /// On a plain day this costs exactly 1 cube write. At a week boundary
     /// the weekly cube is built by reading the 7 daily children (≤ 8 ops);
@@ -830,55 +861,69 @@ impl TemporalIndex {
     /// children (≤ 6 extra ops… [paper's figures]); December 31 additionally
     /// builds the yearly cube from 12 monthly children (13 ops).
     pub fn ingest_day(&self, day: Date, cube: &DataCube) -> Result<MaintenanceReport, IndexError> {
-        self.ingest_day_unit(day, cube, None)
+        let mut unit = self.begin_days();
+        self.stage_day(&mut unit, day, cube)?;
+        self.commit_days(unit, None)
     }
 
-    /// [`TemporalIndex::ingest_day`] plus a durable watermark: `mark` is
-    /// the warehouse row count the caller flushed *before* this call, and
-    /// it becomes visible through [`TemporalIndex::durable_mark`] exactly
-    /// when the unit commits — committed-day-implies-durable-rows is the
-    /// invariant the streaming resume check leans on.
-    pub fn ingest_day_marked(
-        &self,
-        day: Date,
-        cube: &DataCube,
-        mark: u64,
-    ) -> Result<MaintenanceReport, IndexError> {
-        self.ingest_day_unit(day, cube, Some(mark))
+    /// Open a unit of days: stage each with [`TemporalIndex::stage_day`]
+    /// in date order, then publish them all with
+    /// [`TemporalIndex::commit_days`]. Until then the staged records are
+    /// unreachable orphans.
+    pub(crate) fn begin_days(&self) -> DayUnit {
+        DayUnit {
+            unit: WriteUnit::new(UNIT_DAY, 0, 0),
+            report: MaintenanceReport::default(),
+            io_before: self.file.stats().snapshot(),
+        }
     }
 
-    fn ingest_day_unit(
-        &self,
-        day: Date,
-        cube: &DataCube,
-        mark: Option<u64>,
-    ) -> Result<MaintenanceReport, IndexError> {
-        let io_before = self.file.stats().snapshot();
-        let mut report = MaintenanceReport::default();
-        let mut unit = WriteUnit::new(UNIT_DAY, day.days(), 0);
-        unit.mark = mark;
-
-        self.stage(&mut unit, Period::Day(day), cube)?;
+    /// Stage `day`'s cube and every roll-up it closes into `unit`. Days
+    /// must arrive in increasing order: a roll-up reads the unit's own
+    /// staged days, so a week closed in the unit sums the days staged
+    /// before it.
+    pub(crate) fn stage_day(&self, unit: &mut DayUnit, day: Date, cube: &DataCube) -> Result<(), IndexError> {
+        let DayUnit { unit, report, .. } = unit;
+        if unit.delta.is_empty() {
+            unit.a = day.days();
+        }
+        unit.b += 1;
+        self.stage(unit, Period::Day(day), cube)?;
         report.cubes_written += 1;
         report.ops_by_level[0] += 1;
 
         // Week closes on Saturday (weeks start Sunday).
-        if self.levels >= 2 && day.succ().is_week_start() {
-            let before = report.total_ops();
-            report = self.roll_up(&mut unit, Period::week_of(day), report)?;
-            report.ops_by_level[1] += report.total_ops() - before;
+        let closes = [
+            (2, day.succ().is_week_start(), Period::week_of(day)),
+            (3, day == day.month_end(), Period::month_of(day)),
+            (4, day == day.year_end(), Period::year_of(day)),
+        ];
+        for (level, closed, parent) in closes {
+            if self.levels >= level && closed {
+                let before = report.total_ops();
+                *report = self.roll_up(unit, parent, *report)?;
+                let ops = report.total_ops() - before;
+                if let Some(slot) = report.ops_by_level.get_mut(usize::from(level) - 1) {
+                    *slot += ops;
+                }
+            }
         }
-        if self.levels >= 3 && day == day.month_end() {
-            let before = report.total_ops();
-            report = self.roll_up(&mut unit, Period::month_of(day), report)?;
-            report.ops_by_level[2] += report.total_ops() - before;
-        }
-        if self.levels >= 4 && day == day.year_end() {
-            let before = report.total_ops();
-            report = self.roll_up(&mut unit, Period::year_of(day), report)?;
-            report.ops_by_level[3] += report.total_ops() - before;
-        }
+        Ok(())
+    }
 
+    /// Publish every day staged in `unit`, with their roll-ups, as one
+    /// atomic unit: one record-file sync, one WAL entry, one epoch bump.
+    /// `mark` is the warehouse row count the caller flushed *before* the
+    /// commit; it becomes visible through [`TemporalIndex::durable_mark`]
+    /// exactly when the unit commits — committed-day-implies-durable-rows
+    /// is the invariant the resume check leans on.
+    pub(crate) fn commit_days(
+        &self,
+        unit: DayUnit,
+        mark: Option<u64>,
+    ) -> Result<MaintenanceReport, IndexError> {
+        let DayUnit { mut unit, mut report, io_before } = unit;
+        unit.mark = mark;
         self.commit_unit(unit)?;
         report.io = self.file.stats().snapshot().since(&io_before);
         Ok(report)
@@ -1104,7 +1149,7 @@ fn decode_entry(bytes: &[u8], off: usize) -> Option<Result<(CubeKey, Option<Loc>
 }
 
 // --- catalog sidecar -------------------------------------------------------
-// Format v5: magic (8) + epoch (u64) + durable mark (u64, u64::MAX = none)
+// Format v6: magic (8) + epoch (u64) + durable mark (u64, u64::MAX = none)
 // + entry count (u64), then per entry:
 //   granularity u8 | a i32 | b u32 | region u32 | offset u64 | len u32
 // where (a, b) encode the period: Day/Week → (start-days, 0);
@@ -1112,10 +1157,13 @@ fn decode_entry(bytes: &[u8], off: usize) -> Option<Result<(CubeKey, Option<Loc>
 // of the key (0 = world), and (offset, len) locate the stored encoding in
 // the record file. The magic's last byte is the format version; an older
 // store fails to open with `IndexError::StoreVersion` rather than
-// misreading.
+// misreading. v6 has v5's bytes; what changed is the meaning of a
+// multi-shard store: its day markers sit on the month's marker shard
+// (`routing::marker_shard`), not the day's, so a v5 store resumed under v6
+// would read committed days as absent.
 
-const CATALOG_MAGIC: &[u8; 8] = b"RASEDCT5";
-const CATALOG_VERSION: u32 = 5;
+const CATALOG_MAGIC: &[u8; 8] = b"RASEDCT6";
+const CATALOG_VERSION: u32 = 6;
 const CATALOG_HEADER: usize = 32;
 
 /// The format version a catalog file declares: the digit after its
@@ -1223,6 +1271,18 @@ mod tests {
             let mut unit = WriteUnit::new(UNIT_PUT, 0, 0);
             self.stage(&mut unit, period, cube)?;
             self.commit_unit(unit)
+        }
+
+        /// One marked day: the one-day case of the unit path.
+        fn ingest_day_marked(
+            &self,
+            day: Date,
+            cube: &DataCube,
+            mark: u64,
+        ) -> Result<MaintenanceReport, IndexError> {
+            let mut unit = self.begin_days();
+            self.stage_day(&mut unit, day, cube)?;
+            self.commit_days(unit, Some(mark))
         }
     }
 
@@ -1785,7 +1845,32 @@ mod tests {
         v3.extend_from_slice(&0u64.to_le_bytes());
         std::fs::write(dir.file("catalog.bin"), v3).unwrap();
         match TemporalIndex::open(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free()) {
-            Err(IndexError::StoreVersion { found: 3, expected: 5 }) => {}
+            Err(IndexError::StoreVersion { found: 3, expected: 6 }) => {}
+            other => panic!("expected a store-version error, got {other:?}"),
+        }
+    }
+
+    /// A v5 store keeps its day markers on the day's shard; this build
+    /// looks on the month's. Its catalog has v6's bytes under the old
+    /// magic, and it must fail as a version, not resume under the wrong
+    /// marker.
+    #[test]
+    fn open_rejects_a_day_keyed_marker_store() {
+        let dir = TempDir::new("index-v5");
+        let schema = CubeSchema::tiny();
+        {
+            let idx =
+                TemporalIndex::create(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free())
+                    .unwrap();
+            idx.ingest_day(d("2021-01-04"), &day_cube(schema, "2021-01-04", 3)).unwrap();
+            idx.sync().unwrap();
+        }
+        let mut bytes = std::fs::read(dir.file("catalog.bin")).unwrap();
+        assert!(bytes.starts_with(b"RASEDCT6"));
+        bytes[7] = b'5';
+        std::fs::write(dir.file("catalog.bin"), bytes).unwrap();
+        match TemporalIndex::open(dir.path(), schema, 4, CacheConfig::disabled(), IoCostModel::free()) {
+            Err(IndexError::StoreVersion { found: 5, expected: 6 }) => {}
             other => panic!("expected a store-version error, got {other:?}"),
         }
     }

@@ -1,8 +1,8 @@
 //! Commit log for catalog publishes (the "manifest/WAL" of the write path).
 //!
-//! A publish unit (one `put`, `ingest_day`, or `rebuild_month`) stages its
-//! cube records with copy-on-write appends and then commits by writing a
-//! single checksummed record here. The record carries the full set of
+//! A publish unit (a run of days, a `rebuild_month`, or a batch of spatial
+//! blocks) stages its cube records with copy-on-write appends and then
+//! commits by writing a single checksummed record here. The record carries the full set of
 //! `Period → (offset, length)` bindings the unit installs, so replay is a
 //! pure catalog-map operation: staged cube records that never reached a
 //! committed log record are orphans and are simply never referenced again.
@@ -20,10 +20,13 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Upper bound on a single record payload; a unit is at most one month of
-/// days plus roll-ups, far under this. Guards replay against a corrupt
-/// length field demanding a huge allocation.
-const MAX_PAYLOAD: u32 = 1 << 20;
+/// Upper bound on a single record payload, checked on append and on
+/// replay. A unit is at most one month of days plus roll-ups: a bank band
+/// unit binds up to (cells in the band) × 32 keys at 25 bytes each, about
+/// 1.6 MB if every cell of a 32 × 64 grid in one band saw data every day,
+/// so the cap leaves ten times that. An append over it is refused with an
+/// error rather than written as a record that replay would stop at.
+const MAX_PAYLOAD: u32 = 1 << 24;
 
 /// Append-only writer over the commit log.
 #[derive(Debug)]
@@ -48,6 +51,12 @@ impl Wal {
 
     /// Append one framed record and flush it to stable storage.
     pub(crate) fn append(&mut self, payload: &[u8]) -> io::Result<()> {
+        if payload.len() > MAX_PAYLOAD as usize {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("WAL record of {} bytes exceeds the {MAX_PAYLOAD}-byte cap", payload.len()),
+            ));
+        }
         let mut frame = Vec::with_capacity(8 + payload.len());
         frame.extend_from_slice(&crc32(payload).to_le_bytes());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -230,6 +239,19 @@ mod tests {
         let (records, _) = replay(&path).unwrap();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].payload, b"new");
+    }
+
+    #[test]
+    fn an_append_over_the_cap_is_refused_and_writes_nothing() {
+        let dir = TempDir::new("wal");
+        let path = dir.file("wal.log");
+        let mut wal = Wal::open_append(&path, Arc::default()).unwrap();
+        wal.append(b"kept").unwrap();
+        let err = wal.append(&vec![0u8; MAX_PAYLOAD as usize + 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let (records, total) = replay(&path).unwrap();
+        assert_eq!(records.len(), 1);
+        assert_eq!(total, 8 + 4, "the refused record left no bytes");
     }
 
     #[test]

@@ -140,6 +140,10 @@ impl DiskHashIndex {
         self.save_directory()
     }
 
+    /// Rewrite the directory sidecar in place, unsynced: a crash can leave
+    /// it torn or stale, so its owner must be able to rebuild the index
+    /// (the warehouse does, from its heap, when [`DiskHashIndex::open`]
+    /// fails or its [`DiskHashIndex::len`] disagrees with the heap).
     fn save_directory(&self) -> Result<(), StorageError> {
         let mut out = Vec::with_capacity(17 + self.directory.len() * 8);
         out.extend_from_slice(DIR_MAGIC);

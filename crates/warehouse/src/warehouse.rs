@@ -83,14 +83,24 @@ impl Warehouse {
     }
 
     /// Reopen an existing warehouse: the persistent changeset index opens
-    /// directly; the spatial grid is rebuilt with one scan.
+    /// directly; the spatial grid is rebuilt with one scan. The changeset
+    /// index's directory sidecar is rewritten in place on every flush, so
+    /// a crash can leave it torn or behind the heap: when it does not open,
+    /// or counts other than the heap's rows, the index is rebuilt from
+    /// that same scan.
     pub fn open(path: &Path, model: IoCostModel, pool_pages: usize) -> Result<Warehouse, WarehouseError> {
         let heap = HeapFile::open(path, model, pool_pages)?;
-        let by_changeset = DiskHashIndex::open(&path.with_extension("hx"), model)?;
-        let mut spatial = GridIndex::world_default();
-        heap.scan(|rid, rec| {
-            spatial.insert(Point::new(rec.lat7, rec.lon7), rid);
-        })?;
+        let hx = path.with_extension("hx");
+        let kept = DiskHashIndex::open(&hx, model).ok().filter(|ix| ix.len() == heap.row_count());
+        let (by_changeset, spatial) = match kept {
+            Some(ix) => (ix, index_rows(&heap, None)?),
+            None => {
+                let mut fresh = DiskHashIndex::create(&hx, model)?;
+                let grid = index_rows(&heap, Some(&mut fresh))?;
+                fresh.sync()?;
+                (fresh, grid)
+            }
+        };
         Ok(Warehouse {
             path: path.to_path_buf(),
             model,
@@ -127,21 +137,7 @@ impl Warehouse {
             heap.flush()?;
             let mut by_changeset = self.by_changeset.lock();
             let mut fresh = DiskHashIndex::create(&self.path.with_extension("hx"), self.model)?;
-            let mut grid = GridIndex::world_default();
-            let mut err: Option<StorageError> = None;
-            heap.scan(|rid, rec| {
-                if err.is_some() {
-                    return;
-                }
-                if let Err(e) = fresh.insert(rec.changeset.raw(), rid.0) {
-                    err = Some(e);
-                    return;
-                }
-                grid.insert(Point::new(rec.lat7, rec.lon7), rid);
-            })?;
-            if let Some(e) = err {
-                return Err(e.into());
-            }
+            let grid = index_rows(&heap, Some(&mut fresh))?;
             fresh.sync()?;
             *by_changeset = fresh;
             (before - keep, grid)
@@ -355,6 +351,32 @@ impl Warehouse {
     }
 }
 
+/// One heap scan into a fresh spatial grid, also inserting every row into
+/// `by_changeset` when one is given (an index being rebuilt).
+fn index_rows(
+    heap: &HeapFile,
+    mut by_changeset: Option<&mut DiskHashIndex>,
+) -> Result<GridIndex<RowId>, WarehouseError> {
+    let mut grid = GridIndex::world_default();
+    let mut err: Option<StorageError> = None;
+    heap.scan(|rid, rec| {
+        if err.is_some() {
+            return;
+        }
+        if let Some(ix) = by_changeset.as_deref_mut() {
+            if let Err(e) = ix.insert(rec.changeset.raw(), rid.0) {
+                err = Some(e);
+                return;
+            }
+        }
+        grid.insert(Point::new(rec.lat7, rec.lon7), rid);
+    })?;
+    match err {
+        Some(e) => Err(e.into()),
+        None => Ok(grid),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,6 +545,51 @@ mod tests {
         assert_eq!(w.by_changeset(ChangesetId(15)).unwrap().len(), 3);
         // Truncating past the end is a no-op.
         assert_eq!(w.truncate_rows(1000).unwrap(), 0);
+    }
+
+    /// The changeset index's directory sidecar is rewritten in place, so a
+    /// crash can leave any prefix of it. Cut it at every byte: the
+    /// warehouse still opens, and every changeset lookup equals a heap
+    /// scan.
+    #[test]
+    fn a_torn_changeset_directory_is_rebuilt_on_open() {
+        let dir = TempDir::new("wh-torn-dir");
+        let path = dir.file("wh.pg");
+        {
+            let w = Warehouse::create(&path, IoCostModel::free(), 16).unwrap();
+            for i in 0..900 {
+                w.insert(&rec(i, 10_000_000 + i as i32, 20_000_000)).unwrap();
+            }
+            w.flush().unwrap();
+        }
+        let sidecar = path.with_extension("dir");
+        let whole = std::fs::read(&sidecar).unwrap();
+        assert!(whole.len() > 17 + 8, "900 rows split the directory past one slot");
+        let pristine: Vec<(std::path::PathBuf, Vec<u8>)> = ["pg", "hx", "dir"]
+            .iter()
+            .map(|ext| {
+                let p = path.with_extension(ext);
+                let bytes = std::fs::read(&p).unwrap();
+                (p, bytes)
+            })
+            .collect();
+        for cut in 0..=whole.len() {
+            for (p, bytes) in &pristine {
+                std::fs::write(p, bytes).unwrap();
+            }
+            std::fs::write(&sidecar, &whole[..cut]).unwrap();
+            let w = Warehouse::open(&path, IoCostModel::free(), 16)
+                .unwrap_or_else(|e| panic!("cut at byte {cut}: open failed: {e}"));
+            let mut oracle: std::collections::BTreeMap<ChangesetId, Vec<UpdateRecord>> =
+                std::collections::BTreeMap::new();
+            w.scan(|_, r| oracle.entry(r.changeset).or_default().push(*r)).unwrap();
+            assert_eq!(oracle.values().map(Vec::len).sum::<usize>(), 900);
+            for (cs, want) in &oracle {
+                let mut got = w.by_changeset(*cs).unwrap();
+                got.sort_by_key(|r| r.lat7);
+                assert_eq!(&got, want, "cut at byte {cut}: changeset {cs:?} diverges from the heap");
+            }
+        }
     }
 
     #[test]
